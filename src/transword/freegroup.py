@@ -54,6 +54,8 @@ def letter_rank(fam: str, index: int) -> int:
 
 def rank_letter_set(n: int) -> frozenset[tuple[str, int]]:
     """All (family, index) pairs of rank < n."""
+    if n < 0:
+        raise ValueError(f"rank level must be a natural number, got {n}")
     return frozenset(
         (fam, m)
         for fam in FAMILIES

@@ -16,14 +16,17 @@ cancel on an infinite and co-infinite step set are outside the fragment
 and rejected.  `tail_alignment` decides whether two schemas emit the same
 letters from some position on, returning the position shift; this single
 primitive drives stream cancellation, germ equality and the interval
-decomposition.
+decomposition.  `Schema.tail_key` filters: schemas with different keys
+never align, so callers index candidates by key and `tail_alignment`
+returns at once on a mismatch.  `tail_alignment` decides: equal keys do
+not imply an alignment.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
 from .freegroup import Letter
@@ -35,6 +38,7 @@ from .setspec import (
     Finite,
     PrefixCode,
     SetSpec,
+    carry_twin,
     indicator_classification,
     make_evp,
     pair_agreement,
@@ -139,19 +143,19 @@ K = affine(1)  # the identity index function
 
 def poly_shift_match(f: IndexFn, g: IndexFn) -> int | None:
     """The integer d with f(k) == g(k+d) for all k, if one exists."""
-    fa2, fa1 = Fraction(f.a2, f.div), Fraction(f.a1, f.div)
-    ga2, ga1, ga0 = Fraction(g.a2, g.div), Fraction(g.a1, g.div), Fraction(g.a0, g.div)
-    if fa2 != ga2:
+    # g(k+d) = (g.a2 k^2 + (2 g.a2 d + g.a1) k + ...) / g.div; compare the
+    # coefficients over the common denominator f.div * g.div
+    if f.a2 * g.div != g.a2 * f.div:
         return None
-    if ga2 != 0:
-        d = (fa1 - ga1) / (2 * ga2)
-    elif ga1 != 0:
-        d = (Fraction(f.a0, f.div) - ga0) / ga1
+    if g.a2:
+        num, den = f.a1 * g.div - g.a1 * f.div, 2 * g.a2 * f.div
+    elif g.a1:
+        num, den = f.a0 * g.div - g.a0 * f.div, g.a1 * f.div
     else:
         return None
-    if d.denominator != 1:
+    if num % den:
         return None
-    d = int(d)
+    d = num // den
     try:
         return d if g.shift(d) == f else None
     except ValueError:  # shifted function dips below the naturals
@@ -247,6 +251,11 @@ def pair_cancellation(e1: Entry, e2: Entry, shift: int):
     return (FINITE, hits)
 
 
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 @dataclass(frozen=True)
 class Schema:
     entries: tuple[Entry, ...]
@@ -258,6 +267,41 @@ class Schema:
     @property
     def width(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def tail_key(self) -> tuple:
+        """A hashable invariant of the tail class, in integers only:
+        `tail_alignment(su, sv) is not None` implies equal keys (not the
+        converse).
+
+        Per position, an entry's letter index grows at rate a1/(div*m)
+        (affine) or with leading coefficient a2/(div*m^2) (quadratic);
+        those rates, the sign and whether the family is 'a' survive
+        unrolling, rotation and step shifts, and so does each rate
+        class's share of the period.  Prefix-code selectors neither
+        decimate nor shift, so a schema carrying one aligns only with a
+        schema of its own width whose entries match it one to one, with
+        the same index function, or the twin branch's with the index
+        shifted one step (`setspec.carry_twin`)."""
+        m = self.width
+        rates: Counter = Counter()
+        codes: Counter = Counter()
+        for e in self.entries:
+            f = e.idx
+            rate = _ratio(f.a2, f.div * m * m) if f.a2 else _ratio(f.a1, f.div * m)
+            rates[(e.sign, e.fam == "a", f.a2 == 0) + rate] += 1
+            if isinstance(e.fam, PrefixCode):
+                fam, coeffs = e.fam, (f.a2, f.a1, f.a0)
+                twin = carry_twin(fam)
+                if twin is not None:  # (fam, f(k)) aligns with (twin, f(k-1))
+                    fam, coeffs = twin, (f.a2, f.a1 - 2 * f.a2, f.a2 - f.a1 + f.a0)
+                codes[(e.sign, fam.branch_prefix, fam.branch_period, f.div) + coeffs] += 1
+        # sorted flat tuples: canonical multisets, and small, since every
+        # schema keeps its key
+        shares = tuple(sorted(r + _ratio(n, m) for r, n in rates.items()))
+        if not codes:
+            return shares
+        return shares, m, tuple(sorted(codes.items()))
 
     def letter_at(self, p: int) -> Letter:
         k, j = divmod(p, self.width)
@@ -395,6 +439,8 @@ def fold(schema: Schema) -> Schema:
 def tail_alignment(su: Schema, sv: Schema) -> tuple[int, int] | None:
     """(delta, Kpos) such that su's letter at p equals sv's letter at
     p + delta for every p >= Kpos; None when no such shift exists."""
+    if su.tail_key != sv.tail_key:
+        return None
     if su.width != sv.width:
         L = lcm(su.width, sv.width)
         su2 = unroll(su, L // su.width)

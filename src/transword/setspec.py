@@ -159,6 +159,18 @@ class PrefixCode(SetSpec):
         return f'pcode("{pre}","{per}")'
 
 
+def carry_twin(spec: PrefixCode) -> PrefixCode | None:
+    """For a branch ending in ones, the branch whose codes are one larger
+    from some depth on: code(x0 1^j) + 1 == code(x1 0^j) and
+    code(1^j) + 1 == code(0^(j+1)).  So {k : (k in S) == (k+1 in twin)}
+    is cofinite.  None for every other branch; no other pair of distinct
+    branches agrees cofinitely at any shift."""
+    if spec.branch_period != (1,):
+        return None
+    x = spec.branch_prefix  # canonical: empty or ending in 0
+    return PrefixCode(x[:-1] + (1,), (0,)) if x else PrefixCode((), (0,))
+
+
 def make_evp(prefix, period) -> SetSpec:
     """EvPeriodic, demoted to Finite when the period is all zeros."""
     prefix = _parse_bits(prefix)
@@ -225,6 +237,14 @@ def pair_agreement(s1: SetSpec, s2: SetSpec, shift: int = 0):
     if b1 is None and b2 is None:
         if s1 == s2 and shift == 0:
             return (COFINITE, 0)
+        if (shift == 1 and carry_twin(s1) == s2) or (
+            shift == -1 and carry_twin(s2) == s1
+        ):
+            # codes of depth past both prefixes pair off one apart; the
+            # disagreements lie among the shallower codes
+            top = 2 + max(s.member(len(s.branch_prefix)) for s in (s1, s2))
+            misses = [k for k in range(top) if s1.contains(k) != s2.contains(k + shift)]
+            return (COFINITE, misses[-1] + 1 if misses else 0)
         return (MIXED, None)
     if b1 is None or b2 is None:
         # a prefix-code set never eventually agrees with a periodic one:

@@ -17,6 +17,7 @@ subset of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .freegroup import FreeWord, Letter
 from .hag import Germ, HagClass, _cancelled, hag_normal
@@ -81,6 +82,19 @@ class SigmaFamily:
 
     def render_names(self) -> dict[SetSpec, str]:
         return dict(zip(self.members, self.names))
+
+    @cached_property
+    def _by_key(self) -> dict[tuple, list[tuple[str, SetSpec, Schema]]]:
+        index: dict = {}
+        for name, spec in self.items():
+            sch = member_schema(spec)
+            index.setdefault(sch.tail_key, []).append((name, spec, sch))
+        return index
+
+    def candidates(self, schema: Schema):
+        """(name, spec, member schema) for the members whose word may share
+        a tail with the schema: those with an equal tail key."""
+        return self._by_key.get(schema.tail_key, ())
 
 
 def make_family(k: int) -> SigmaFamily:
@@ -154,8 +168,8 @@ def _match_member(seg: Stream, fam: SigmaFamily):
     """(name, start, delta) for the unique member whose word the stream
     tail renders: positions p >= start carry the member letter at p+delta."""
     found = None
-    for name, spec in fam.items():
-        al = tail_alignment(seg.schema, member_schema(spec))
+    for name, spec, sch in fam.candidates(seg.schema):
+        al = tail_alignment(seg.schema, sch)
         if al is None:
             continue
         delta, Kpos = al
@@ -290,8 +304,8 @@ def psi_f(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> HagClass:
 
 
 def _map_germ(g: Germ, fam: SigmaFamily, f: dict[str, str]) -> Germ:
-    for name, spec in fam.items():
-        if tail_alignment(g.schema, member_schema(spec)) is not None:
+    for name, _, member in fam.candidates(g.schema):
+        if tail_alignment(g.schema, member) is not None:
             target = f[name]
             sch = _T_SCHEMA if target == T else member_schema(fam.spec(target))
             return Germ(sch, g.sign)

@@ -163,7 +163,7 @@ def project_finite(w: SchematicWord, letters) -> FreeWord:
 
 
 def proj_rank(w: SchematicWord, n: int) -> FreeWord:
-    """The projection keeping letters of rank < n."""
+    """The projection keeping letters of rank < n; ValueError for n < 0."""
     return project_finite(w, rank_letter_set(n))
 
 

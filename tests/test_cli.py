@@ -26,6 +26,13 @@ def test_project_telescope():
     assert "result: [a0]" in out
 
 
+def test_project_rejects_negative_level():
+    code, out, err = run(["project", "-e", "[a1 b2]", "-N", "-5"])
+    assert code == 1
+    assert out == ""
+    assert "rank level" in err and "-5" in err
+
+
 def test_demo_separation_verdict():
     code, out, _ = run(["demo-separation", "-k", "4"])
     assert code == 0

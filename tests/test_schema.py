@@ -20,7 +20,9 @@ from transword.schema import (
     tail_alignment,
     unroll,
 )
-from transword.setspec import EvPeriodic, Finite, PrefixCode
+from transword.randwords import random_stream
+from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, shifted
+from transword.words import _shift_schema
 
 idx_st = st.one_of(
     st.builds(affine, st.integers(1, 3), st.integers(0, 6)),
@@ -211,3 +213,105 @@ def test_tail_alignment_random_consistency():
             other.letter_at(p) == sch.letter_at(p + delta)
             for p in range(Kpos, Kpos + 10)
         )
+
+
+# ---------------------------------------------------------------------------
+# tail keys: tail_alignment(su, sv) is not None implies equal keys
+
+# twin branches: the codes of the first of each pair sit one below the
+# codes of the second from some depth on (setspec.carry_twin)
+TWINS = (
+    PrefixCode("", "1"),
+    PrefixCode("", "0"),
+    PrefixCode("0", "1"),
+    PrefixCode("1", "0"),
+    PrefixCode("000", "1"),
+    PrefixCode("001", "0"),
+)
+
+
+def _rotate(sch, r):
+    """The presentation starting r entries later: entries that wrap move
+    one step forward."""
+    wrapped = _shift_schema(Schema(sch.entries[:r]), 1)
+    return None if wrapped is None else Schema(sch.entries[r:] + wrapped.entries)
+
+
+def _twinned(sch):
+    """`_shift_schema(sch, -1)` with every branch ending in ones moved to
+    its twin: (x0 1^w, f) at step k renders what (x1 0^w, f(k-1)) renders
+    at step k+1.  None when some entry cannot move."""
+    out = []
+    for e in sch.entries:
+        fam = e.fam
+        if isinstance(fam, PrefixCode):
+            fam = carry_twin(fam)
+        elif not isinstance(fam, str):
+            fam = shifted(fam, -1)
+        if fam is None:
+            return None
+        try:
+            out.append(Entry(fam, e.idx.shift(-1), e.sign))
+        except ValueError:
+            return None
+    return Schema(tuple(out))
+
+
+def _presentations(sch):
+    cands = [unroll(sch, 2), unroll(sch, 3), _twinned(sch)]
+    cands += [_rotate(sch, r) for r in range(1, sch.width)]
+    cands += [_shift_schema(sch, d) for d in (1, 2, 3)]
+    return [c for c in cands if c is not None and schema_valid(c)]
+
+
+@st.composite
+def schema_st(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    selectors = TWINS if draw(st.booleans()) else None
+    sch = random_stream(rng, selectors=selectors).schema
+    if draw(st.booleans()):
+        twin = _twinned(sch)
+        if twin is not None and schema_valid(twin):
+            sch = twin
+    return sch
+
+
+@given(schema_st())
+def test_tail_key_presentation_invariant(sch):
+    for other in _presentations(sch):
+        assert other.tail_key == sch.tail_key
+        assert tail_alignment(other, sch) is not None
+        assert tail_alignment(sch, other) is not None
+
+
+@given(schema_st(), schema_st(), st.integers(0, 8))
+def test_tail_key_necessary_for_alignment(su, sv, pick):
+    pres = _presentations(sv)
+    if pres and pick < 4:
+        sv = pres[pick % len(pres)]  # a pair that often aligns
+    if tail_alignment(su, sv) is not None:
+        assert su.tail_key == sv.tail_key
+
+
+def test_tail_key_twin_branches():
+    # (0 1^w, k+1) at step k renders what (1 0^w, k) renders at step k+1
+    s = Schema((Entry(PrefixCode("0", "1"), affine(1, 1), 1),))
+    t = Schema((Entry(PrefixCode("1", "0"), K, 1),))
+    assert s.tail_key == t.tail_key
+    al = tail_alignment(s, t)
+    assert al is not None
+    delta, Kpos = al
+    assert all(s.letter_at(p) == t.letter_at(p + delta) for p in range(Kpos, Kpos + 200))
+    # the same branches on the same index functions never align
+    u = Schema((Entry(PrefixCode("0", "1"), K, 1),))
+    assert u.tail_key != t.tail_key and tail_alignment(u, t) is None
+
+
+def test_poly_shift_match_integer_cases():
+    row = IndexFn(1, 3, 0, 2)  # k(k+3)/2
+    assert poly_shift_match(row.shift(2), row) == 2
+    assert poly_shift_match(row, row.shift(2)) == -2
+    assert poly_shift_match(affine(2, 5), affine(2, 1)) == 2
+    assert poly_shift_match(affine(2, 4), affine(2, 1)) is None  # d = 3/2
+    assert poly_shift_match(affine(1, 0), affine(2, 0)) is None
+    assert poly_shift_match(IndexFn(1, 1, 0, 2), IndexFn(1, 1, 0, 1)) is None

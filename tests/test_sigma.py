@@ -213,6 +213,27 @@ def test_separation_injective_k4():
         seen[pat] = mask
 
 
+def test_separation_tests_one_candidate_per_stream(monkeypatch):
+    # tail keys leave one candidate member per stream: one alignment search
+    # per member word, not one per (stream, member) pair; the twin branches
+    # S2/S3, S4/S5, S6/S7 and S8/S9 still get distinct keys on member words
+    from transword import hag, schema, sigma, words
+
+    real = schema.tail_alignment
+    calls = []
+
+    def counting(su, sv):
+        calls.append((su, sv))
+        return real(su, sv)
+
+    for mod in (schema, sigma, hag, words):
+        monkeypatch.setattr(mod, "tail_alignment", counting)
+    fam = make_family(10)
+    assert separation_pattern(fam, {"S2", "S3", "S7"}) == (0, 1, 1, 0, 0, 0, 1, 0, 0, 0)
+    assert len(calls) == 10
+    assert all(real(su, sv) is not None for su, sv in calls)
+
+
 # -- the permutation action ------------------------------------------------------
 
 def _perm_map(fam, perm):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from transword.dsl import parse_word
 from transword.freegroup import EMPTY, FreeWord, Letter, rank_letter_set, reduce_free
 from transword.schema import Entry, K, Schema, affine
 from transword.setspec import EvPeriodic, PrefixCode
@@ -240,6 +241,28 @@ def test_mixed_pattern_rejected():
     p1, p2 = PrefixCode("", "0"), PrefixCode("", "1")
     with pytest.raises(ValueError):
         Stream(True, 0, Schema((Entry(p1, K, 1), Entry(p2, K, -1))))
+
+
+def test_twin_branch_telescope_reduces():
+    # k is in 1^w exactly when k+1 is in 0^w, so each step's second letter
+    # cancels the next step's first: the stream collapses to its first letter
+    zeros, ones = PrefixCode("", "0"), PrefixCode("", "1")
+    w = stream_word(True, 0, [Entry(zeros, K, 1), Entry(ones, affine(1, 1), -1)])
+    r = reduce(w)
+    assert r == block(L("b", 0))
+    for N in (6, 12, 30):
+        keep = rank_letter_set(N)
+        assert project_finite(w, keep) == project_oracle(w, keep) == proj_rank(r, N)
+
+
+def test_twin_branch_junction_cancels():
+    # the backward all-zeros stream renders, one step later, what the
+    # forward all-ones stream renders: the junction cancels completely
+    # (this used to run the junction scan into its cap)
+    w = parse_word('st(-,1,{sel(pcode("","0"))(k+10)}) st(+,0,{sel(pcode("","1"))(k+11)})')
+    assert reduce(w) == EMPTY_WORD
+    keep = rank_letter_set(45)
+    assert project_oracle(w, keep) == EMPTY
 
 
 def test_isolated_root_pattern_reduces():
