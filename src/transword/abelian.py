@@ -72,15 +72,7 @@ def distinct_homs_demo(k: int, p: int) -> int:
     the characteristic vectors."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    vectors = set()
-    indices = range(k)
-    for r in range(k + 1):
-        for subset in combinations(indices, r):
-            vec = tuple(
-                sum_functional(subset, mod_p(basis(i), p), p) for i in indices
-            )
-            vectors.add(vec)
-    return len(vectors)
+    return len(set(evaluation_matrix(k, p)))
 
 
 def evaluation_matrix(k: int, p: int) -> list[tuple[int, ...]]:

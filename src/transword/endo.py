@@ -31,6 +31,7 @@ from .freegroup import (
     rank_letter_set,
     reduce_free,
 )
+from .hag import min_rank_of
 from .schema import Entry, IndexFn, Schema, affine
 from .words import (
     EMPTY_WORD,
@@ -324,12 +325,6 @@ class EmbeddingReport:
         return out
 
 
-def _min_rank(w: SchematicWord) -> int | None:
-    from .hag import min_rank_of
-
-    return min_rank_of(w)
-
-
 def embedding_check(
     s: SubstitutionMap, n_max: int, len_max: int, samples: int = 25, rng=None
 ) -> EmbeddingReport:
@@ -349,7 +344,7 @@ def embedding_check(
     images = [reduce(s.image_of(n)) for n in range(n_max + 2)]
     ranks = []
     for n, img in enumerate(images):
-        r = _min_rank(img)
+        r = min_rank_of(img)
         if r is None:
             rep.fail(f"image of a{n} is trivial")
             return rep

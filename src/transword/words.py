@@ -7,12 +7,20 @@ them to the same value; `reduce` rewrites to the unique reduced word in
 the same projection class, and `heg_equal` decides equality in the group
 by comparing reduced canonical forms.
 
-The rewrite engine alternates canonical moves (block merging, absorption
-of letters into matching stream heads, schema folding) with cancellation
-moves: free reduction inside blocks, pattern reduction inside streams
-(dropping entry pairs that cancel at every step, which is how telescoping
-products collapse), letter-against-stream-head cancellation, and deletion
-or partial cancellation of adjacent stream pairs via tail alignment.
+`canonicalize` and `reduce` are one left-to-right stack pass, as in free
+reduction.  Each input segment is settled by the moves on one segment
+(folding, head splits, cursor normalisation; when cancelling, also free
+reduction of blocks and pattern reduction of streams, which is how
+telescoping products collapse), then meets the top of the output stack
+through the moves at one junction (block merging, absorption into stream
+heads, cross moves; when cancelling, also letter-against-head and
+stream-pair cancellation via tail alignment).  The pieces of a move go
+back to the input, so no move applies on the stack and the pass ends on
+a word no move applies to: the normal form, as far as the moves are
+confluent.  `reduce(w, rng)`, which applies cancellation sites in random
+order, is the oracle the tests compare the pass against.  A block between
+a backward and a forward stream is offered to the backward one first,
+which is not yet order-independent (ROADMAP, item 1).
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .freegroup import EMPTY, FreeWord, Letter, rank_letter_set, reduce_free
+from .freegroup import FreeWord, Letter, is_reduced_free, rank_letter_set, reduce_free
 from .schema import (
     COFINITE,
     FINITE,
@@ -173,20 +181,16 @@ def equal_up_to(w1: SchematicWord, w2: SchematicWord, N: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical form
+# moves
 
-def _pop_to_boundary(st: Stream):
-    m = st.schema.width
-    r = st.pos % m
-    if r == 0:
-        return None
-    n = m - r
-    letters = [st.letter(p) for p in range(st.pos, st.pos + n)]
-    new = Stream(st.forward, st.pos + n, st.schema)
+def _split_head(st: Stream, upto: int) -> list[Segment]:
+    """Positions [pos, upto) cut off as a finite block, and the rest of the
+    stream, in display order."""
+    letters = [st.letter(p) for p in range(st.pos, upto)]
+    rest = Stream(st.forward, upto, st.schema)
     if st.forward:
-        return FiniteBlock(FreeWord(tuple(letters))), new, "before"
-    inv = FreeWord(tuple(l.inverse for l in reversed(letters)))
-    return FiniteBlock(inv), new, "after"
+        return [FiniteBlock(FreeWord(tuple(letters))), rest]
+    return [rest, FiniteBlock(FreeWord(tuple(l.inverse for l in reversed(letters))))]
 
 
 def _step_hits(schema: Schema, s: int) -> bool:
@@ -313,12 +317,12 @@ def _absorb_backward(st: Stream, bw: FreeWord):
 
 
 def _cross_move(left: Stream, right: Stream):
+    """Move one lcm-period from the head of the forward stream `right` into
+    the backward stream `left`; for a junction whose tails differ."""
     mu = left.schema.width
     g = lcm(mu, right.schema.width)
     if _pattern_site(left) is not None or _pattern_site(right) is not None:
         return None
-    if _tails_equal(left, right):
-        return None  # a deletion site; leave it to the rewrite engine
     cur = left
     for t in range(g // mu):
         # display order runs opposite to forward-sequence order, so the
@@ -329,107 +333,7 @@ def _cross_move(left: Stream, right: Stream):
         cur = _absorb_letters(cur, letters)
         if cur is None:
             return None
-    return cur, Stream(True, right.pos + g, right.schema)
-
-
-def canonicalize(w: SchematicWord) -> SchematicWord:
-    segs = list(w.segments)
-    for _ in range(_REDUCE_CAP):
-        changed = False
-        out: list[Segment] = []
-        for seg in segs:
-            if isinstance(seg, FiniteBlock):
-                if len(seg.word):
-                    out.append(seg)
-                else:
-                    changed = True
-                continue
-            folded = fold(seg.schema)
-            if folded != seg.schema:
-                seg = Stream(seg.forward, seg.pos, folded)
-                changed = True
-            popped = _pop_to_boundary(seg)
-            if popped is None:
-                normal = _normalize_cursor(seg)
-                if normal != seg:
-                    changed = True
-                out.append(normal)
-            else:
-                blk, st, where = popped
-                out.extend([blk, st] if where == "before" else [st, blk])
-                changed = True
-        merged: list[Segment] = []
-        for seg in out:
-            if (
-                merged
-                and isinstance(seg, FiniteBlock)
-                and isinstance(merged[-1], FiniteBlock)
-            ):
-                merged[-1] = FiniteBlock(
-                    FreeWord(merged[-1].word.letters + seg.word.letters)
-                )
-                changed = True
-            else:
-                merged.append(seg)
-        segs = merged
-        for i in range(len(segs) - 1):
-            a, b = segs[i], segs[i + 1]
-            if isinstance(a, Stream) and not a.forward and isinstance(b, FiniteBlock):
-                r = _absorb_backward(a, b.word)
-                if r:
-                    segs[i], segs[i + 1] = r[0], FiniteBlock(r[1])
-                    changed = True
-                    break
-            if isinstance(a, FiniteBlock) and isinstance(b, Stream) and b.forward:
-                r = _absorb_forward(a.word, b)
-                if r:
-                    segs[i], segs[i + 1] = FiniteBlock(r[0]), r[1]
-                    changed = True
-                    break
-            if (
-                isinstance(a, Stream)
-                and not a.forward
-                and isinstance(b, Stream)
-                and b.forward
-            ):
-                r = _cross_move(a, b)
-                if r:
-                    segs[i], segs[i + 1] = r
-                    changed = True
-                    break
-        if not changed:
-            return SchematicWord(tuple(segs))
-    raise RuntimeError("canonicalization did not stabilize")
-
-
-def concat(*words: SchematicWord) -> SchematicWord:
-    segs: tuple[Segment, ...] = ()
-    for w in words:
-        segs += w.segments
-    return canonicalize(SchematicWord(segs))
-
-
-def invert(w: SchematicWord) -> SchematicWord:
-    out: list[Segment] = []
-    for seg in reversed(w.segments):
-        if isinstance(seg, FiniteBlock):
-            out.append(FiniteBlock(seg.word.inverse))
-        else:
-            out.append(Stream(not seg.forward, seg.pos, seg.schema))
-    return SchematicWord(tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# reduction
-
-def _split_head(st: Stream, upto_pos: int):
-    """Detach positions [pos, upto_pos) as a finite chunk."""
-    letters = [st.letter(p) for p in range(st.pos, upto_pos)]
-    rest = Stream(st.forward, upto_pos, st.schema)
-    if st.forward:
-        return FiniteBlock(FreeWord(tuple(letters))), rest, "before"
-    inv = FreeWord(tuple(l.inverse for l in reversed(letters)))
-    return FiniteBlock(inv), rest, "after"
+    return [cur, Stream(True, right.pos + g, right.schema)]
 
 
 def _pattern_site(st: Stream):
@@ -444,22 +348,17 @@ def _pattern_site(st: Stream):
     return None
 
 
-def _apply_pattern(st: Stream) -> list[Segment]:
+def _apply_pattern(st: Stream) -> list[Segment] | None:
     site = _pattern_site(st)
-    assert site is not None
+    if site is None:
+        return None
     j, kind, data = site
     m = st.schema.width
     k0 = st.step
     if kind == FINITE:
         H = max(h for h in data if h >= k0)
-        blk, rest, where = _split_head(st, (H + 1) * m)
-        return [blk, rest] if where == "before" else [rest, blk]
+        return _split_head(st, (H + 1) * m)
     K = max(k0, data)
-    pieces: list[Segment] = []
-    head: Segment | None = None
-    if K > k0:
-        blk, st, where = _split_head(st, K * m)
-        head = blk
     entries = st.schema.entries
     if j < m - 1:
         kept = entries[:j] + entries[j + 2 :]
@@ -477,9 +376,11 @@ def _apply_pattern(st: Stream) -> list[Segment]:
             tail = [FiniteBlock(first)] + rest
         else:
             tail = rest + [FiniteBlock(first.inverse)]
-    if head is not None:
-        tail = [head] + tail if st.forward else tail + [head]
-    return tail
+    if K == k0:
+        return tail
+    # the head before step K stays; the stream from step K becomes the tail
+    head = _split_head(st, K * m)
+    return head[:1] + tail if st.forward else tail + head[1:]
 
 
 def _tails_equal(u: Stream, v: Stream) -> bool:
@@ -522,94 +423,160 @@ def _infinite_tail_cancel(u: Stream, v: Stream) -> FiniteBlock | None:
     return FiniteBlock(FreeWord(tuple(left + right)))
 
 
-def _cancellation_sites(w: SchematicWord):
-    sites = []
-    segs = w.segments
-    for i, seg in enumerate(segs):
+# ---------------------------------------------------------------------------
+# the rewrite pass
+
+def _unary(seg: Segment, cancel: bool) -> list[Segment] | None:
+    """The first move on one segment, as its replacement in display order,
+    or None.  Canonical moves: drop an empty block, fold the schema, split
+    the head to a period boundary, normalise the cursor; with `cancel`,
+    also free reduction of a block and pattern reduction of a stream."""
+    if isinstance(seg, FiniteBlock):
+        if not seg.word:
+            return []
+        if cancel and not is_reduced_free(seg.word):
+            return [FiniteBlock(reduce_free(seg.word))]
+        return None
+    folded = fold(seg.schema)
+    if folded != seg.schema:
+        return [Stream(seg.forward, seg.pos, folded)]
+    m = seg.schema.width
+    if seg.pos % m:
+        return _split_head(seg, seg.pos + m - seg.pos % m)
+    normal = _normalize_cursor(seg)
+    if normal != seg:
+        return [normal]
+    return _apply_pattern(seg) if cancel else None
+
+
+def _binary(a: Segment, b: Segment, cancel: bool) -> list[Segment] | None:
+    """The first move at the junction of two settled segments, as their
+    replacement in display order, or None.  Canonical moves (merge blocks,
+    absorb letters into the stream head, cross move) come first; with
+    `cancel`, then eat-right, eat-left, pair-junction and pair-tail."""
+    if isinstance(a, FiniteBlock):
+        if isinstance(b, FiniteBlock):
+            return [FiniteBlock(FreeWord(a.word.letters + b.word.letters))]
+        if not b.forward:
+            return None
+        r = _absorb_forward(a.word, b)
+        if r:
+            return [FiniteBlock(r[0]), r[1]]
+        if not cancel or a.word[-1] != b.letter(b.pos).inverse:
+            return None
+        letters = list(a.word.letters)
+        pos = b.pos
+        while letters and letters[-1] == b.letter(pos).inverse:
+            letters.pop()
+            pos += 1
+        return [FiniteBlock(FreeWord(tuple(letters))), Stream(True, pos, b.schema)]
+    if isinstance(b, FiniteBlock):
+        if a.forward:
+            return None
+        r = _absorb_backward(a, b.word)
+        if r:
+            return [r[0], FiniteBlock(r[1])]
+        if not cancel or b.word[0] != a.letter(a.pos):
+            return None
+        letters = list(b.word.letters)
+        pos = a.pos
+        while letters and letters[0] == a.letter(pos):
+            letters.pop(0)
+            pos += 1
+        return [Stream(False, pos, a.schema), FiniteBlock(FreeWord(tuple(letters)))]
+    if not a.forward and b.forward:
+        if _tails_equal(a, b):
+            return [] if cancel else None
+        moved = _cross_move(a, b)
+        if moved is not None:
+            return moved
+        t = _junction_run(a, b) if cancel else 0
+        if not t:
+            return None
+        return [Stream(False, a.pos + t, a.schema), Stream(True, b.pos + t, b.schema)]
+    if cancel and a.forward and not b.forward:
+        leftover = _infinite_tail_cancel(a, b)
+        return None if leftover is None else [leftover]
+    return None
+
+
+def _rewrite(w: SchematicWord, cancel: bool) -> SchematicWord:
+    """The stack pass: canonical moves only, or with `cancel` all moves."""
+    todo = list(reversed(w.segments))
+    out: list[Segment] = []
+    moves = 0
+    while todo:
+        seg = todo.pop()
+        pieces = _unary(seg, cancel)
+        if pieces is None and out:
+            pieces = _binary(out[-1], seg, cancel)
+            if pieces is not None:
+                out.pop()
+        if pieces is None:
+            out.append(seg)
+            continue
+        moves += 1
+        if moves > _REDUCE_CAP:
+            raise RuntimeError("rewriting did not terminate")
+        todo.extend(reversed(pieces))
+    return SchematicWord(tuple(out))
+
+
+def canonicalize(w: SchematicWord) -> SchematicWord:
+    return _rewrite(w, False)
+
+
+def concat(*words: SchematicWord) -> SchematicWord:
+    segs: tuple[Segment, ...] = ()
+    for w in words:
+        segs += w.segments
+    return canonicalize(SchematicWord(segs))
+
+
+def invert(w: SchematicWord) -> SchematicWord:
+    out: list[Segment] = []
+    for seg in reversed(w.segments):
         if isinstance(seg, FiniteBlock):
-            if any(
-                seg.word[t + 1] == seg.word[t].inverse
-                for t in range(len(seg.word) - 1)
-            ):
-                sites.append(("block", i))
+            out.append(FiniteBlock(seg.word.inverse))
         else:
-            if _pattern_site(seg) is not None:
-                sites.append(("pattern", i))
+            out.append(Stream(not seg.forward, seg.pos, seg.schema))
+    return SchematicWord(tuple(out))
+
+
+def _sites(w: SchematicWord):
+    """Cancellation moves on a canonical word as (start, stop, pieces):
+    single segments first, then junctions, each from the left."""
+    segs = w.segments
+    sites = []
+    for i, seg in enumerate(segs):
+        pieces = _unary(seg, True)
+        if pieces is not None:
+            sites.append((i, i + 1, pieces))
     for i in range(len(segs) - 1):
-        a, b = segs[i], segs[i + 1]
-        if isinstance(a, FiniteBlock) and isinstance(b, Stream) and b.forward:
-            if a.word and a.word[-1] == b.letter(b.pos).inverse:
-                sites.append(("eat-right", i))
-        if isinstance(a, Stream) and not a.forward and isinstance(b, FiniteBlock):
-            if b.word and b.word[0] == a.letter(a.pos):
-                sites.append(("eat-left", i))
-        if isinstance(a, Stream) and isinstance(b, Stream):
-            if not a.forward and b.forward:
-                if _tails_equal(a, b) or a.letter(a.pos) == b.letter(b.pos):
-                    sites.append(("pair-junction", i))
-            if a.forward and not b.forward:
-                if _infinite_tail_cancel(a, b) is not None:
-                    sites.append(("pair-tail", i))
+        pieces = _binary(segs[i], segs[i + 1], True)
+        if pieces is not None:
+            sites.append((i, i + 2, pieces))
     return sites
 
 
-def _apply_site(w: SchematicWord, site) -> SchematicWord:
-    kind, i = site
-    segs = list(w.segments)
-    if kind == "block":
-        segs[i] = FiniteBlock(reduce_free(segs[i].word))
-    elif kind == "pattern":
-        segs[i : i + 1] = _apply_pattern(segs[i])
-    elif kind == "eat-right":
-        bw, st = segs[i].word, segs[i + 1]
-        letters = list(bw.letters)
-        pos = st.pos
-        while letters and letters[-1] == st.letter(pos).inverse:
-            letters.pop()
-            pos += 1
-        segs[i] = FiniteBlock(FreeWord(tuple(letters)))
-        segs[i + 1] = Stream(True, pos, st.schema)
-    elif kind == "eat-left":
-        st, bw = segs[i], segs[i + 1].word
-        letters = list(bw.letters)
-        pos = st.pos
-        while letters and letters[0] == st.letter(pos):
-            letters.pop(0)
-            pos += 1
-        segs[i] = Stream(False, pos, st.schema)
-        segs[i + 1] = FiniteBlock(FreeWord(tuple(letters)))
-    elif kind == "pair-junction":
-        a, b = segs[i], segs[i + 1]
-        if _tails_equal(a, b):
-            segs[i : i + 2] = []
-        else:
-            t = _junction_run(a, b)
-            segs[i] = Stream(False, a.pos + t, a.schema)
-            segs[i + 1] = Stream(True, b.pos + t, b.schema)
-    elif kind == "pair-tail":
-        leftover = _infinite_tail_cancel(segs[i], segs[i + 1])
-        assert leftover is not None
-        segs[i : i + 2] = [leftover]
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-    return SchematicWord(tuple(segs))
-
-
 def reduce(w: SchematicWord, rng=None) -> SchematicWord:
-    """Reduced canonical word projection-equal to w.  With `rng`, rewrite
-    sites are picked at random (used by the confluence tests)."""
+    """Reduced canonical word projection-equal to w.  With `rng`, the
+    confluence oracle: canonicalize, apply a random cancellation site,
+    repeat; the tests compare it against the stack pass."""
+    if rng is None:
+        return _rewrite(w, True)
     for _ in range(_REDUCE_CAP):
         w = canonicalize(w)
-        sites = _cancellation_sites(w)
+        sites = _sites(w)
         if not sites:
             return w
-        site = sites[0] if rng is None else sites[rng.randrange(len(sites))]
-        w = _apply_site(w, site)
+        i, j, pieces = sites[rng.randrange(len(sites))]
+        w = SchematicWord(w.segments[:i] + tuple(pieces) + w.segments[j:])
     raise RuntimeError("reduction did not terminate")
 
 
 def is_reduced(w: SchematicWord) -> bool:
-    return not _cancellation_sites(canonicalize(w))
+    return not _sites(canonicalize(w))
 
 
 def heg_equal(w1: SchematicWord, w2: SchematicWord) -> bool:
@@ -739,19 +706,10 @@ def split_word(w: SchematicWord, cut) -> tuple[SchematicWord, SchematicWord]:
             SchematicWord(before + head),
             SchematicWord(tail + after),
         )
-    q = seg.pos + off
-    if seg.forward:
-        head_letters = FreeWord(tuple(seg.letter(p) for p in range(seg.pos, q)))
-        head = (FiniteBlock(head_letters),) if off else ()
-        return (
-            SchematicWord(before + head),
-            SchematicWord((Stream(True, q, seg.schema),) + after),
-        )
-    tail_letters = FreeWord(
-        tuple(seg.letter(p).inverse for p in range(q - 1, seg.pos - 1, -1))
-    )
-    tail = (FiniteBlock(tail_letters),) if off else ()
+    pieces = _split_head(seg, seg.pos + off) if off else [seg]
+    # a forward stream keeps its rest on the right, a backward one on the left
+    cut = len(pieces) - 1 if seg.forward else 1
     return (
-        SchematicWord(before + (Stream(False, q, seg.schema),)),
-        SchematicWord(tail + after),
+        SchematicWord(before + tuple(pieces[:cut])),
+        SchematicWord(tuple(pieces[cut:]) + after),
     )

@@ -205,11 +205,48 @@ def test_homomorphism_shape():
             assert equal_up_to(r, glued, N)
 
 
+# the default generator size, and the size of the fuzz runs
+SIZES = ({}, {"max_segments": 10, "max_index": 15})
+
+
 def test_ww_inverse_dies():
     rng = random.Random(44)
+    for size in SIZES:
+        for _ in range(60):
+            w = random_word(rng, **size)
+            assert reduce(concat(w, invert(w))) == EMPTY_WORD
+
+
+def test_random_site_oracle_at_fuzz_size():
+    rng = random.Random(51)
     for _ in range(60):
-        w = random_word(rng)
-        assert reduce(concat(w, invert(w))) == EMPTY_WORD
+        w = random_word(rng, **SIZES[1])
+        r = reduce(w)
+        assert is_reduced(r)
+        for _ in range(2):
+            assert reduce(w, rng) == r
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80])
+def test_ww_inverse_fold_count(monkeypatch, n):
+    # the stack pass settles each segment a bounded number of times, so
+    # w.w^-1 costs O(segments) folds however long w is
+    import transword.words
+
+    calls = 0
+    real_fold = transword.words.fold
+
+    def counted(schema):
+        nonlocal calls
+        calls += 1
+        return real_fold(schema)
+
+    monkeypatch.setattr(transword.words, "fold", counted)
+    rng = random.Random(0)
+    w = SchematicWord(tuple(s for _ in range(n) for s in random_word(rng).segments))
+    product = SchematicWord(w.segments + invert(w).segments)
+    assert reduce(product) == EMPTY_WORD
+    assert calls <= 2 * len(product.segments)
 
 
 def test_equal_up_to_telescope():
