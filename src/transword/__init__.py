@@ -22,6 +22,7 @@ from .setspec import EvPeriodic, Finite, PrefixCode, SetSpec
 from .schema import Entry, IndexFn, Schema, affine
 from .words import (
     EMPTY_WORD,
+    CapError,
     FiniteBlock,
     SchematicWord,
     Stream,
@@ -65,6 +66,7 @@ from .endo import (
     doubling_map,
     embedding_check,
     identity_map,
+    projector,
     tau_map,
     telescope_map,
     telescope_product,

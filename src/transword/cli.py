@@ -4,7 +4,8 @@ Subcommands: reduce, project, decompose, apply-ff, apply-endo, hag,
 demo-separation, demo-abelian, embedding-check.  Words and maps are given
 in the textual DSL; `--family k=K` regenerates the deterministic family
 of size K so member names S1..SK may appear in expressions.  Exit status:
-0 on success, 1 on domain errors, 2 on parse errors.
+0 on success, 1 on domain errors, 2 on parse errors, 3 when a rewrite or
+cancellation scan reaches its cap (the message names the cap).
 """
 
 from __future__ import annotations
@@ -200,6 +201,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except words.CapError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     _emit(report, args.format)
     return 0
 

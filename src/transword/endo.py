@@ -2,12 +2,17 @@
 
 A substitution is admissible when every concrete letter appears in only
 finitely many images; `support_query` answers which source indices use a
-letter, and `check_admissible` audits it against direct enumeration.
+letter, and `check_admissible` audits it against direct enumeration
+(one pass over each image collects the letters it uses).
 `apply_endo` materializes the image of a word (streams map to streams by
 composing the tail pattern with each entry's index function);
-`apply_projected` computes any finite projection of the image without
-materializing it, which also covers exceptional images that are
-themselves infinite.
+`projector(s, letters)` computes the projection of the image to a finite
+letter set without materializing it, which also covers exceptional images
+that are themselves infinite: the source letters whose images use the
+set, and the projected image of each, are found once, and the returned
+function only looks them up.  `apply_projected` is one call of it;
+`embedding_check` builds one projector per level and applies it to every
+word it checks.
 
 `telescope_product` builds the stream a_{k(0)} a_{k(1)}^-1 a_{k(1)} ...
 whose every finite projection collapses to its first letter; enumerations
@@ -19,6 +24,7 @@ conditions under which a substitution embeds every finite-rank subgroup.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -150,24 +156,29 @@ class RowDifferenceRule:
 class SubstitutionMap:
     rule: AffineRule | RowDifferenceRule
     exceptional: tuple[tuple[int, SchematicWord], ...] = ()
+    # n -> exceptional image, built once; not part of equality or hashing
+    _table: dict[int, SchematicWord] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        keys = [n for n, _ in self.exceptional]
-        if len(set(keys)) != len(keys):
+        table = dict(self.exceptional)
+        if len(table) != len(self.exceptional):
             raise ValueError("duplicate exceptional entries")
+        object.__setattr__(self, "_table", table)
 
     def exceptional_table(self) -> dict[int, SchematicWord]:
-        return dict(self.exceptional)
+        return dict(self._table)
 
     def image_of(self, n: int) -> SchematicWord:
-        table = self.exceptional_table()
+        table = self._table
         if n in table:
             return table[n]
         return from_free(self.rule.image(n))
 
     def support_query(self, fam: str, index: int) -> set[int]:
         """Source indices n whose image uses the letter (either sign)."""
-        table = self.exceptional_table()
+        table = self._table
         out = {
             n
             for n in self.rule.support(fam, index)
@@ -199,14 +210,17 @@ def check_admissible(s: SubstitutionMap, bound: int) -> bool:
     """Verify support_query against direct enumeration for every letter of
     rank < bound; False also when some support is infinite."""
     horizon = 3 * bound + 64
-    images = {n: s.image_of(n) for n in range(horizon)}
-    for fam, index in sorted(rank_letter_set(bound)):
+    letters = rank_letter_set(bound)
+    actual: dict[tuple[str, int], set[int]] = {key: set() for key in letters}
+    for n in range(horizon):
+        for l in kept_letters(s.image_of(n), letters):
+            actual[l.fam, l.index].add(n)
+    for fam, index in sorted(letters):
         try:
             claimed = s.support_query(fam, index)
         except InadmissibleError:
             return False
-        actual = {n for n, img in images.items() if occurrences(img, (fam, index))}
-        if {n for n in claimed if n < horizon} != actual:
+        if {n for n in claimed if n < horizon} != actual[fam, index]:
             return False
     return True
 
@@ -259,19 +273,36 @@ def apply_endo(s: SubstitutionMap, w: SchematicWord) -> SchematicWord:
     return concat(*parts) if parts else EMPTY_WORD
 
 
-def apply_projected(s: SubstitutionMap, w: SchematicWord, letters) -> FreeWord:
-    """project_finite(image of w, letters) without materializing the image."""
-    _require_pure_a(w)
+def projector(
+    s: SubstitutionMap, letters
+) -> Callable[[SchematicWord], FreeWord]:
+    """The function w -> project_finite(image of w, letters).  The source
+    letters whose images use the letter set, and the projected image of
+    each (with its inverse), are computed here once; each call keeps the
+    source letters of w and looks their pieces up."""
     letters = frozenset(letters)
     relevant: set[int] = set()
     for fam, index in letters:
         relevant |= s.support_query(fam, index)
-    source_letters = frozenset(("a", n) for n in relevant)
-    out: list[Letter] = []
-    for l in kept_letters(w, source_letters):
-        piece = project_finite(s.image_of(l.index), letters)
-        out.extend(piece if l.sign > 0 else piece.inverse)
-    return reduce_free(FreeWord(tuple(out)))
+    source = frozenset(("a", n) for n in relevant)
+    pieces: dict[int, tuple[tuple[Letter, ...], tuple[Letter, ...]]] = {}
+    for n in relevant:
+        piece = project_finite(s.image_of(n), letters)
+        pieces[n] = (piece.letters, piece.inverse.letters)
+
+    def project(w: SchematicWord) -> FreeWord:
+        _require_pure_a(w)
+        out: list[Letter] = []
+        for l in kept_letters(w, source):
+            out.extend(pieces[l.index][l.sign < 0])
+        return reduce_free(FreeWord(tuple(out)))
+
+    return project
+
+
+def apply_projected(s: SubstitutionMap, w: SchematicWord, letters) -> FreeWord:
+    """project_finite(image of w, letters) without materializing the image."""
+    return projector(s, letters)(w)
 
 
 def telescope_product(enum: IndexFn) -> SchematicWord:
@@ -372,16 +403,16 @@ def embedding_check(
     if not rep.ladder_ok:
         rep.fail("some image of a_{n+1} uses letters below level m_n")
 
+    # projectors[n - 1] projects images to the letters below level m_{n-1}
+    projectors = [projector(s, rank_letter_set(m)) for m in levels[:n_max]]
     rng = rng or default_rng()
     rep.retraction_ok = True
     for n in range(1, n_max + 1):
-        L_img = rank_letter_set(levels[n - 1])
+        project = projectors[n - 1]
         for _ in range(samples):
             w = random_word(rng, pure_a=True)
-            full = apply_projected(s, w, L_img)
-            through = apply_projected(
-                s, from_free(project_finite(w, a_letter_set(n))), L_img
-            )
+            full = project(w)
+            through = project(from_free(project_finite(w, a_letter_set(n))))
             if full != through:
                 rep.retraction_ok = False
                 rep.fail(f"retraction identity fails at n={n} on {w}")
@@ -389,11 +420,11 @@ def embedding_check(
 
     rep.injective = True
     for n in range(1, n_max + 1):
-        L_img = rank_letter_set(levels[n - 1])
+        project = projectors[n - 1]
         seen: dict[tuple, FreeWord] = {}
         alphabet = [Letter("a", i) for i in range(n)]
         for u in enumerate_reduced(alphabet, len_max):
-            img = apply_projected(s, from_free(u), L_img)
+            img = project(from_free(u))
             key = img.letters
             if key in seen:
                 rep.injective = False

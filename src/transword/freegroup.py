@@ -106,11 +106,17 @@ def word(*letters: Letter) -> FreeWord:
     return FreeWord(tuple(letters))
 
 
+def cancels(x: Letter, y: Letter) -> bool:
+    """Whether y is the inverse of x, compared field by field so that no
+    inverse letter is built."""
+    return x.index == y.index and x.sign == -y.sign and x.fam == y.fam
+
+
 def reduce_free(w: FreeWord) -> FreeWord:
     """Unique reduced form of w, computed in one left-to-right stack pass."""
     stack: list[Letter] = []
     for l in w:
-        if stack and stack[-1] == l.inverse:
+        if stack and cancels(stack[-1], l):
             stack.pop()
         else:
             stack.append(l)
@@ -118,7 +124,7 @@ def reduce_free(w: FreeWord) -> FreeWord:
 
 
 def is_reduced_free(w: FreeWord) -> bool:
-    return all(w[i + 1] != w[i].inverse for i in range(len(w) - 1))
+    return not any(cancels(w[i], w[i + 1]) for i in range(len(w) - 1))
 
 
 def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
@@ -127,7 +133,7 @@ def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
         raise ValueError("cyclic_reduce expects a reduced word")
     letters = list(w)
     conj: list[Letter] = []
-    while len(letters) >= 2 and letters[-1] == letters[0].inverse:
+    while len(letters) >= 2 and cancels(letters[0], letters[-1]):
         conj.append(letters[0])
         letters = letters[1:-1]
     return FreeWord(tuple(conj)), FreeWord(tuple(letters))
@@ -185,7 +191,7 @@ def enumerate_reduced(alphabet: list[Letter], maxlen: int):
         new_frontier = []
         for prefix in frontier:
             for l in signed:
-                if prefix and prefix[-1] == l.inverse:
+                if prefix and cancels(prefix[-1], l):
                     continue
                 ext = prefix + (l,)
                 new_frontier.append(ext)

@@ -28,7 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .freegroup import FreeWord, Letter, is_reduced_free, rank_letter_set, reduce_free
+from .freegroup import (
+    FreeWord,
+    Letter,
+    cancels,
+    is_reduced_free,
+    rank_letter_set,
+    reduce_free,
+)
 from .schema import (
     COFINITE,
     FINITE,
@@ -43,6 +50,10 @@ from .schema import (
 from .setspec import SetSpec, shifted
 
 _REDUCE_CAP = 100_000
+
+
+class CapError(RuntimeError):
+    """A rewrite pass or cancellation scan reached `_REDUCE_CAP`."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +212,7 @@ def _step_hits(schema: Schema, s: int) -> bool:
     if s < 0:
         return True
     for _, e1, e2, shift in schema.adjacent_pairs():
-        if e1.letter_at(s) == e2.letter_at(s + shift).inverse:
+        if cancels(e1.letter_at(s), e2.letter_at(s + shift)):
             return True
     return False
 
@@ -402,7 +413,10 @@ def _junction_run(u: Stream, v: Stream) -> int:
     while t < _REDUCE_CAP and u.letter(u.pos + t) == v.letter(v.pos + t):
         t += 1
     if t >= _REDUCE_CAP:
-        raise RuntimeError("unbounded junction cancellation scan")
+        raise CapError(
+            "junction cancellation scan reached the cap "
+            f"_REDUCE_CAP = {_REDUCE_CAP} letters"
+        )
     return t
 
 
@@ -462,11 +476,11 @@ def _binary(a: Segment, b: Segment, cancel: bool) -> list[Segment] | None:
         r = _absorb_forward(a.word, b)
         if r:
             return [FiniteBlock(r[0]), r[1]]
-        if not cancel or a.word[-1] != b.letter(b.pos).inverse:
+        if not cancel or not cancels(a.word[-1], b.letter(b.pos)):
             return None
         letters = list(a.word.letters)
         pos = b.pos
-        while letters and letters[-1] == b.letter(pos).inverse:
+        while letters and cancels(letters[-1], b.letter(pos)):
             letters.pop()
             pos += 1
         return [FiniteBlock(FreeWord(tuple(letters))), Stream(True, pos, b.schema)]
@@ -517,7 +531,10 @@ def _rewrite(w: SchematicWord, cancel: bool) -> SchematicWord:
             continue
         moves += 1
         if moves > _REDUCE_CAP:
-            raise RuntimeError("rewriting did not terminate")
+            raise CapError(
+                "rewriting reached the cap "
+                f"_REDUCE_CAP = {_REDUCE_CAP} moves in one pass"
+            )
         todo.extend(reversed(pieces))
     return SchematicWord(tuple(out))
 
@@ -572,7 +589,9 @@ def reduce(w: SchematicWord, rng=None) -> SchematicWord:
             return w
         i, j, pieces = sites[rng.randrange(len(sites))]
         w = SchematicWord(w.segments[:i] + tuple(pieces) + w.segments[j:])
-    raise RuntimeError("reduction did not terminate")
+    raise CapError(
+        f"random-site reduction reached the cap _REDUCE_CAP = {_REDUCE_CAP} rounds"
+    )
 
 
 def is_reduced(w: SchematicWord) -> bool:

@@ -5,8 +5,9 @@ cancellation, brute-force letter enumeration over a horizon) so that the
 production code paths are checked against something computed differently.
 """
 
-from transword.freegroup import FreeWord, Letter
-from transword.words import FiniteBlock, SchematicWord, Stream
+from transword.endo import InadmissibleError
+from transword.freegroup import FreeWord, Letter, rank_letter_set
+from transword.words import FiniteBlock, SchematicWord, Stream, occurrences
 
 
 def scan_reduce(w: FreeWord) -> FreeWord:
@@ -86,3 +87,20 @@ def display_prefixes_equal(w1: SchematicWord, w2: SchematicWord, depth: int) -> 
         return out[:depth]
 
     return prefix(w1) == prefix(w2)
+
+
+def admissible_by_scan(s, bound: int) -> bool:
+    """The substitution audit letter by letter: for each letter of rank
+    < bound, one occurrences scan over the first 3*bound+64 images,
+    compared with support_query."""
+    horizon = 3 * bound + 64
+    images = [s.image_of(n) for n in range(horizon)]
+    for fam, index in sorted(rank_letter_set(bound)):
+        try:
+            claimed = s.support_query(fam, index)
+        except InadmissibleError:
+            return False
+        actual = {n for n, img in enumerate(images) if occurrences(img, (fam, index))}
+        if {n for n in claimed if n < horizon} != actual:
+            return False
+    return True

@@ -102,6 +102,16 @@ def test_domain_error_exit_code():
     assert "family" in err
 
 
+def test_cap_exit_code(monkeypatch):
+    import transword.words
+
+    monkeypatch.setattr(transword.words, "_REDUCE_CAP", 2)
+    code, out, err = run(["reduce", "-e", "[a0] [a1] [a2] [a3]"])
+    assert code == 3
+    assert out == ""
+    assert "_REDUCE_CAP = 2" in err and "Traceback" not in err
+
+
 def test_byte_determinism():
     args = ["demo-separation", "-k", "5", "--format", "json"]
     assert run(args) == run(args)

@@ -16,6 +16,7 @@ from transword.endo import (
     doubling_map,
     embedding_check,
     identity_map,
+    projector,
     row_product_word,
     tau_map,
     telescope_map,
@@ -38,6 +39,8 @@ from transword.words import (
 )
 from transword.randwords import random_word
 
+from oracles import admissible_by_scan
+
 
 def test_cantor_pairing():
     seen = set()
@@ -57,6 +60,25 @@ def test_admissibility_examples():
     assert check_admissible(tau_map(), 12)
     constant = SubstitutionMap(AffineRule((("a", 0, 0, 1),)))
     assert not check_admissible(constant, 6)
+
+
+def test_check_admissible_matches_letter_scan():
+    fam = make_family(2)
+    ident, dbl = AffineRule((("a", 1, 0, 1),)), AffineRule((("a", 2, 0, 1),))
+    cases = [
+        # exceptional images that are streams: over b/c letters and over a
+        (SubstitutionMap(ident, ((0, u_word("S1", 0, fam)),)), True),
+        (SubstitutionMap(dbl, ((1, u_word(T, 3)),)), True),
+        # every image uses a0
+        (SubstitutionMap(AffineRule((("a", 0, 0, 1),))), False),
+        # images below n0 use letters that support_query leaves out
+        (SubstitutionMap(AffineRule((("a", 1, 0, 1),), n0=2)), False),
+        (SubstitutionMap(RowDifferenceRule(n0=1)), False),
+    ]
+    for s, admissible in cases:
+        for bound in (3, 9, 20):
+            assert check_admissible(s, bound) == admissible
+            assert admissible_by_scan(s, bound) == admissible
 
 
 def test_support_queries():
@@ -132,14 +154,16 @@ def test_endo_law_on_concat():
 
 
 def test_apply_projected_matches_apply_endo():
+    # one projector serves many words
     rng = random.Random(82)
     for s in (telescope_map(), doubling_map(), identity_map()):
-        for _ in range(60):
-            w = random_word(rng, pure_a=True)
+        for _ in range(12):
             keep = rank_letter_set(rng.randrange(1, 15))
-            assert apply_projected(s, w, keep) == project_finite(
-                apply_endo(s, w), keep
-            )
+            project = projector(s, keep)
+            for _ in range(5):
+                w = random_word(rng, pure_a=True)
+                expect = project_finite(apply_endo(s, w), keep)
+                assert project(w) == apply_projected(s, w, keep) == expect
 
 
 def test_apply_projected_infinite_exceptional():
@@ -211,6 +235,27 @@ def test_embedding_check_identity():
     rep = embedding_check(identity_map(), 2, 3)
     assert rep.ok
     assert rep.levels == [3 * n + 1 for n in range(3)]
+
+
+def test_embedding_check_support_queries_per_level(monkeypatch):
+    # support is looked up once per projection level, not once per word
+    calls = 0
+    real = SubstitutionMap.support_query
+
+    def counted(self, fam, index):
+        nonlocal calls
+        calls += 1
+        return real(self, fam, index)
+
+    monkeypatch.setattr(SubstitutionMap, "support_query", counted)
+    counts = {}
+    for len_max in (3, 5):
+        calls = 0
+        rep = embedding_check(doubling_map(), 3, len_max)
+        assert rep.ok
+        counts[len_max] = (calls, rep.words_checked)
+    assert counts[3][0] == counts[5][0]
+    assert counts[3][1] < counts[5][1]
 
 
 def test_embedding_check_failure_reported():

@@ -8,6 +8,7 @@ from transword.schema import Entry, K, Schema, affine
 from transword.setspec import EvPeriodic, PrefixCode
 from transword.words import (
     EMPTY_WORD,
+    CapError,
     FiniteBlock,
     SchematicWord,
     Stream,
@@ -247,6 +248,22 @@ def test_ww_inverse_fold_count(monkeypatch, n):
     product = SchematicWord(w.segments + invert(w).segments)
     assert reduce(product) == EMPTY_WORD
     assert calls <= 2 * len(product.segments)
+
+
+def test_cap_sites_raise_cap_error(monkeypatch):
+    import transword.words
+
+    monkeypatch.setattr(transword.words, "_REDUCE_CAP", 2)
+    with pytest.raises(CapError, match="rewriting .* _REDUCE_CAP = 2"):
+        reduce(parse_word("[a0] [a1] [a2] [a3]"))
+    monkeypatch.setattr(transword.words, "_REDUCE_CAP", 1)
+    with pytest.raises(CapError, match="random-site .* _REDUCE_CAP = 1"):
+        reduce(parse_word("[a0 a1 a1^-1 a0^-1]"), random.Random(0))
+    # a backward and a forward copy of one stream cancel without end
+    st = stream_word(True, 0, [Entry("a", affine(1, 0), 1)]).segments[0]
+    with pytest.raises(CapError, match="junction .* _REDUCE_CAP = 1"):
+        transword.words._junction_run(Stream(False, 0, st.schema), st)
+    assert issubclass(CapError, RuntimeError)
 
 
 def test_equal_up_to_telescope():
