@@ -11,8 +11,11 @@ letter set without materializing it, which also covers exceptional images
 that are themselves infinite: the source letters whose images use the
 set, and the projected image of each, are found once, and the returned
 function only looks them up.  `apply_projected` is one call of it;
-`embedding_check` builds one projector per level and applies it to every
-word it checks.
+`embedding_check` builds one projector per level, applies it to the
+sampled retraction words, and hands its table of projected pieces to
+`freegroup.enumerate_images` for the injectivity sweep, which extends
+each word's projected image from its prefix's instead of projecting
+every word afresh.
 
 `telescope_product` builds the stream a_{k(0)} a_{k(1)}^-1 a_{k(1)} ...
 whose every finite projection collapses to its first letter; enumerations
@@ -33,7 +36,7 @@ from .freegroup import (
     FreeWord,
     Letter,
     a_letter_set,
-    enumerate_reduced,
+    enumerate_images,
     rank_letter_set,
     reduce_free,
 )
@@ -279,7 +282,9 @@ def projector(
     """The function w -> project_finite(image of w, letters).  The source
     letters whose images use the letter set, and the projected image of
     each (with its inverse), are computed here once; each call keeps the
-    source letters of w and looks their pieces up."""
+    source letters of w and looks their pieces up.  The table is exposed
+    as the returned function's `pieces`: n -> (projected image of a_n,
+    its inverse), for the n whose images use the letter set."""
     letters = frozenset(letters)
     relevant: set[int] = set()
     for fam, index in letters:
@@ -297,6 +302,7 @@ def projector(
             out.extend(pieces[l.index][l.sign < 0])
         return reduce_free(FreeWord(tuple(out)))
 
+    project.pieces = pieces
     return project
 
 
@@ -363,9 +369,15 @@ def embedding_check(
     image ranks, least nonvanishing projection levels m_n, images of later
     letters above earlier levels, the retraction identity on sampled
     words, and exhaustive injectivity of the level-(m_{n-1}) projection of
-    the image on reduced words of the first n letters."""
+    the image on reduced words of the first n letters.  ValueError for
+    n_max < 1, len_max < 0 or samples < 0, which would check nothing."""
     from .randwords import default_rng, random_word
 
+    if n_max < 1 or len_max < 0 or samples < 0:
+        raise ValueError(
+            "embedding_check needs n_max >= 1, len_max >= 0 and samples >= 0, "
+            f"got n_max={n_max}, len_max={len_max}, samples={samples}"
+        )
     rep = EmbeddingReport()
     rep.admissible = check_admissible(s, bound=3 * (2 * n_max + 4))
     if not rep.admissible:
@@ -420,20 +432,18 @@ def embedding_check(
 
     rep.injective = True
     for n in range(1, n_max + 1):
-        project = projectors[n - 1]
+        pieces = projectors[n - 1].pieces
         seen: dict[tuple, FreeWord] = {}
         alphabet = [Letter("a", i) for i in range(n)]
-        for u in enumerate_reduced(alphabet, len_max):
-            img = project(from_free(u))
-            key = img.letters
-            if key in seen:
+        image = {l: pieces[l.index][0] if l.index in pieces else () for l in alphabet}
+        for u, key in enumerate_images(alphabet, len_max, image):
+            first = seen.setdefault(key, u)  # one hash of the image per word
+            if first is not u:
                 rep.injective = False
                 rep.fail(
-                    f"collision at level m_{n - 1}={levels[n - 1]}: "
-                    f"{seen[key]} and {u}"
+                    f"collision at level m_{n - 1}={levels[n - 1]}: {first} and {u}"
                 )
                 break
-            seen[key] = u
             rep.words_checked += 1
         if not rep.injective:
             break

@@ -7,11 +7,18 @@ back the free-embedding machinery: `split_for_adjunction` writes a word
 as w0 w1 w2 w1^-1 w3 with w0/w3 over a designated generator subset Y and
 w2 cyclically reduced, and `adjunction_free_oracle` brute-forces
 injectivity of the substitution t -> w, y -> y on bounded-length words.
+Injectivity sweeps run over `enumerate_images`, which walks the reduced
+words of `enumerate_reduced` with the reduced image of each under a
+letterwise substitution: a word's image is its prefix's image joined to
+the image of its last letter, with cancellation only at the junction
+(the reduced-word calculus of Cannon & Conner), so no image is ever
+reduced from scratch.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 FAMILIES = ("a", "b", "c")
@@ -199,14 +206,41 @@ def enumerate_reduced(alphabet: list[Letter], maxlen: int):
         frontier = new_frontier
 
 
-def _substitute(w: FreeWord, t: Letter, image: FreeWord) -> FreeWord:
-    out: list[Letter] = []
-    for l in w:
-        if (l.fam, l.index) == (t.fam, t.index):
-            out.extend(image if l.sign == t.sign else image.inverse)
-        else:
-            out.append(l)
-    return FreeWord(tuple(out))
+def enumerate_images(
+    alphabet: list[Letter], maxlen: int, image: Mapping[Letter, Sequence[Letter]]
+):
+    """(u, reduced image of u) for the words u of `enumerate_reduced`, in
+    its order, where `image` maps each letter of the alphabet to its
+    reduced image (a letter tuple) and an inverse letter maps to the
+    inverse image.  Each word is its parent prefix plus one letter, so its
+    image is the parent's image joined to the letter's image, cancelling
+    only at the junction: O(|piece|) steps per word, never a re-reduction
+    of the whole image."""
+    pieces = {l: tuple(image[l]) for l in alphabet}
+    for l in alphabet:
+        pieces.setdefault(l.inverse, tuple(x.inverse for x in reversed(pieces[l])))
+    signed = sorted(pieces)
+    # position of each letter's inverse in `signed`, to skip u x x^-1
+    inverse_at = [signed.index(l.inverse) for l in signed]
+    table = [(i, l, pieces[l]) for i, l in enumerate(signed)]
+    yield EMPTY, ()
+    frontier: list[tuple[tuple[Letter, ...], tuple[Letter, ...], int]] = [((), (), -1)]
+    for _ in range(maxlen):
+        new_frontier = []
+        for prefix, img, last in frontier:
+            skip = inverse_at[last] if prefix else -1
+            n = len(img)
+            for i, l, piece in table:
+                if i == skip:
+                    continue
+                k, top = 0, min(n, len(piece))
+                while k < top and cancels(img[n - 1 - k], piece[k]):
+                    k += 1
+                ext = prefix + (l,)
+                ext_img = img[: n - k] + piece[k:] if k else img + piece
+                new_frontier.append((ext, ext_img, i))
+                yield FreeWord(ext), ext_img
+        frontier = new_frontier
 
 
 def adjunction_free_oracle(w: FreeWord, Y, maxlen: int) -> bool:
@@ -219,11 +253,11 @@ def adjunction_free_oracle(w: FreeWord, Y, maxlen: int) -> bool:
     top = max([l.index for l in w] + [i for _, i in Y]) + 1
     t = Letter("a", top)
     alphabet = [t] + [Letter(fam, i) for fam, i in sorted(Y)]
-    seen: dict[tuple, FreeWord] = {}
-    for u in enumerate_reduced(alphabet, maxlen):
-        image = reduce_free(_substitute(u, t, w))
-        key = image.letters
-        if key in seen and seen[key] != u:
+    image = {l: (l,) for l in alphabet}
+    image[t] = w.letters
+    seen: set[tuple[Letter, ...]] = set()
+    for _, key in enumerate_images(alphabet, maxlen, image):
+        if key in seen:
             return False
-        seen[key] = u
+        seen.add(key)
     return True

@@ -5,9 +5,15 @@ cancellation, brute-force letter enumeration over a horizon) so that the
 production code paths are checked against something computed differently.
 """
 
-from transword.endo import InadmissibleError
-from transword.freegroup import FreeWord, Letter, rank_letter_set
-from transword.words import FiniteBlock, SchematicWord, Stream, occurrences
+from transword.endo import InadmissibleError, projector
+from transword.freegroup import FreeWord, Letter, enumerate_reduced, rank_letter_set
+from transword.words import (
+    FiniteBlock,
+    SchematicWord,
+    Stream,
+    from_free,
+    occurrences,
+)
 
 
 def scan_reduce(w: FreeWord) -> FreeWord:
@@ -104,3 +110,24 @@ def admissible_by_scan(s, bound: int) -> bool:
         if {n for n in claimed if n < horizon} != actual:
             return False
     return True
+
+
+def injectivity_by_projection(s, levels, len_max: int):
+    """The injectivity sweep of the embedding ladder one word at a time:
+    for n = 1, 2, ..., every reduced word over a_0..a_{n-1} of length
+    <= len_max is projected from scratch by the projector to the letters
+    of rank < levels[n - 1].  Returns (injective, words checked before the
+    first collision, failure messages)."""
+    checked = 0
+    for n, level in enumerate(levels, start=1):
+        project = projector(s, rank_letter_set(level))
+        seen: dict[tuple, FreeWord] = {}
+        for u in enumerate_reduced([Letter("a", i) for i in range(n)], len_max):
+            key = project(from_free(u)).letters
+            if key in seen:
+                return False, checked, [
+                    f"collision at level m_{n - 1}={level}: {seen[key]} and {u}"
+                ]
+            seen[key] = u
+            checked += 1
+    return True, checked, []

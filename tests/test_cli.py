@@ -90,6 +90,14 @@ def test_embedding_check_cli():
     assert "verdict: PASS" in out
 
 
+def test_embedding_check_cli_rejects_malformed_input():
+    for flags in (["--nmax", "0"], ["--lenmax", "-1"]):
+        code, out, err = run(["embedding-check", "-s", "doubling", *flags])
+        assert code == 1
+        assert out == ""
+        assert "n_max >= 1" in err and "Traceback" not in err
+
+
 def test_parse_error_exit_code():
     code, _, err = run(["reduce", "-e", "[a0 oops]"])
     assert code == 2

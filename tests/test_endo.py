@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -37,9 +38,10 @@ from transword.words import (
     project_finite,
     reduce,
 )
+from transword import endo, words
 from transword.randwords import random_word
 
-from oracles import admissible_by_scan
+from oracles import admissible_by_scan, injectivity_by_projection
 
 
 def test_cantor_pairing():
@@ -258,7 +260,76 @@ def test_embedding_check_support_queries_per_level(monkeypatch):
     assert counts[3][1] < counts[5][1]
 
 
+def test_embedding_check_projection_calls_per_level(monkeypatch):
+    # the injectivity sweep extends each word's image from its prefix's;
+    # it keeps no letters of, and reduces no image of, a checked word
+    calls = 0
+
+    def counted(real):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        return wrapper
+
+    for module in (endo, words):
+        for name in ("kept_letters", "reduce_free"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    counts = {}
+    for len_max in (3, 5):
+        calls = 0
+        rep = embedding_check(doubling_map(), 3, len_max, rng=random.Random(4))
+        assert rep.ok
+        counts[len_max] = (calls, rep.words_checked)
+    assert counts[3][0] == counts[5][0]
+    assert counts[3][1] < counts[5][1]
+
+
+def _collapse_map():
+    # a1 -> a0: the projections of a0 and a1 collide
+    return SubstitutionMap(
+        AffineRule((("a", 1, 0, 1),), n0=0), ((1, block(Letter("a", 0))),)
+    )
+
+
 def test_embedding_check_failure_reported():
-    collapse = SubstitutionMap(AffineRule((("a", 1, 0, 1),), n0=0), ((1, block(Letter("a", 0)),),))
-    rep = embedding_check(collapse, 2, 3)
+    rep = embedding_check(_collapse_map(), 2, 3)
     assert not rep.ok and rep.failures
+
+
+def test_embedding_check_matches_projection_oracle():
+    cases = [
+        (doubling_map(), 3, 4),
+        (tau_map(), 3, 3),
+        (telescope_map(), 2, 5),
+        (identity_map(), 3, 3),
+        (_collapse_map(), 2, 3),
+    ]
+    for s, n_max, len_max in cases:
+        rep = embedding_check(s, n_max, len_max, rng=random.Random(3))
+        # the checks before the injectivity sweep do not depend on len_max,
+        # and at len_max 0 the sweep sees only the empty word
+        before = embedding_check(s, n_max, 0, rng=random.Random(3))
+        assert before.injective and before.words_checked == n_max
+        injective, checked, failures = injectivity_by_projection(
+            s, before.levels[:n_max], len_max
+        )
+        assert rep == dataclasses.replace(
+            before,
+            ok=before.ok and injective,
+            injective=injective,
+            words_checked=checked,
+            failures=before.failures + failures,
+        )
+        assert rep.ok == (s is not cases[-1][0])
+    assert not injective and checked == 10
+    assert failures == ["collision at level m_1=1: [a0^-1] and [a1^-1]"]
+
+
+@pytest.mark.parametrize(
+    "n_max, len_max, samples", [(0, 3, 25), (-1, 3, 25), (2, -1, 25), (2, 3, -1)]
+)
+def test_embedding_check_rejects_malformed_input(n_max, len_max, samples):
+    with pytest.raises(ValueError, match="embedding_check needs n_max >= 1"):
+        embedding_check(doubling_map(), n_max, len_max, samples)

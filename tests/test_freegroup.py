@@ -10,6 +10,7 @@ from transword.freegroup import (
     Letter,
     adjunction_free_oracle,
     cyclic_reduce,
+    enumerate_images,
     enumerate_reduced,
     is_reduced_free,
     reduce_free,
@@ -158,3 +159,35 @@ def test_enumerate_reduced_counts():
     assert len(ws) == 1 + 4 + 12 + 36
     assert len(set(w.letters for w in ws)) == len(ws)
     assert all(is_reduced_free(w) for w in ws)
+
+
+@st.composite
+def substitutions(draw):
+    """An alphabet of up to three letters and a reduced image of each,
+    possibly empty; sometimes the second image undoes the first, so the
+    image of a word can cancel completely."""
+    alphabet = draw(st.lists(letters_st, max_size=3))
+    images = st.one_of(st.just(()), words_st.map(lambda w: reduce_free(w).letters))
+    image = {l: draw(images) for l in alphabet}
+    if len(image) > 1 and draw(st.booleans()):
+        first, second = list(image)[:2]
+        image[second] = FreeWord(image[first]).inverse.letters
+    return alphabet, image
+
+
+@given(substitutions(), st.integers(min_value=0, max_value=3))
+def test_enumerate_images_matches_substitution(sub, maxlen):
+    alphabet, image = sub
+
+    def substituted(u):
+        out = []
+        for l in u:
+            if l in image:
+                out.extend(image[l])
+            else:
+                out.extend(FreeWord(image[l.inverse]).inverse)
+        return reduce_free(FreeWord(tuple(out))).letters
+
+    pairs = list(enumerate_images(alphabet, maxlen, image))
+    assert [u for u, _ in pairs] == list(enumerate_reduced(alphabet, maxlen))
+    assert all(img == substituted(u) for u, img in pairs)
