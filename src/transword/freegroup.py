@@ -55,10 +55,6 @@ class Letter:
         return f"Letter({self})"
 
 
-def letter_rank(fam: str, index: int) -> int:
-    return 3 * index + _FAM_OFFSET[fam]
-
-
 def rank_letter_set(n: int) -> frozenset[tuple[str, int]]:
     """All (family, index) pairs of rank < n."""
     if n < 0:

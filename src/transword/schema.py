@@ -20,13 +20,19 @@ decomposition.  `Schema.tail_key` filters: schemas with different keys
 never align, so callers index candidates by key and `tail_alignment`
 returns at once on a mismatch.  `tail_alignment` decides: equal keys do
 not imply an alignment.
+
+Schemas are hash-consed: `Schema(entries)` returns the one object for
+that entries tuple, so a schema's hash, `fold`, validity (`schema_valid`)
+and `tail_key` are computed once per distinct schema, however often
+callers rebuild it.  The intern table lives for the whole process and
+holds one object per distinct schema built, in place of the 4096-entry
+bound of the validity cache it replaces.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import FrozenInstanceError, dataclass
 from math import gcd, isqrt, lcm
 
 from .freegroup import Letter
@@ -117,10 +123,6 @@ class IndexFn:
             a2 * s * s + a1 * s + a0,
             self.div,
         )
-
-    @property
-    def is_affine(self) -> bool:
-        return self.a2 == 0
 
     def __str__(self) -> str:
         terms = []
@@ -256,23 +258,62 @@ def _ratio(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-@dataclass(frozen=True)
-class Schema:
-    entries: tuple[Entry, ...]
+# every schema built so far, by entries tuple; see `Schema`
+_SCHEMAS: dict[tuple[Entry, ...], Schema] = {}
 
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("schema needs at least one entry")
+
+class Schema:
+    """A nonempty tuple of entries, interned: `Schema(entries)` returns the
+    one object built for an equal entries tuple, so equal schemas are
+    identical and `==` is `is`.  The hash, `fold`, validity and `tail_key`
+    are computed on first use and kept in the object's slots, once per
+    distinct schema."""
+
+    __slots__ = ("entries", "_hash", "_folded", "_valid", "_key")
+
+    def __new__(cls, entries: tuple[Entry, ...]):
+        entries = tuple(entries)
+        self = _SCHEMAS.get(entries)
+        if self is None:
+            if not entries:
+                raise ValueError("schema needs at least one entry")
+            self = object.__new__(cls)
+            object.__setattr__(self, "entries", entries)
+            for slot in ("_hash", "_folded", "_valid", "_key"):
+                object.__setattr__(self, slot, None)
+            self = _SCHEMAS.setdefault(entries, self)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Schema, (self.entries,))
+
+    # `==` is object identity, which interning makes value equality
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.entries,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        return f"Schema(entries={self.entries!r})"
 
     @property
     def width(self) -> int:
         return len(self.entries)
 
-    @cached_property
+    @property
     def tail_key(self) -> tuple:
         """A hashable invariant of the tail class, in integers only:
         `tail_alignment(su, sv) is not None` implies equal keys (not the
-        converse).
+        converse).  Schemas are interned, so the key is computed once per
+        distinct schema, on first use.
 
         Per position, an entry's letter index grows at rate a1/(div*m)
         (affine) or with leading coefficient a2/(div*m^2) (quadratic);
@@ -283,25 +324,11 @@ class Schema:
         schema of its own width whose entries match it one to one, with
         the same index function, or the twin branch's with the index
         shifted one step (`setspec.carry_twin`)."""
-        m = self.width
-        rates: Counter = Counter()
-        codes: Counter = Counter()
-        for e in self.entries:
-            f = e.idx
-            rate = _ratio(f.a2, f.div * m * m) if f.a2 else _ratio(f.a1, f.div * m)
-            rates[(e.sign, e.fam == "a", f.a2 == 0) + rate] += 1
-            if isinstance(e.fam, PrefixCode):
-                fam, coeffs = e.fam, (f.a2, f.a1, f.a0)
-                twin = carry_twin(fam)
-                if twin is not None:  # (fam, f(k)) aligns with (twin, f(k-1))
-                    fam, coeffs = twin, (f.a2, f.a1 - 2 * f.a2, f.a2 - f.a1 + f.a0)
-                codes[(e.sign, fam.branch_prefix, fam.branch_period, f.div) + coeffs] += 1
-        # sorted flat tuples: canonical multisets, and small, since every
-        # schema keeps its key
-        shares = tuple(sorted(r + _ratio(n, m) for r, n in rates.items()))
-        if not codes:
-            return shares
-        return shares, m, tuple(sorted(codes.items()))
+        key = self._key
+        if key is None:
+            key = _compute_tail_key(self)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def letter_at(self, p: int) -> Letter:
         k, j = divmod(p, self.width)
@@ -316,10 +343,40 @@ class Schema:
         yield m - 1, self.entries[m - 1], self.entries[0], 1
 
 
-@lru_cache(maxsize=4096)
+def _compute_tail_key(schema: Schema) -> tuple:
+    m = schema.width
+    rates: Counter = Counter()
+    codes: Counter = Counter()
+    for e in schema.entries:
+        f = e.idx
+        rate = _ratio(f.a2, f.div * m * m) if f.a2 else _ratio(f.a1, f.div * m)
+        rates[(e.sign, e.fam == "a", f.a2 == 0) + rate] += 1
+        if isinstance(e.fam, PrefixCode):
+            fam, coeffs = e.fam, (f.a2, f.a1, f.a0)
+            twin = carry_twin(fam)
+            if twin is not None:  # (fam, f(k)) aligns with (twin, f(k-1))
+                fam, coeffs = twin, (f.a2, f.a1 - 2 * f.a2, f.a2 - f.a1 + f.a0)
+            codes[(e.sign, fam.branch_prefix, fam.branch_period, f.div) + coeffs] += 1
+    # sorted flat tuples: canonical multisets, and small, since every
+    # schema keeps its key
+    shares = tuple(sorted(r + _ratio(n, m) for r, n in rates.items()))
+    if not codes:
+        return shares
+    return shares, m, tuple(sorted(codes.items()))
+
+
 def schema_valid(schema: Schema) -> bool:
     """False when some adjacent pair cancels on a step set that is both
-    infinite and co-infinite (the word then has no schematic reduced form)."""
+    infinite and co-infinite (the word then has no schematic reduced form).
+    Computed once per distinct schema."""
+    valid = schema._valid
+    if valid is None:
+        valid = _compute_valid(schema)
+        object.__setattr__(schema, "_valid", valid)
+    return valid
+
+
+def _compute_valid(schema: Schema) -> bool:
     for _, e1, e2, shift in schema.adjacent_pairs():
         if pair_cancellation(e1, e2, shift)[0] == MIXED:
             return False
@@ -395,7 +452,16 @@ def _weave_fams(fams: list[FamSpec], t: int) -> FamSpec | None:
 
 
 def fold(schema: Schema) -> Schema:
-    """Smallest-period presentation of the same letter sequence."""
+    """Smallest-period presentation of the same letter sequence; computed
+    once per distinct schema."""
+    folded = schema._folded
+    if folded is None:
+        folded = _compute_fold(schema)
+        object.__setattr__(schema, "_folded", folded)
+    return folded
+
+
+def _compute_fold(schema: Schema) -> Schema:
     changed = True
     while changed:
         changed = False

@@ -84,10 +84,24 @@ class SigmaFamily:
         return dict(zip(self.members, self.names))
 
     @cached_property
+    def _schemas(self) -> dict[str, Schema]:
+        schemas = {name: member_schema(spec) for name, spec in self.items()}
+        schemas[T] = _T_SCHEMA
+        return schemas
+
+    def schema(self, name: str) -> Schema:
+        """The schema of the member's word, built once per family (the
+        a-letter schema for T)."""
+        try:
+            return self._schemas[name]
+        except KeyError:
+            raise KeyError(f"no family member named {name}") from None
+
+    @cached_property
     def _by_key(self) -> dict[tuple, list[tuple[str, SetSpec, Schema]]]:
         index: dict = {}
         for name, spec in self.items():
-            sch = member_schema(spec)
+            sch = self._schemas[name]
             index.setdefault(sch.tail_key, []).append((name, spec, sch))
         return index
 
@@ -121,12 +135,14 @@ def u_word(target, n: int = 0, fam: SigmaFamily | None = None) -> SchematicWord:
     """The selector word from position n on: the word whose letter at each
     step m >= n is b_m or c_m by membership (or a_m for the symbol T)."""
     if target == T:
-        return SchematicWord((Stream(True, n, _T_SCHEMA),))
-    if isinstance(target, str):
+        sch = _T_SCHEMA
+    elif isinstance(target, str):
         if fam is None:
             raise ValueError("a member name needs a family context")
-        target = fam.spec(target)
-    return SchematicWord((Stream(True, n, member_schema(target)),))
+        sch = fam.schema(target)
+    else:
+        sch = member_schema(target)
+    return SchematicWord((Stream(True, n, sch),))
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +159,6 @@ class Maximal:
 class Piece:
     word: SchematicWord
     tag: Maximal | None  # None marks a plain piece
-
-    @property
-    def is_maximal(self) -> bool:
-        return self.tag is not None
 
 
 @dataclass(frozen=True)
@@ -262,8 +274,8 @@ def decompose(w: SchematicWord, fam: SigmaFamily) -> Decomposition:
     for a in out:
         if a[0] == "M":
             flush()
-            _, name, n, sign, spec = a
-            word = u_word(spec, n)
+            _, name, n, sign, _ = a
+            word = u_word(name, n, fam)
             pieces.append(
                 Piece(word if sign > 0 else invert(word), Maximal(name, n, sign))
             )
@@ -293,8 +305,7 @@ def apply_Ff(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> Schematic
         if piece.tag is None:
             parts.append(piece.word)
         else:
-            target = f[piece.tag.name]
-            img = u_word(target if target == T else fam.spec(target), piece.tag.n)
+            img = u_word(f[piece.tag.name], piece.tag.n, fam)
             parts.append(img if piece.tag.sign > 0 else invert(img))
     return concat(*parts) if parts else EMPTY_WORD
 
@@ -306,9 +317,7 @@ def psi_f(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> HagClass:
 def _map_germ(g: Germ, fam: SigmaFamily, f: dict[str, str]) -> Germ:
     for name, _, member in fam.candidates(g.schema):
         if tail_alignment(g.schema, member) is not None:
-            target = f[name]
-            sch = _T_SCHEMA if target == T else member_schema(fam.spec(target))
-            return Germ(sch, g.sign)
+            return Germ(fam.schema(f[name]), g.sign)
     return g
 
 
@@ -335,6 +344,6 @@ def separation_pattern(fam: SigmaFamily, Scal) -> tuple[int, ...]:
     f = {name: (T if name in Scal else name) for name in fam.names}
     bits = []
     for name in fam.names:
-        image = apply_Ff(u_word(fam.spec(name), 0), fam, f)
+        image = apply_Ff(u_word(name, 0, fam), fam, f)
         bits.append(1 if hag_normal(ra_retract(image)) else 0)
     return tuple(bits)

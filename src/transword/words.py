@@ -452,7 +452,7 @@ def _unary(seg: Segment, cancel: bool) -> list[Segment] | None:
             return [FiniteBlock(reduce_free(seg.word))]
         return None
     folded = fold(seg.schema)
-    if folded != seg.schema:
+    if folded is not seg.schema:
         return [Stream(seg.forward, seg.pos, folded)]
     m = seg.schema.width
     if seg.pos % m:

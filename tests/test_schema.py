@@ -315,3 +315,48 @@ def test_poly_shift_match_integer_cases():
     assert poly_shift_match(affine(2, 4), affine(2, 1)) is None  # d = 3/2
     assert poly_shift_match(affine(1, 0), affine(2, 0)) is None
     assert poly_shift_match(IndexFn(1, 1, 0, 2), IndexFn(1, 1, 0, 1)) is None
+
+
+# ---------------------------------------------------------------------------
+# interning: equal entries give one object carrying the derived values
+
+
+@given(schema_st())
+def test_schemas_are_interned(sch):
+    from transword.dsl import parse_word, render_word
+    from transword.words import SchematicWord, Stream
+
+    family = [sch] + _presentations(sch)
+    for s in family:
+        copied = tuple(Entry(e.fam, e.idx, e.sign) for e in s.entries)
+        assert Schema(copied) is s
+        assert hash(s) == hash((s.entries,))
+        assert fold(fold(s)) is fold(s)
+        w = SchematicWord((Stream(False, 0, s), Stream(True, 2 * s.width, s)))
+        again = parse_word(render_word(w))
+        assert all(a.schema is b.schema for a, b in zip(again.segments, w.segments))
+    for s in family:
+        for t in family:
+            assert (s is t) == (s == t) == (s.entries == t.entries)
+            if s.entries == t.entries:
+                assert hash(s) == hash(t)
+
+
+def test_empty_schema_rejected():
+    with pytest.raises(ValueError):
+        Schema(())
+
+
+def test_schema_copy_and_pickle():
+    import copy
+    import pickle
+
+    from transword.dsl import parse_word
+
+    w = parse_word('[a1] st(-,1,{sel(pcode("01","1"))(k+2) c(2k)^-1}) st(+,0,{a((k^2+5k+4)/2)^-1})')
+    again = pickle.loads(pickle.dumps(w))
+    assert again == w
+    assert all(a.schema is b.schema for a, b in zip(again.segments[1:], w.segments[1:]))
+    s = w.segments[1].schema
+    assert copy.copy(s) is s and copy.deepcopy(s) is s
+    assert copy.deepcopy(w) == w

@@ -234,6 +234,38 @@ def test_separation_tests_one_candidate_per_stream(monkeypatch):
     assert all(real(su, sv) is not None for su, sv in calls)
 
 
+def test_separation_sweep_computes_once_per_schema(monkeypatch):
+    # interned schemas carry their tail key and fold: a sweep over every
+    # subset runs each body at most once per distinct schema (without
+    # interning, 10 250 tail keys and 61 440 folds), and the family builds
+    # each member schema once
+    from transword import schema, sigma
+
+    def record(mod, name, calls):
+        real = getattr(mod, name)
+
+        def counting(arg):
+            calls.append(arg)
+            return real(arg)
+
+        monkeypatch.setattr(mod, name, counting)
+
+    bodies = {"tail_key": [], "fold": []}
+    for name, calls in bodies.items():
+        record(schema, f"_compute_{name}", calls)
+    built = []
+    record(sigma, "member_schema", built)
+    fam = make_family(10)
+    for r in range(len(fam) + 1):
+        for chosen in itertools.combinations(fam.names, r):
+            assert separation_pattern(fam, chosen) == tuple(
+                1 if n in chosen else 0 for n in fam.names
+            )
+    for calls in bodies.values():
+        assert len(calls) == len(set(calls)) <= len(fam) + 1
+    assert sorted(built, key=fam.members.index) == list(fam.members)
+
+
 # -- the permutation action ------------------------------------------------------
 
 def _perm_map(fam, perm):

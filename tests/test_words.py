@@ -194,6 +194,18 @@ def test_normal_form_unique_under_shuffles():
         assert reduce(shuffle_presentation(w, rng)) == base
 
 
+# three presentations of one word that reduce to different values; a change
+# of any verdict here, by the junction fix or otherwise, shows up
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("seed", [435, 2744, 2991])
+def test_normal_form_unique_under_shuffles_known_defects(seed):
+    rng = random.Random(seed)
+    w = random_word(rng, max_segments=10, max_index=15)
+    base = reduce(w)
+    for _ in range(3):
+        assert reduce(shuffle_presentation(w, rng)) == base
+
+
 def test_homomorphism_shape():
     rng = random.Random(43)
     for _ in range(80):
