@@ -3,38 +3,44 @@ of the infinite streams survive.
 
 A germ is a stream schema with its cursor erased (tail class) plus an
 orientation sign; a HagClass is a cancelled sequence of germs and is the
-normal form for quotient equality on the fragment.  Every rewrite used by
-`hag_normal` either deletes a finite subword or cancels a word against
-its inverse, so equal verdicts are sound; distinct normal forms are a
-fragment-level verdict.
+normal form for quotient equality on the fragment.  Germs compare and hash
+by the schema's exact tail key (`Schema.tail_key`) and the sign, so `==`
+on germs is tail-class equality and `==` on classes is equality in the
+quotient; the schema a germ keeps is only for rendering.  Every rewrite
+used by `hag_normal` either deletes a finite subword or cancels a word
+against its inverse, so equal verdicts are sound; distinct normal forms
+are a fragment-level verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schema import Schema, tail_alignment
-from .words import FiniteBlock, SchematicWord, Stream, canonicalize, reduce
+from .schema import Schema
+from .words import FiniteBlock, SchematicWord, Stream, reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Germ:
     schema: Schema
     sign: int  # +1 forward, -1 backward
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Germ):
+            return NotImplemented
+        return self.sign == other.sign and self.schema.tail_key == other.schema.tail_key
+
+    def __hash__(self) -> int:
+        return hash((self.schema.tail_key, self.sign))
+
     def __str__(self) -> str:
+        return self.render()
+
+    def render(self, names=None) -> str:
         from .dsl import render_entry
 
-        body = " ".join(render_entry(e) for e in self.schema.entries)
+        body = " ".join(render_entry(e, names) for e in self.schema.entries)
         return f"{{{body}}}{'+' if self.sign > 0 else '-'}"
-
-
-def germ_equal(g1: Germ, g2: Germ) -> bool:
-    return g1.sign == g2.sign and tail_alignment(g1.schema, g2.schema) is not None
-
-
-def germs_cancel(g1: Germ, g2: Germ) -> bool:
-    return g1.sign == -g2.sign and tail_alignment(g1.schema, g2.schema) is not None
 
 
 @dataclass(frozen=True)
@@ -49,13 +55,7 @@ class HagClass:
 
 
 def render_class(h: HagClass, names=None) -> str:
-    from .dsl import render_entry
-
-    parts = []
-    for g in h.germs:
-        body = " ".join(render_entry(e, names) for e in g.schema.entries)
-        parts.append(f"{{{body}}}{'+' if g.sign > 0 else '-'}")
-    return "germ-seq: [" + ", ".join(parts) + "]"
+    return "germ-seq: [" + ", ".join(g.render(names) for g in h.germs) + "]"
 
 
 EMPTY_CLASS = HagClass(())
@@ -64,7 +64,7 @@ EMPTY_CLASS = HagClass(())
 def _cancelled(germs) -> HagClass:
     stack: list[Germ] = []
     for g in germs:
-        if stack and germs_cancel(stack[-1], g):
+        if stack and stack[-1] == Germ(g.schema, -g.sign):
             stack.pop()
         else:
             stack.append(g)
@@ -87,36 +87,13 @@ def pi(w: SchematicWord) -> HagClass:
     return hag_normal(w)
 
 
-def classes_equal(h1: HagClass, h2: HagClass) -> bool:
-    return len(h1.germs) == len(h2.germs) and all(
-        germ_equal(a, b) for a, b in zip(h1.germs, h2.germs)
-    )
-
-
 def hag_equal(w1: SchematicWord, w2: SchematicWord) -> bool:
     """Quotient equality on the fragment: germwise-equal normal forms."""
-    return classes_equal(hag_normal(w1), hag_normal(w2))
+    return hag_normal(w1) == hag_normal(w2)
 
 
 def hag_product(h1: HagClass, h2: HagClass) -> HagClass:
     return _cancelled(h1.germs + h2.germs)
-
-
-def hag_inverse(h: HagClass) -> HagClass:
-    return HagClass(tuple(Germ(g.schema, -g.sign) for g in reversed(h.germs)))
-
-
-def class_word(h: HagClass, min_rank: int = 0) -> SchematicWord:
-    """A word representative of h whose letters all have rank >= min_rank
-    (a witness that the quotient is onto from every tail subgroup)."""
-    segs = []
-    for g in h.germs:
-        m = g.schema.width
-        k = 0
-        while min(g.schema.letter_at(p).rank for p in range(k * m, (k + 1) * m)) < min_rank:
-            k += 1
-        segs.append(Stream(g.sign > 0, k * m, g.schema))
-    return canonicalize(SchematicWord(tuple(segs)))
 
 
 def min_rank_of(w: SchematicWord) -> int | None:

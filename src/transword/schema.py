@@ -13,13 +13,24 @@ Positions are linear: position p maps to (step p // m, entry p % m).
 `pair_cancellation` classifies, for two entries at shifted steps, the set
 of steps where they emit mutually inverse letters; streams whose patterns
 cancel on an infinite and co-infinite step set are outside the fragment
-and rejected.  `tail_alignment` decides whether two schemas emit the same
-letters from some position on, returning the position shift; this single
-primitive drives stream cancellation, germ equality and the interval
-decomposition.  `Schema.tail_key` filters: schemas with different keys
-never align, so callers index candidates by key and `tail_alignment`
-returns at once on a mismatch.  `tail_alignment` decides: equal keys do
-not imply an alignment.
+and rejected.
+
+Two schemas are in one tail class when they emit the same letters from
+some position on.  `Schema.tail_key` is exact: it is the class's normal
+presentation, so keys are equal exactly when the schemas are in one
+class, and germ equality and member lookup compare keys.  The normal
+presentation strips each b/c choice to the purely periodic step pattern
+it follows from some step on (literal b and c are constant patterns),
+folds to the least width at which the entries repeat, with letter
+indices as polynomials in the position, and picks a start.  Without
+prefix codes, the start puts first the entry whose index function,
+shifted by whole steps, has 0 <= a1 < 2*a2 (quadratic) or 0 <= a0 < a1
+(affine); prefix codes pin the step numbering up to the carry twin
+(`setspec.carry_twin`), which leaves finitely many starts.  Of these
+candidates the key is the least flat tuple.  `tail_alignment` returns
+the position shift between two schemas of one class, the difference of
+their normal presentations' starts, with a position from which their
+letters agree; stream cancellation and the interval decomposition use it.
 
 Schemas are hash-consed: `Schema(entries)` returns the one object for
 that entries tuple, so a schema's hash, `fold`, validity (`schema_valid`)
@@ -31,7 +42,6 @@ bound of the validity cache it replaces.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from math import gcd, isqrt, lcm
 
@@ -44,8 +54,9 @@ from .setspec import (
     Finite,
     PrefixCode,
     SetSpec,
+    _canonical_evp,
     carry_twin,
-    indicator_classification,
+    carry_untwin,
     make_evp,
     pair_agreement,
     shifted,
@@ -189,21 +200,15 @@ def fam_agreement(f1: FamSpec, f2: FamSpec, shift: int):
     """Classify {k >= 0 : family chosen by f1 at k == family by f2 at k+shift}."""
     if isinstance(f1, str) and isinstance(f2, str):
         return (COFINITE, 0) if f1 == f2 else (FINITE, 0)
-    if isinstance(f1, str):
-        if f1 == "a":
-            return (FINITE, 0)
-        kind, bound = indicator_classification(f2, shift)
-        if f1 == "c":  # agree where k+shift is NOT in the set
-            kind = {FINITE: COFINITE, COFINITE: FINITE, MIXED: MIXED}[kind]
-        return (kind, bound)
-    if isinstance(f2, str):
-        if f2 == "a":
-            return (FINITE, 0)
-        kind, bound = indicator_classification(f1, 0)
-        if f2 == "c":
-            kind = {FINITE: COFINITE, COFINITE: FINITE, MIXED: MIXED}[kind]
-        return (kind, bound)
-    return pair_agreement(f1, f2, shift)
+    if "a" in (f1, f2):
+        return (FINITE, 0)
+    if isinstance(f2, str):  # a literal chooses alike at every step, even k+shift < 0
+        shift = 0
+    return pair_agreement(_LITERAL.get(f1, f1), _LITERAL.get(f2, f2), shift)
+
+
+# literal b and c as the selector sets that choose them at every step
+_LITERAL = {"b": EvPeriodic((), (1,)), "c": Finite(())}
 
 
 def pair_cancellation(e1: Entry, e2: Entry, shift: int):
@@ -251,11 +256,6 @@ def pair_cancellation(e1: Entry, e2: Entry, shift: int):
         )
     )
     return (FINITE, hits)
-
-
-def _ratio(num: int, den: int) -> tuple[int, int]:
-    g = gcd(num, den)
-    return num // g, den // g
 
 
 # every schema built so far, by entries tuple; see `Schema`
@@ -310,25 +310,12 @@ class Schema:
 
     @property
     def tail_key(self) -> tuple:
-        """A hashable invariant of the tail class, in integers only:
-        `tail_alignment(su, sv) is not None` implies equal keys (not the
-        converse).  Schemas are interned, so the key is computed once per
-        distinct schema, on first use.
-
-        Per position, an entry's letter index grows at rate a1/(div*m)
-        (affine) or with leading coefficient a2/(div*m^2) (quadratic);
-        those rates, the sign and whether the family is 'a' survive
-        unrolling, rotation and step shifts, and so does each rate
-        class's share of the period.  Prefix-code selectors neither
-        decimate nor shift, so a schema carrying one aligns only with a
-        schema of its own width whose entries match it one to one, with
-        the same index function, or the twin branch's with the index
-        shifted one step (`setspec.carry_twin`)."""
-        key = self._key
-        if key is None:
-            key = _compute_tail_key(self)
-            object.__setattr__(self, "_key", key)
-        return key
+        """The normal presentation of the tail class (module docstring) as
+        a flat tuple of ints and bit tuples: keys are equal exactly when
+        `tail_alignment` aligns the schemas.  Computed once, on first use."""
+        if self._key is None:
+            object.__setattr__(self, "_key", _compute_tail_key(self))
+        return self._key[0]
 
     def letter_at(self, p: int) -> Letter:
         k, j = divmod(p, self.width)
@@ -343,26 +330,80 @@ class Schema:
         yield m - 1, self.entries[m - 1], self.entries[0], 1
 
 
-def _compute_tail_key(schema: Schema) -> tuple:
+def _compute_tail_key(schema: Schema) -> tuple[tuple, int]:
+    """(key, p0): the normal presentation of the schema's tail class as a
+    flat tuple, and the position of the schema at which it starts; kept
+    in the `_key` slot."""
     m = schema.width
-    rates: Counter = Counter()
-    codes: Counter = Counter()
-    for e in schema.entries:
-        f = e.idx
-        rate = _ratio(f.a2, f.div * m * m) if f.a2 else _ratio(f.a1, f.div * m)
-        rates[(e.sign, e.fam == "a", f.a2 == 0) + rate] += 1
-        if isinstance(e.fam, PrefixCode):
-            fam, coeffs = e.fam, (f.a2, f.a1, f.a0)
-            twin = carry_twin(fam)
-            if twin is not None:  # (fam, f(k)) aligns with (twin, f(k-1))
-                fam, coeffs = twin, (f.a2, f.a1 - 2 * f.a2, f.a2 - f.a1 + f.a0)
-            codes[(e.sign, fam.branch_prefix, fam.branch_period, f.div) + coeffs] += 1
-    # sorted flat tuples: canonical multisets, and small, since every
-    # schema keeps its key
-    shares = tuple(sorted(r + _ratio(n, m) for r, n in rates.items()))
-    if not codes:
-        return shares
-    return shares, m, tuple(sorted(codes.items()))
+    entries, steps = zip(*(_stripped(e, j, m) for j, e in enumerate(schema.entries)))
+    span = m * lcm(*map(len, steps))
+    woven = tuple(steps[p % m][p // m % len(steps[p % m])] for p in range(span))
+    fams = _canonical_evp((), woven)[1]
+    if _CODE in fams:
+        # step numbering is pinned up to the carry twin: one step either way
+        starts = range(-2 * m, 2 * m)
+    else:
+        # the minimal width: the least d at which the entries repeat
+        m = next(d for d in range(1, m + 1) if entries == entries[:d] * (m // d))
+        entries = entries[:m]
+        starts = []
+        for c, e in enumerate(entries):
+            # entry c first, at the step where its index function has
+            # 0 <= a1 < 2*a2 (quadratic) or 0 <= a0 < a1 (affine)
+            a2, a1, a0, _ = _poly_at(*e[3:], m, c)
+            starts.append(c - m * (a1 // (2 * a2) if a2 else a0 // a1))
+    return min(
+        (key, p) for p in starts if (key := _presentation(entries, fams, p)) is not None
+    )
+
+
+# the family at a position of the tail: c, b, a or a prefix-code choice
+_C, _B, _A, _CODE = 0, 1, 2, 3
+
+
+def _stripped(e: Entry, j: int, m: int) -> tuple[tuple, tuple]:
+    """Entry j of m as its sign, prefix-code branch (empty for other
+    families) and letter index as a polynomial in the position; and the
+    purely periodic step pattern of families it follows from some step on."""
+    fam, f = _LITERAL.get(e.fam, e.fam), e.idx
+    branch = ((), ())
+    if isinstance(fam, PrefixCode):
+        branch, steps = (fam.branch_prefix, fam.branch_period), (_CODE,)
+    elif isinstance(fam, EvPeriodic):  # bits are _C/_B
+        r = -len(fam.prefix) % len(fam.period)
+        steps = fam.period[r:] + fam.period[:r]
+    else:  # 'a' or a finite set
+        steps = (_A,) if fam == "a" else (_C,)
+    # position p = m*k + j carries index f(k) = f((p - j) / m)
+    index = _poly_at(f.a2, f.a1 * m, f.a0 * m * m, f.div * m * m, 1, -j)
+    return (e.sign, *branch, *index), steps
+
+
+def _poly_at(a2: int, a1: int, a0: int, div: int, t: int, s: int) -> tuple:
+    """The coefficients of k -> f(t*k + s) in lowest terms; unlike
+    `IndexFn`, the result need not be an index function."""
+    c2, c1, c0 = a2 * t * t, (2 * a2 * s + a1) * t, a2 * s * s + a1 * s + a0
+    g = gcd(c2, c1, c0, div)
+    return c2 // g, c1 // g, c0 // g, div // g
+
+
+def _presentation(entries, fams: tuple, p: int) -> tuple | None:
+    """The flat tuple of the presentation starting at position p, or None
+    when some prefix code does not move to the steps that requires."""
+    m = len(entries)
+    r = p % len(fams)
+    out: list = [fams[r:] + fams[:r]]
+    for j in range(m):
+        sign, x, y, *index = entries[(j + p) % m]
+        D = (j + p) // m  # entry j at step k renders the old entry at step k + D
+        if y and D:  # a prefix code moves to its twin or back, or not at all
+            code = PrefixCode(x, y)
+            code = carry_twin(code) if D == -1 else carry_untwin(code) if D == 1 else None
+            if code is None:
+                return None
+            x, y = code.branch_prefix, code.branch_period
+        out += (sign, x, y, *_poly_at(*index, 1, p))
+    return tuple(out)
 
 
 def schema_valid(schema: Schema) -> bool:
@@ -504,50 +545,21 @@ def _compute_fold(schema: Schema) -> Schema:
 
 def tail_alignment(su: Schema, sv: Schema) -> tuple[int, int] | None:
     """(delta, Kpos) such that su's letter at p equals sv's letter at
-    p + delta for every p >= Kpos; None when no such shift exists."""
+    p + delta for every p >= Kpos; None when no such shift exists.  Equal
+    tail keys decide; delta is where the normal presentations start, and
+    Kpos where the entries' families agree at that shift."""
+    if su is sv:
+        return (0, 0)
     if su.tail_key != sv.tail_key:
         return None
-    if su.width != sv.width:
+    delta = sv._key[1] - su._key[1]
+    if su.width != sv.width:  # equal keys: neither carries a prefix code
         L = lcm(su.width, sv.width)
-        su2 = unroll(su, L // su.width)
-        sv2 = unroll(sv, L // sv.width)
-        if su2 is None or sv2 is None:
-            return None
-        su, sv = su2, sv2
+        su, sv = unroll(su, L // su.width), unroll(sv, L // sv.width)
     m = su.width
-    matches: list[tuple[int, int]] = []
-    for phi in range(m):
-        d: int | None = None
-        K_steps = 0
-        ok = True
-        for j in range(m):
-            jp = (j + phi) % m
-            carry = 1 if j + phi >= m else 0
-            eu, ev = su.entries[j], sv.entries[jp]
-            if eu.sign != ev.sign:
-                ok = False
-                break
-            D = poly_shift_match(eu.idx, ev.idx)
-            if D is None:
-                ok = False
-                break
-            dj = D - carry
-            if d is None:
-                d = dj
-            elif d != dj:
-                ok = False
-                break
-            kind, bound = fam_agreement(eu.fam, ev.fam, D)
-            if kind != COFINITE:
-                ok = False
-                break
-            K_steps = max(K_steps, bound)
-        if ok and d is not None:
-            delta = d * m + phi
-            matches.append((delta, max(0, K_steps * m, -delta)))
-    if not matches:
-        return None
-    # strictly increasing indices make self-overlaps impossible in practice;
-    # prefer the smallest shift if a degenerate pattern ever ties
-    matches.sort(key=lambda t: abs(t[0]))
-    return matches[0]
+    d, phi = divmod(delta, m)
+    K_steps = max(
+        fam_agreement(eu.fam, sv.entries[(j + phi) % m].fam, d + (j + phi >= m))[1]
+        for j, eu in enumerate(su.entries)
+    )
+    return delta, max(0, K_steps * m, -delta)

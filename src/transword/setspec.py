@@ -171,6 +171,14 @@ def carry_twin(spec: PrefixCode) -> PrefixCode | None:
     return PrefixCode(x[:-1] + (1,), (0,)) if x else PrefixCode((), (0,))
 
 
+def carry_untwin(spec: PrefixCode) -> PrefixCode | None:
+    """The branch whose carry twin is spec, or None."""
+    if spec.branch_period != (0,):
+        return None
+    x = spec.branch_prefix  # canonical: empty or ending in 1
+    return PrefixCode(x[:-1] + (0,), (1,)) if x else PrefixCode((), (1,))
+
+
 def make_evp(prefix, period) -> SetSpec:
     """EvPeriodic, demoted to Finite when the period is all zeros."""
     prefix = _parse_bits(prefix)

@@ -98,17 +98,13 @@ class SigmaFamily:
             raise KeyError(f"no family member named {name}") from None
 
     @cached_property
-    def _by_key(self) -> dict[tuple, list[tuple[str, SetSpec, Schema]]]:
-        index: dict = {}
-        for name, spec in self.items():
-            sch = self._schemas[name]
-            index.setdefault(sch.tail_key, []).append((name, spec, sch))
-        return index
+    def _by_key(self) -> dict[tuple, str]:
+        # almost disjoint infinite members never share a tail: one per key
+        return {self._schemas[name].tail_key: name for name in self.names}
 
-    def candidates(self, schema: Schema):
-        """(name, spec, member schema) for the members whose word may share
-        a tail with the schema: those with an equal tail key."""
-        return self._by_key.get(schema.tail_key, ())
+    def tail_member(self, schema: Schema) -> str | None:
+        """The member whose word shares a tail with the schema, or None."""
+        return self._by_key.get(schema.tail_key)
 
 
 def make_family(k: int) -> SigmaFamily:
@@ -177,23 +173,20 @@ def _member_letter(spec: SetSpec, q: int) -> Letter:
 
 
 def _match_member(seg: Stream, fam: SigmaFamily):
-    """(name, start, delta) for the unique member whose word the stream
-    tail renders: positions p >= start carry the member letter at p+delta."""
-    found = None
-    for name, spec, sch in fam.candidates(seg.schema):
-        al = tail_alignment(seg.schema, sch)
-        if al is None:
-            continue
-        delta, Kpos = al
-        start = max(seg.pos, Kpos, -delta)
-        while (
-            start - 1 >= max(seg.pos, -delta)
-            and seg.letter(start - 1) == _member_letter(spec, start - 1 + delta)
-        ):
-            start -= 1
-        assert found is None, "members are almost disjoint; double match"
-        found = (name, start, delta)
-    return found
+    """(name, start, delta) for the member whose word the stream tail
+    renders: positions p >= start carry the member letter at p+delta."""
+    name = fam.tail_member(seg.schema)
+    if name is None:
+        return None
+    spec = fam.spec(name)
+    delta, Kpos = tail_alignment(seg.schema, fam.schema(name))
+    start = max(seg.pos, Kpos, -delta)
+    while (
+        start - 1 >= max(seg.pos, -delta)
+        and seg.letter(start - 1) == _member_letter(spec, start - 1 + delta)
+    ):
+        start -= 1
+    return (name, start, delta)
 
 
 def decompose(w: SchematicWord, fam: SigmaFamily) -> Decomposition:
@@ -315,10 +308,8 @@ def psi_f(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> HagClass:
 
 
 def _map_germ(g: Germ, fam: SigmaFamily, f: dict[str, str]) -> Germ:
-    for name, _, member in fam.candidates(g.schema):
-        if tail_alignment(g.schema, member) is not None:
-            return Germ(fam.schema(f[name]), g.sign)
-    return g
+    name = fam.tail_member(g.schema)
+    return g if name is None else Germ(fam.schema(f[name]), g.sign)
 
 
 def phi_sigma(h: HagClass, fam: SigmaFamily, perm: dict[str, str]) -> HagClass:

@@ -5,12 +5,17 @@ cancellation, brute-force letter enumeration over a horizon) so that the
 production code paths are checked against something computed differently.
 """
 
+from math import lcm
+
 from transword.endo import InadmissibleError, projector
 from transword.freegroup import FreeWord, Letter, enumerate_reduced, rank_letter_set
+from transword.hag import Germ, HagClass
+from transword.schema import COFINITE, Schema, fam_agreement, poly_shift_match, unroll
 from transword.words import (
     FiniteBlock,
     SchematicWord,
     Stream,
+    canonicalize,
     from_free,
     occurrences,
 )
@@ -131,3 +136,70 @@ def injectivity_by_projection(s, levels, len_max: int):
             seen[key] = u
             checked += 1
     return True, checked, []
+
+
+def alignment_by_search(su: Schema, sv: Schema) -> tuple[int, int] | None:
+    """`tail_alignment` by search: unroll both schemas to a common width,
+    then try every rotation of the entry cycle, matching each pair of
+    entries by `poly_shift_match` and `fam_agreement`.  Returns (delta,
+    Kpos) with su's letter at p equal to sv's at p + delta for p >= Kpos,
+    preferring the smallest |delta|, or None."""
+    if su.width != sv.width:
+        L = lcm(su.width, sv.width)
+        su2 = unroll(su, L // su.width)
+        sv2 = unroll(sv, L // sv.width)
+        if su2 is None or sv2 is None:
+            return None
+        su, sv = su2, sv2
+    m = su.width
+    matches: list[tuple[int, int]] = []
+    for phi in range(m):
+        d: int | None = None
+        K_steps = 0
+        ok = True
+        for j in range(m):
+            jp = (j + phi) % m
+            carry = 1 if j + phi >= m else 0
+            eu, ev = su.entries[j], sv.entries[jp]
+            if eu.sign != ev.sign:
+                ok = False
+                break
+            D = poly_shift_match(eu.idx, ev.idx)
+            if D is None:
+                ok = False
+                break
+            dj = D - carry
+            if d is None:
+                d = dj
+            elif d != dj:
+                ok = False
+                break
+            kind, bound = fam_agreement(eu.fam, ev.fam, D)
+            if kind != COFINITE:
+                ok = False
+                break
+            K_steps = max(K_steps, bound)
+        if ok and d is not None:
+            delta = d * m + phi
+            matches.append((delta, max(0, K_steps * m, -delta)))
+    if not matches:
+        return None
+    matches.sort(key=lambda t: abs(t[0]))
+    return matches[0]
+
+
+def hag_inverse(h: HagClass) -> HagClass:
+    return HagClass(tuple(Germ(g.schema, -g.sign) for g in reversed(h.germs)))
+
+
+def class_word(h: HagClass, min_rank: int = 0) -> SchematicWord:
+    """A word representative of h whose letters all have rank >= min_rank
+    (a witness that the quotient is onto from every tail subgroup)."""
+    segs = []
+    for g in h.germs:
+        m = g.schema.width
+        k = 0
+        while min(g.schema.letter_at(p).rank for p in range(k * m, (k + 1) * m)) < min_rank:
+            k += 1
+        segs.append(Stream(g.sign > 0, k * m, g.schema))
+    return canonicalize(SchematicWord(tuple(segs)))

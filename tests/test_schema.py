@@ -24,6 +24,8 @@ from transword.randwords import random_stream
 from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, shifted
 from transword.words import _shift_schema
 
+from oracles import alignment_by_search
+
 idx_st = st.one_of(
     st.builds(affine, st.integers(1, 3), st.integers(0, 6)),
     st.builds(lambda m: IndexFn(1, 2 * m + 3, m * (m + 1), 2), st.integers(0, 3)),
@@ -286,11 +288,20 @@ def test_tail_key_presentation_invariant(sch):
 
 @given(schema_st(), schema_st(), st.integers(0, 8))
 def test_tail_key_necessary_for_alignment(su, sv, pick):
+    # keys are exact: equal exactly when the search finds an alignment, at
+    # the search's shift, with a sound bound
     pres = _presentations(sv)
     if pres and pick < 4:
         sv = pres[pick % len(pres)]  # a pair that often aligns
-    if tail_alignment(su, sv) is not None:
-        assert su.tail_key == sv.tail_key
+    found = alignment_by_search(su, sv)
+    assert (su.tail_key == sv.tail_key) == (found is not None)
+    al = tail_alignment(su, sv)
+    assert (al is None) == (found is None)
+    if al is not None:
+        delta, Kpos = al
+        assert delta == found[0]
+        start = max(Kpos, -delta)
+        assert seq(su, 200, start) == seq(sv, 200, start + delta)
 
 
 def test_tail_key_twin_branches():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from transword.freegroup import Letter
-from transword.hag import classes_equal, hag_normal, hag_product
+from transword.hag import hag_normal, hag_product
 from transword.setspec import PrefixCode, intersection_bound
 from transword.sigma import (
     Maximal,
@@ -193,7 +193,7 @@ def test_psi_homomorphism_with_interior_splits():
         w0, w1 = split_word(w, pts[rng.randrange(len(pts))])
         whole = psi_f(w, FAM8, f)
         pieces = hag_product(psi_f(w0, FAM8, f), psi_f(w1, FAM8, f))
-        assert classes_equal(whole, pieces)
+        assert whole == pieces
 
 
 def test_separation_patterns():
@@ -214,10 +214,12 @@ def test_separation_injective_k4():
 
 
 def test_separation_tests_one_candidate_per_stream(monkeypatch):
-    # tail keys leave one candidate member per stream: one alignment search
-    # per member word, not one per (stream, member) pair; the twin branches
-    # S2/S3, S4/S5, S6/S7 and S8/S9 still get distinct keys on member words
-    from transword import hag, schema, sigma, words
+    # tail keys leave one candidate member per stream: one alignment per
+    # member word, not one per (stream, member) pair; the twin branches
+    # S2/S3, S4/S5, S6/S7 and S8/S9 still get distinct keys on member words.
+    # Exact keys make alignment a lookup: a sweep over every subset runs
+    # no shift search (a search-based alignment runs 10 240)
+    from transword import schema, sigma, words
 
     real = schema.tail_alignment
     calls = []
@@ -226,12 +228,24 @@ def test_separation_tests_one_candidate_per_stream(monkeypatch):
         calls.append((su, sv))
         return real(su, sv)
 
-    for mod in (schema, sigma, hag, words):
+    for mod in (schema, sigma, words):
         monkeypatch.setattr(mod, "tail_alignment", counting)
     fam = make_family(10)
     assert separation_pattern(fam, {"S2", "S3", "S7"}) == (0, 1, 1, 0, 0, 0, 1, 0, 0, 0)
     assert len(calls) == 10
     assert all(real(su, sv) is not None for su, sv in calls)
+
+    searches = []
+    real_match = schema.poly_shift_match
+    monkeypatch.setattr(
+        schema, "poly_shift_match", lambda f, g: searches.append(f) or real_match(f, g)
+    )
+    for mask in range(1 << len(fam)):
+        chosen = {n for i, n in enumerate(fam.names) if mask >> i & 1}
+        assert separation_pattern(fam, chosen) == tuple(
+            1 if n in chosen else 0 for n in fam.names
+        )
+    assert searches == []
 
 
 def test_separation_sweep_computes_once_per_schema(monkeypatch):
@@ -276,9 +290,9 @@ def test_phi_sigma_swap():
     swap = _perm_map(FAM2, (1, 0))
     h = hag_normal(u_word("S1", 0, FAM2))
     moved = phi_sigma(h, FAM2, swap)
-    assert classes_equal(moved, hag_normal(u_word("S2", 0, FAM2)))
+    assert moved == hag_normal(u_word("S2", 0, FAM2))
     ident = _perm_map(FAM2, (0, 1))
-    assert classes_equal(phi_sigma(h, FAM2, ident), h)
+    assert phi_sigma(h, FAM2, ident) == h
 
 
 def test_phi_sigma_rejects_non_permutations():
@@ -299,13 +313,10 @@ def test_phi_sigma_group_laws():
         composed = {n: m1[m2[n]] for n in FAM8.names}
         inverse1 = {m1[n]: n for n in FAM8.names}
         for h in samples[:6]:
-            assert classes_equal(
-                phi_sigma(phi_sigma(h, FAM8, m2), FAM8, m1),
-                phi_sigma(h, FAM8, composed),
+            assert phi_sigma(phi_sigma(h, FAM8, m2), FAM8, m1) == phi_sigma(
+                h, FAM8, composed
             )
-            assert classes_equal(
-                phi_sigma(phi_sigma(h, FAM8, m1), FAM8, inverse1), h
-            )
+            assert phi_sigma(phi_sigma(h, FAM8, m1), FAM8, inverse1) == h
 
 
 def test_distinct_permutations_act_distinctly():
@@ -321,6 +332,6 @@ def test_distinct_permutations_act_distinctly():
             continue
         m1, m2 = _perm_map(FAM8, p1), _perm_map(FAM8, p2)
         assert any(
-            not classes_equal(phi_sigma(b, FAM8, m1), phi_sigma(b, FAM8, m2))
+            phi_sigma(b, FAM8, m1) != phi_sigma(b, FAM8, m2)
             for b in basis
         )

@@ -4,6 +4,7 @@ import pytest
 
 from transword.dsl import parse_word
 from transword.freegroup import EMPTY, FreeWord, Letter, rank_letter_set, reduce_free
+from transword.hag import hag_equal
 from transword.schema import Entry, K, Schema, affine
 from transword.setspec import EvPeriodic, PrefixCode
 from transword.words import (
@@ -301,6 +302,29 @@ def test_heg_equal():
     assert not heg_equal(us(PrefixCode("", "0")), us(PrefixCode("", "1")))
     assert not heg_equal(TEL, UT)
     assert heg_equal(TEL, block(L("a", 0)))  # the collapsed telescope
+
+
+# one word written with literal b/c letters and with a selector that picks
+# the same letters: each pair reduces to two different values
+LITERAL_VS_SELECTOR = [
+    ('st(+,0,{b(k)})', 'st(+,0,{sel(eper("","1"))(k)})'),
+    ("st(+,0,{c(k)})", "st(+,0,{sel(fin{})(k)})"),
+    ('st(+,0,{c(2k+7) b(2k+8)})', 'st(+,0,{sel(eper("","01"))(k+7)})'),
+    ("[b5] st(+,0,{c(k+6)})", "st(+,0,{sel(fin{0})(k+5)})"),
+]
+
+
+@pytest.mark.parametrize("text_w, text_v", LITERAL_VS_SELECTOR)
+def test_literal_vs_selector_same_word(text_w, text_v):
+    w, v = parse_word(text_w), parse_word(text_v)
+    assert hag_equal(w, v)
+    assert equal_up_to(w, v, 40)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("text_w, text_v", LITERAL_VS_SELECTOR)
+def test_literal_vs_selector_heg_equal(text_w, text_v):
+    assert heg_equal(parse_word(text_w), parse_word(text_v))
 
 
 def test_mixed_pattern_rejected():
