@@ -61,11 +61,6 @@ def sum_functional(Scal, v: IntSeq, p: int) -> int:
     return sum(val for i, val in v.entries if i in Scal) % p
 
 
-def truncate(v: IntSeq, n: int) -> IntSeq:
-    """Keep only coordinates below n (the finite projection)."""
-    return IntSeq({i: val for i, val in v.entries if i < n})
-
-
 def distinct_homs_demo(k: int, p: int) -> int:
     """Number of distinct evaluation vectors of the 2^k subset functionals
     on the k basis vectors; equals 2^k because the evaluations are exactly

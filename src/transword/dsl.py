@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .freegroup import FreeWord, Letter
 from .schema import Entry, IndexFn, Schema
 from .setspec import Finite, PrefixCode, SetSpec, make_evp
-from .words import EMPTY_WORD, FiniteBlock, SchematicWord, Stream, canonicalize
+from .words import FiniteBlock, SchematicWord, Stream, canonicalize
 
 
 class ParseError(ValueError):
@@ -40,6 +40,7 @@ _TOKEN = re.compile(
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<arrow>->)
       | (?P<sym>[\[\](){},:+\-^/*])
+      | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
@@ -53,17 +54,12 @@ class _Tok:
 
 
 def _tokenize(text: str) -> list[_Tok]:
-    toks, i = [], 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None or m.end() == i:
-            if text[i:].strip():
-                raise ParseError(f"unexpected character {text[i]!r}", text, i)
-            break
-        i = m.end()
+    toks = []
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        assert kind is not None
-        toks.append(_Tok(kind, m.group(kind), m.start(kind)))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", text, m.start(kind))
+        toks.append(_Tok(kind, m[kind], m.start(kind)))
     toks.append(_Tok("eof", "", len(text)))
     return toks
 
@@ -399,20 +395,6 @@ def parse_substitution(text: str):
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_index_fn(f: IndexFn, var: str = "k") -> str:
-    terms = []
-    if f.a2:
-        terms.append((f"{f.a2}" if f.a2 != 1 else "") + f"{var}^2")
-    if f.a1:
-        terms.append((f"{f.a1}" if f.a1 != 1 else "") + var)
-    if f.a0 or not terms:
-        terms.append(str(f.a0))
-    body = "+".join(terms)
-    if f.div != 1:
-        return f"({body})/{f.div}"
-    return body
-
-
 def render_setspec(s: SetSpec, names: dict[SetSpec, str] | None = None) -> str:
     if names and s in names:
         return names[s]
@@ -421,7 +403,7 @@ def render_setspec(s: SetSpec, names: dict[SetSpec, str] | None = None) -> str:
 
 def render_entry(e: Entry, names=None) -> str:
     fam = e.fam if isinstance(e.fam, str) else f"sel({render_setspec(e.fam, names)})"
-    return f"{fam}({render_index_fn(e.idx)})" + ("^-1" if e.sign < 0 else "")
+    return f"{fam}({e.idx})" + ("^-1" if e.sign < 0 else "")
 
 
 def render_word(w: SchematicWord, names=None) -> str:

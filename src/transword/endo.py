@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .freegroup import (
-    EMPTY,
     FreeWord,
     Letter,
     a_letter_set,
@@ -41,7 +40,7 @@ from .freegroup import (
     reduce_free,
 )
 from .hag import min_rank_of
-from .schema import Entry, IndexFn, Schema, affine
+from .schema import Entry, IndexFn, Schema
 from .words import (
     EMPTY_WORD,
     FiniteBlock,
@@ -317,15 +316,6 @@ def telescope_product(enum: IndexFn) -> SchematicWord:
     reduces to the first letter [a_{enum(0)}] (or its projection)."""
     entries = (Entry("a", enum, 1), Entry("a", enum.shift(1), -1))
     return SchematicWord((Stream(True, 0, Schema(entries)),))
-
-
-def row_product_word(m: int, length: int | None = None) -> SchematicWord:
-    """The product of the a-letters along pairing row m: infinite as a
-    quadratic stream, or a finite truncation when length is given."""
-    row = cantor_row(m)
-    if length is None:
-        return SchematicWord((Stream(True, 0, Schema((Entry("a", row, 1),))),))
-    return from_free(FreeWord(tuple(Letter("a", row.value(i)) for i in range(length))))
 
 
 # ---------------------------------------------------------------------------

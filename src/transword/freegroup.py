@@ -8,16 +8,16 @@ as w0 w1 w2 w1^-1 w3 with w0/w3 over a designated generator subset Y and
 w2 cyclically reduced, and `adjunction_free_oracle` brute-forces
 injectivity of the substitution t -> w, y -> y on bounded-length words.
 Injectivity sweeps run over `enumerate_images`, which walks the reduced
-words of `enumerate_reduced` with the reduced image of each under a
-letterwise substitution: a word's image is its prefix's image joined to
-the image of its last letter, with cancellation only at the junction
-(the reduced-word calculus of Cannon & Conner), so no image is ever
-reduced from scratch.
+words over a signed alphabet, ordered by length and then by the sorted
+signed alphabet, with the reduced image of each under a letterwise
+substitution: a word's image is its prefix's image joined to the image
+of its last letter, with cancellation only at the junction (the
+reduced-word calculus of Cannon & Conner), so no image is ever reduced
+from scratch.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -184,34 +184,17 @@ def split_for_adjunction(w: FreeWord, Y) -> AdjunctionSplit:
     return AdjunctionSplit(w0, w1, w2, w3)
 
 
-def enumerate_reduced(alphabet: list[Letter], maxlen: int):
-    """All reduced words of length <= maxlen over the signed alphabet, in
-    deterministic (length, lexicographic) order."""
-    signed = sorted(set(alphabet) | {l.inverse for l in alphabet})
-    yield EMPTY
-    frontier: list[tuple[Letter, ...]] = [()]
-    for _ in range(maxlen):
-        new_frontier = []
-        for prefix in frontier:
-            for l in signed:
-                if prefix and cancels(prefix[-1], l):
-                    continue
-                ext = prefix + (l,)
-                new_frontier.append(ext)
-                yield FreeWord(ext)
-        frontier = new_frontier
-
-
 def enumerate_images(
     alphabet: list[Letter], maxlen: int, image: Mapping[Letter, Sequence[Letter]]
 ):
-    """(u, reduced image of u) for the words u of `enumerate_reduced`, in
-    its order, where `image` maps each letter of the alphabet to its
-    reduced image (a letter tuple) and an inverse letter maps to the
-    inverse image.  Each word is its parent prefix plus one letter, so its
-    image is the parent's image joined to the letter's image, cancelling
-    only at the junction: O(|piece|) steps per word, never a re-reduction
-    of the whole image."""
+    """(u, reduced image of u) for every reduced word u of length <= maxlen
+    over the alphabet and its inverses, by length and then
+    lexicographically in the sorted signed alphabet, where `image` maps
+    each letter of the alphabet to its reduced image (a letter tuple) and
+    an inverse letter maps to the inverse image.  Each word is its parent
+    prefix plus one letter, so its image is the parent's image joined to
+    the letter's image, cancelling only at the junction: O(|piece|) steps
+    per word, never a re-reduction of the whole image."""
     pieces = {l: tuple(image[l]) for l in alphabet}
     for l in alphabet:
         pieces.setdefault(l.inverse, tuple(x.inverse for x in reversed(pieces[l])))

@@ -13,15 +13,9 @@ import os
 import random
 
 from .freegroup import FreeWord, Letter
-from .schema import Entry, IndexFn, Schema, affine
+from .schema import Entry, IndexFn, Schema, affine, unroll
 from .setspec import Finite, PrefixCode, SetSpec, make_evp
-from .words import (
-    FiniteBlock,
-    SchematicWord,
-    Stream,
-    canonicalize,
-    reduce,
-)
+from .words import FiniteBlock, SchematicWord, Stream, _split_head, reduce
 
 DEFAULT_SEED = 1729
 
@@ -116,8 +110,6 @@ def random_reduced_word(rng, **kw) -> SchematicWord:
 def shuffle_presentation(w: SchematicWord, rng) -> SchematicWord:
     """An order-isomorphic re-presentation: blocks split at random points,
     stream heads popped out into explicit blocks, schemas unrolled."""
-    from .schema import unroll
-
     segs = list(w.segments)
     for _ in range(rng.randrange(1, 5)):
         if not segs:
@@ -132,17 +124,9 @@ def shuffle_presentation(w: SchematicWord, rng) -> SchematicWord:
                     FiniteBlock(FreeWord(seg.word.letters[cut:])),
                 ]
             continue
-        move = rng.random()
-        m = seg.schema.width
-        if move < 0.5:
-            q = rng.randrange(1, 3) * m  # pop whole periods off the head
-            letters = [seg.schema.letter_at(p) for p in range(seg.pos, seg.pos + q)]
-            rest = Stream(seg.forward, seg.pos + q, seg.schema)
-            if seg.forward:
-                segs[i : i + 1] = [FiniteBlock(FreeWord(tuple(letters))), rest]
-            else:
-                inv = FreeWord(tuple(l.inverse for l in reversed(letters)))
-                segs[i : i + 1] = [rest, FiniteBlock(inv)]
+        if rng.random() < 0.5:  # pop whole periods off the head
+            q = rng.randrange(1, 3) * seg.schema.width
+            segs[i : i + 1] = _split_head(seg, seg.pos + q)
         else:
             big = unroll(seg.schema, rng.choice((2, 3)))
             if big is not None:

@@ -59,7 +59,6 @@ from .setspec import (
     carry_untwin,
     make_evp,
     pair_agreement,
-    shifted,
 )
 
 FamSpec = str | SetSpec  # 'a' | 'b' | 'c' | selector set
@@ -98,42 +97,16 @@ class IndexFn:
 
     def solve(self, target: int) -> int | None:
         """The unique k >= 0 with value(k) == target, if any."""
-        if target < self.value(0):
-            return None
-        if self.a2 == 0:
-            num = target * self.div - self.a0
-            if num % self.a1:
-                return None
-            k = num // self.a1
-            return k if k >= 0 else None
-        # strictly increasing quadratic: solve a2 k^2 + a1 k + (a0 - t*div) = 0
-        c = self.a0 - target * self.div
-        disc = self.a1 * self.a1 - 4 * self.a2 * c
-        if disc < 0:
-            return None
-        r = isqrt(disc)
-        if r * r != disc:
-            return None
-        num = -self.a1 + r
-        if num % (2 * self.a2):
-            return None
-        k = num // (2 * self.a2)
-        return k if k >= 0 and self.value(k) == target else None
+        roots = _natural_roots(self.a2, self.a1, self.a0 - target * self.div)
+        return roots[0] if roots else None
 
     def shift(self, d: int) -> "IndexFn":
         """The function k -> self(k + d)."""
-        a2, a1, a0 = self.a2, self.a1, self.a0
-        return IndexFn(a2, 2 * a2 * d + a1, a2 * d * d + a1 * d + a0, self.div)
+        return self.compose_affine(1, d)
 
     def compose_affine(self, t: int, s: int) -> "IndexFn":
         """The function k -> self(t*k + s)."""
-        a2, a1, a0 = self.a2, self.a1, self.a0
-        return IndexFn(
-            a2 * t * t,
-            2 * a2 * t * s + a1 * t,
-            a2 * s * s + a1 * s + a0,
-            self.div,
-        )
+        return IndexFn(*_poly_at(self.a2, self.a1, self.a0, self.div, t, s))
 
     def __str__(self) -> str:
         terms = []
@@ -220,7 +193,8 @@ def pair_cancellation(e1: Entry, e2: Entry, shift: int):
     """
     if e1.sign != -e2.sign:
         return (FINITE, ())
-    if e2.idx.shift(shift) == e1.idx:
+    f, g = e1.idx, e2.idx.shift(shift)
+    if f == g:
         kind, bound = fam_agreement(e1.fam, e2.fam, shift)
         if kind == MIXED:
             return (MIXED, None)
@@ -230,32 +204,27 @@ def pair_cancellation(e1: Entry, e2: Entry, shift: int):
             k for k in range(bound) if e1.family_at(k) == e2.family_at(k + shift)
         )
         return (FINITE, hits)
-    # distinct index functions: finitely many index coincidences
-    f, g = e1.idx, e2.idx.shift(shift)
-    roots = []
-    # (f - g)(k) = 0 over a common denominator
+    # distinct index functions: finitely many index coincidences, the
+    # roots of (f - g)(k) over a common denominator
     D = lcm(f.div, g.div)
     A = f.a2 * (D // f.div) - g.a2 * (D // g.div)
     B = f.a1 * (D // f.div) - g.a1 * (D // g.div)
     C = f.a0 * (D // f.div) - g.a0 * (D // g.div)
-    if A == 0:
-        if B != 0 and (-C) % B == 0 and (-C) // B >= 0:
-            roots.append((-C) // B)
-    else:
-        disc = B * B - 4 * A * C
-        if disc >= 0 and isqrt(disc) ** 2 == disc:
-            r = isqrt(disc)
-            for num in (-B + r, -B - r):
-                if num % (2 * A) == 0 and num // (2 * A) >= 0:
-                    roots.append(num // (2 * A))
-    hits = tuple(
-        sorted(
-            k
-            for k in set(roots)
-            if e1.family_at(k) == e2.family_at(k + shift)
-        )
-    )
+    roots = _natural_roots(A, B, C)
+    hits = tuple(k for k in roots if e1.family_at(k) == e2.family_at(k + shift))
     return (FINITE, hits)
+
+
+def _natural_roots(a: int, b: int, c: int) -> tuple[int, ...]:
+    """The k >= 0 with a*k^2 + b*k + c == 0, ascending; none when a = b = 0."""
+    if a == 0:
+        return ((-c) // b,) if b and (-c) % b == 0 and (-c) // b >= 0 else ()
+    disc = b * b - 4 * a * c
+    r = isqrt(max(disc, 0))
+    if r * r != disc:
+        return ()
+    roots = {n // (2 * a) for n in (-b - r, -b + r) if n % (2 * a) == 0}
+    return tuple(sorted(k for k in roots if k >= 0))
 
 
 # every schema built so far, by entries tuple; see `Schema`

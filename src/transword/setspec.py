@@ -25,7 +25,10 @@ def _parse_bits(s) -> Bits:
         if not all(ch in "01" for ch in s):
             raise ValueError(f"bit string expected, got {s!r}")
         return tuple(int(ch) for ch in s)
-    return tuple(int(b) for b in s)
+    bits = tuple(int(b) for b in s)
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"bit string expected, got {s!r}")
+    return bits
 
 
 def _canonical_evp(prefix: Bits, period: Bits) -> tuple[Bits, Bits]:
@@ -76,9 +79,6 @@ class SetSpec:
 
     def is_infinite(self) -> bool:
         raise NotImplementedError
-
-    def members_below(self, bound: int) -> list[int]:
-        return [n for n in range(bound) if self.contains(n)]
 
 
 @dataclass(frozen=True)
@@ -231,14 +231,6 @@ def _classify_bitstream(prefix: Bits, period: Bits):
     return (MIXED, None)
 
 
-def indicator_classification(spec: SetSpec, shift: int = 0):
-    """Classify {k >= 0 : k+shift in spec}."""
-    bits = _evp_bits(spec)
-    if bits is None:
-        return (MIXED, None)  # prefix-code sets are infinite and co-infinite
-    return _classify_bitstream(*_shift_bits(bits, shift))
-
-
 def pair_agreement(s1: SetSpec, s2: SetSpec, shift: int = 0):
     """Classify {k >= 0 : (k in s1) == (k+shift in s2)}."""
     b1, b2 = _evp_bits(s1), _evp_bits(s2)
@@ -278,19 +270,6 @@ def pair_agreement(s1: SetSpec, s2: SetSpec, shift: int = 0):
         for n in range(start, start + step)
     )
     return _classify_bitstream(agree_prefix, agree_period)
-
-
-def sets_equal(s1: SetSpec, s2: SetSpec) -> bool:
-    """Exact extensional equality."""
-    kind, K = pair_agreement(s1, s2, 0)
-    if kind != COFINITE or K is None:
-        return False
-    return all(s1.contains(n) == s2.contains(n) for n in range(K))
-
-
-def eventually_equal(s1: SetSpec, s2: SetSpec) -> bool:
-    """Finite symmetric difference."""
-    return pair_agreement(s1, s2, 0)[0] == COFINITE
 
 
 def shifted(spec: SetSpec, d: int) -> SetSpec | None:

@@ -33,7 +33,6 @@ from .words import (
     invert,
     is_reduced,
     reduce,
-    stream_word,
 )
 
 T = "T"  # the distinguished non-member symbol

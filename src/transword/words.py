@@ -17,10 +17,10 @@ heads, cross moves; when cancelling, also letter-against-head and
 stream-pair cancellation via tail alignment).  The pieces of a move go
 back to the input, so no move applies on the stack and the pass ends on
 a word no move applies to: the normal form, as far as the moves are
-confluent.  `reduce(w, rng)`, which applies cancellation sites in random
-order, is the oracle the tests compare the pass against.  A block between
-a backward and a forward stream is offered to the backward one first,
-which is not yet order-independent (ROADMAP, item 1).
+confluent.  The tests compare the pass against `random_site_reduce` in
+`tests/oracles.py`, which applies cancellation sites in random order.
+A block between a backward and a forward stream is offered to the
+backward one first, which is not yet order-independent (ROADMAP, item 1).
 """
 
 from __future__ import annotations
@@ -115,13 +115,9 @@ def from_free(w: FreeWord) -> SchematicWord:
     return SchematicWord((FiniteBlock(w),)) if w else EMPTY_WORD
 
 
-def make_stream(forward: bool, k0: int, entries) -> Stream:
-    sch = Schema(tuple(entries))
-    return Stream(forward, k0 * sch.width, sch)
-
-
 def stream_word(forward: bool, k0: int, entries) -> SchematicWord:
-    return SchematicWord((make_stream(forward, k0, entries),))
+    sch = Schema(tuple(entries))
+    return SchematicWord((Stream(forward, k0 * sch.width, sch),))
 
 
 # ---------------------------------------------------------------------------
@@ -576,22 +572,9 @@ def _sites(w: SchematicWord):
     return sites
 
 
-def reduce(w: SchematicWord, rng=None) -> SchematicWord:
-    """Reduced canonical word projection-equal to w.  With `rng`, the
-    confluence oracle: canonicalize, apply a random cancellation site,
-    repeat; the tests compare it against the stack pass."""
-    if rng is None:
-        return _rewrite(w, True)
-    for _ in range(_REDUCE_CAP):
-        w = canonicalize(w)
-        sites = _sites(w)
-        if not sites:
-            return w
-        i, j, pieces = sites[rng.randrange(len(sites))]
-        w = SchematicWord(w.segments[:i] + tuple(pieces) + w.segments[j:])
-    raise CapError(
-        f"random-site reduction reached the cap _REDUCE_CAP = {_REDUCE_CAP} rounds"
-    )
+def reduce(w: SchematicWord) -> SchematicWord:
+    """Reduced canonical word projection-equal to w."""
+    return _rewrite(w, True)
 
 
 def is_reduced(w: SchematicWord) -> bool:
@@ -692,43 +675,3 @@ def ra_retract(w: SchematicWord) -> SchematicWord:
         new_pos = (seg.pos // m) * len(kept_entries)
         out.append(Stream(seg.forward, new_pos, Schema(kept_entries)))
     return canonicalize(SchematicWord(tuple(out)))
-
-
-# ---------------------------------------------------------------------------
-# cutting (used by the homomorphism tests and the archipelago machinery)
-
-def cut_points(w: SchematicWord, stream_depth: int = 4):
-    """Boundary descriptors where w may be split in two, including spots
-    inside streams up to `stream_depth` positions past each cursor."""
-    pts = [(len(w.segments), 0)]
-    for i, seg in enumerate(w.segments):
-        if isinstance(seg, FiniteBlock):
-            pts.extend((i, off) for off in range(len(seg.word)))
-        else:
-            pts.extend((i, off) for off in range(stream_depth))
-    return pts
-
-
-def split_word(w: SchematicWord, cut) -> tuple[SchematicWord, SchematicWord]:
-    i, off = cut
-    if i >= len(w.segments):
-        return w, EMPTY_WORD
-    before = w.segments[:i]
-    after = w.segments[i + 1 :]
-    seg = w.segments[i]
-    if isinstance(seg, FiniteBlock):
-        head: tuple[Segment, ...] = (
-            (FiniteBlock(FreeWord(seg.word.letters[:off])),) if off else ()
-        )
-        tail: tuple[Segment, ...] = (FiniteBlock(FreeWord(seg.word.letters[off:])),)
-        return (
-            SchematicWord(before + head),
-            SchematicWord(tail + after),
-        )
-    pieces = _split_head(seg, seg.pos + off) if off else [seg]
-    # a forward stream keeps its rest on the right, a backward one on the left
-    cut = len(pieces) - 1 if seg.forward else 1
-    return (
-        SchematicWord(before + tuple(pieces[:cut])),
-        SchematicWord(tuple(pieces[cut:]) + after),
-    )

@@ -1,0 +1,131 @@
+"""Byte-identity corpus: the library's verdicts and normal forms on a fixed
+set of inputs, one line per result, for comparing two trees with `diff`.
+
+    PYTHONPATH=src python3 tests/corpus.py --seeds 0-2999 > corpus.txt
+
+For each seed s it draws the fuzz-size word
+w = random_word(Random(s), max_segments=10, max_index=15) and prints the
+renderings of canonicalize(w), reduce(w), is_reduced(w), hag_normal(w)
+and proj_rank(w, 12), of reduce on three shuffled presentations of w
+(drawn from the same generator), and of the DSL round trip of w.  Over
+make_family(10) it prints decompose, apply_Ff and phi_sigma (under the
+cyclic permutation S1 -> S2 -> ... -> S10 -> S1) for one family word per
+seed (`family_word(Random(s), ...)`), then for every member word, the
+word of T and their inverses at n = 0..3; last, separation_pattern for
+every subset of the family.
+
+A result that raises prints the exception's type and message instead.
+The script uses only long-standing names of the library, so one copy runs
+against two trees, each put first on PYTHONPATH in turn.
+"""
+
+import argparse
+import itertools
+import random
+import sys
+
+from transword import (
+    T,
+    apply_Ff,
+    canonicalize,
+    concat,
+    decompose,
+    hag_normal,
+    invert,
+    is_reduced,
+    make_family,
+    parse_word,
+    phi_sigma,
+    proj_rank,
+    reduce,
+    render_word,
+    separation_pattern,
+    u_word,
+)
+from transword.hag import render_class
+from transword.randwords import random_word, shuffle_presentation
+
+FAMILY_K = 10
+
+
+def _show(fn) -> str:
+    try:
+        return str(fn())
+    except Exception as e:  # a raised error is an output like any other
+        return f"{type(e).__name__}: {e}"
+
+
+def fuzz_lines(seed: int):
+    rng = random.Random(seed)
+    w = random_word(rng, max_segments=10, max_index=15)
+    yield "canonicalize", _show(lambda: canonicalize(w))
+    yield "reduce", _show(lambda: reduce(w))
+    yield "is_reduced", _show(lambda: is_reduced(w))
+    yield "hag_normal", _show(lambda: hag_normal(w))
+    yield "proj_rank12", _show(lambda: proj_rank(w, 12))
+    for i in range(3):
+        yield f"shuffle{i}", _show(lambda: reduce(shuffle_presentation(w, rng)))
+    yield "roundtrip", _show(lambda: render_word(parse_word(render_word(w))))
+
+
+def family_word(rng, fam):
+    """A reduced concatenation of member words, words of T, their inverses
+    and small random words."""
+    parts = []
+    for _ in range(rng.randrange(1, 5)):
+        if rng.random() < 0.5:
+            word = u_word(rng.choice(fam.names + (T,)), rng.randrange(5), fam)
+            parts.append(word if rng.random() < 0.5 else invert(word))
+        else:
+            parts.append(random_word(rng, max_segments=2))
+    return reduce(concat(*parts))
+
+
+def family_lines(w, fam, perm):
+    names = fam.render_names()
+
+    def pieces():
+        return " | ".join(
+            f"{p.tag} {render_word(p.word, names)}" for p in decompose(w, fam).pieces
+        )
+
+    yield "decompose", _show(pieces)
+    yield "apply_Ff", _show(lambda: render_word(apply_Ff(w, fam, perm), names))
+    yield "phi_sigma", _show(
+        lambda: render_class(phi_sigma(hag_normal(w), fam, perm), names)
+    )
+
+
+def corpus(seeds):
+    fam = make_family(FAMILY_K)
+    perm = {n: fam.names[(i + 1) % len(fam)] for i, n in enumerate(fam.names)}
+    for seed in seeds:
+        for label, out in fuzz_lines(seed):
+            yield f"{seed} {label} {out}"
+        w = family_word(random.Random(seed), fam)
+        for label, out in family_lines(w, fam, perm):
+            yield f"{seed} family {label} {out}"
+    for name in fam.names + (T,):
+        for n in range(4):
+            word = u_word(name, n, fam)
+            for sign, w in (("+", word), ("-", invert(word))):
+                for label, out in family_lines(w, fam, perm):
+                    yield f"member {name} {n} {sign} {label} {out}"
+    for r in range(len(fam) + 1):
+        for chosen in itertools.combinations(fam.names, r):
+            bits = _show(lambda: separation_pattern(fam, chosen))
+            yield f"separation {','.join(chosen) or '-'} {bits}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", default="0-99", help="inclusive range A-B")
+    args = ap.parse_args(argv)
+    first, _, last = args.seeds.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    sys.stdout.writelines(line + "\n" for line in corpus(seeds))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,18 +3,43 @@
 These deliberately use the naive algorithm in each case (repeated-scan
 cancellation, brute-force letter enumeration over a horizon) so that the
 production code paths are checked against something computed differently.
+The helpers at the bottom serve only the tests: the random-site rewrite
+order, cutting a word in two, set equality and indicator classification,
+truncated sequences, pairing-row words and reduced-word enumeration.
 """
 
 from math import lcm
 
-from transword.endo import InadmissibleError, projector
-from transword.freegroup import FreeWord, Letter, enumerate_reduced, rank_letter_set
+import transword.words
+from transword.abelian import IntSeq
+from transword.endo import InadmissibleError, cantor_row, projector
+from transword.freegroup import EMPTY, FreeWord, Letter, cancels, rank_letter_set
 from transword.hag import Germ, HagClass
-from transword.schema import COFINITE, Schema, fam_agreement, poly_shift_match, unroll
+from transword.schema import (
+    COFINITE,
+    Entry,
+    Schema,
+    fam_agreement,
+    poly_shift_match,
+    unroll,
+)
+from transword.setspec import (
+    MIXED,
+    SetSpec,
+    _classify_bitstream,
+    _evp_bits,
+    _shift_bits,
+    pair_agreement,
+)
 from transword.words import (
+    EMPTY_WORD,
+    CapError,
     FiniteBlock,
     SchematicWord,
+    Segment,
     Stream,
+    _sites,
+    _split_head,
     canonicalize,
     from_free,
     occurrences,
@@ -203,3 +228,112 @@ def class_word(h: HagClass, min_rank: int = 0) -> SchematicWord:
             k += 1
         segs.append(Stream(g.sign > 0, k * m, g.schema))
     return canonicalize(SchematicWord(tuple(segs)))
+
+
+def random_site_reduce(w: SchematicWord, rng) -> SchematicWord:
+    """The confluence oracle for `reduce`: canonicalize, apply a random
+    cancellation site, repeat.  Reads the cap from `transword.words` at
+    call time, so a test that lowers it reaches this loop too."""
+    cap = transword.words._REDUCE_CAP
+    for _ in range(cap):
+        w = canonicalize(w)
+        sites = _sites(w)
+        if not sites:
+            return w
+        i, j, pieces = sites[rng.randrange(len(sites))]
+        w = SchematicWord(w.segments[:i] + tuple(pieces) + w.segments[j:])
+    raise CapError(f"random-site reduction reached the cap _REDUCE_CAP = {cap} rounds")
+
+
+def cut_points(w: SchematicWord, stream_depth: int = 4):
+    """Boundary descriptors where w may be split in two, including spots
+    inside streams up to `stream_depth` positions past each cursor."""
+    pts = [(len(w.segments), 0)]
+    for i, seg in enumerate(w.segments):
+        if isinstance(seg, FiniteBlock):
+            pts.extend((i, off) for off in range(len(seg.word)))
+        else:
+            pts.extend((i, off) for off in range(stream_depth))
+    return pts
+
+
+def split_word(w: SchematicWord, cut) -> tuple[SchematicWord, SchematicWord]:
+    i, off = cut
+    if i >= len(w.segments):
+        return w, EMPTY_WORD
+    before = w.segments[:i]
+    after = w.segments[i + 1 :]
+    seg = w.segments[i]
+    if isinstance(seg, FiniteBlock):
+        head: tuple[Segment, ...] = (
+            (FiniteBlock(FreeWord(seg.word.letters[:off])),) if off else ()
+        )
+        tail: tuple[Segment, ...] = (FiniteBlock(FreeWord(seg.word.letters[off:])),)
+        return (
+            SchematicWord(before + head),
+            SchematicWord(tail + after),
+        )
+    pieces = _split_head(seg, seg.pos + off) if off else [seg]
+    # a forward stream keeps its rest on the right, a backward one on the left
+    cut = len(pieces) - 1 if seg.forward else 1
+    return (
+        SchematicWord(before + tuple(pieces[:cut])),
+        SchematicWord(tuple(pieces[cut:]) + after),
+    )
+
+
+def members_below(spec: SetSpec, bound: int) -> list[int]:
+    return [n for n in range(bound) if spec.contains(n)]
+
+
+def indicator_classification(spec: SetSpec, shift: int = 0):
+    """Classify {k >= 0 : k+shift in spec}."""
+    bits = _evp_bits(spec)
+    if bits is None:
+        return (MIXED, None)  # prefix-code sets are infinite and co-infinite
+    return _classify_bitstream(*_shift_bits(bits, shift))
+
+
+def sets_equal(s1: SetSpec, s2: SetSpec) -> bool:
+    """Exact extensional equality."""
+    kind, K = pair_agreement(s1, s2, 0)
+    if kind != COFINITE or K is None:
+        return False
+    return all(s1.contains(n) == s2.contains(n) for n in range(K))
+
+
+def eventually_equal(s1: SetSpec, s2: SetSpec) -> bool:
+    """Finite symmetric difference."""
+    return pair_agreement(s1, s2, 0)[0] == COFINITE
+
+
+def truncate(v: IntSeq, n: int) -> IntSeq:
+    """Keep only coordinates below n (the finite projection)."""
+    return IntSeq({i: val for i, val in v.entries if i < n})
+
+
+def row_product_word(m: int, length: int | None = None) -> SchematicWord:
+    """The product of the a-letters along pairing row m: infinite as a
+    quadratic stream, or a finite truncation when length is given."""
+    row = cantor_row(m)
+    if length is None:
+        return SchematicWord((Stream(True, 0, Schema((Entry("a", row, 1),))),))
+    return from_free(FreeWord(tuple(Letter("a", row.value(i)) for i in range(length))))
+
+
+def enumerate_reduced(alphabet: list[Letter], maxlen: int):
+    """All reduced words of length <= maxlen over the signed alphabet, in
+    deterministic (length, lexicographic) order."""
+    signed = sorted(set(alphabet) | {l.inverse for l in alphabet})
+    yield EMPTY
+    frontier: list[tuple[Letter, ...]] = [()]
+    for _ in range(maxlen):
+        new_frontier = []
+        for prefix in frontier:
+            for l in signed:
+                if prefix and cancels(prefix[-1], l):
+                    continue
+                ext = prefix + (l,)
+                new_frontier.append(ext)
+                yield FreeWord(ext)
+        frontier = new_frontier

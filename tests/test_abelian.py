@@ -8,8 +8,9 @@ from transword.abelian import (
     evaluation_matrix,
     mod_p,
     sum_functional,
-    truncate,
 )
+
+from oracles import truncate
 
 seqs = st.builds(
     IntSeq,

@@ -75,6 +75,9 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_word("st(+,0,{a(k)}) st(*,0,{a(k)})")
     assert e.value.col == 19
+    with pytest.raises(ParseError) as e:
+        parse_word("a0 @")
+    assert e.value.col == 4 and "unexpected character '@'" in str(e.value)
 
 
 def test_roundtrip_random_words():
@@ -87,9 +90,12 @@ def test_roundtrip_random_words():
 
 
 def test_roundtrip_quadratic_and_selectors():
-    text = 'st(-,1,{sel(pcode("01","1"))(k+2)}) [b4^-1] st(+,0,{a((k^2+5k+4)/2)^-1})'
-    w = parse_word(text)
-    assert canonicalize(parse_word(render_word(w))) == canonicalize(w)
+    for text in (
+        'st(-,1,{sel(pcode("01","1"))(k+2)}) [b4^-1] st(+,0,{a((k^2+5k+4)/2)^-1})',
+        "st(+,0,{a(2k^2-k) a(2k^2+k)})",  # a negative linear coefficient
+    ):
+        w = parse_word(text)
+        assert canonicalize(parse_word(render_word(w))) == canonicalize(w)
 
 
 def test_render_empty():

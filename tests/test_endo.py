@@ -18,7 +18,6 @@ from transword.endo import (
     embedding_check,
     identity_map,
     projector,
-    row_product_word,
     tau_map,
     telescope_map,
     telescope_product,
@@ -41,7 +40,7 @@ from transword.words import (
 from transword import endo, words
 from transword.randwords import random_word
 
-from oracles import admissible_by_scan, injectivity_by_projection
+from oracles import admissible_by_scan, injectivity_by_projection, row_product_word
 
 
 def test_cantor_pairing():

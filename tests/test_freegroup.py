@@ -11,13 +11,12 @@ from transword.freegroup import (
     adjunction_free_oracle,
     cyclic_reduce,
     enumerate_images,
-    enumerate_reduced,
     is_reduced_free,
     reduce_free,
     split_for_adjunction,
     word,
 )
-from oracles import scan_reduce
+from oracles import enumerate_reduced, scan_reduce
 
 
 def L(fam, i, s=1):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from transword.freegroup import Letter
 from transword.schema import (
@@ -54,7 +54,15 @@ def test_index_fn_rejects_bad():
         IndexFn(0, 1, 1, 2)  # (k+1)/2 is not integer-valued
 
 
-@given(idx_st, st.integers(0, 30))
+# quadratics with -a2 < a1 < 0: increasing from k = 0, with the value at
+# small k on the lower root of the quadratic
+negative_a1_st = st.integers(2, 4).flatmap(
+    lambda a2: st.builds(IndexFn, st.just(a2), st.integers(1 - a2, -1), st.integers(0, 6))
+)
+
+
+@given(st.one_of(idx_st, negative_a1_st), st.integers(0, 30))
+@example(IndexFn(2, -1, 0), 0)
 def test_solve_inverts_value(f, k):
     assert f.solve(f.value(k)) == k
 

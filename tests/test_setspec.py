@@ -11,13 +11,13 @@ from transword.setspec import (
     carry_twin,
     code,
     decode,
-    eventually_equal,
-    indicator_classification,
     intersection_bound,
+    make_evp,
     pair_agreement,
-    sets_equal,
     shifted,
 )
+
+from oracles import eventually_equal, indicator_classification, sets_equal
 
 HORIZON = 400
 
@@ -173,6 +173,18 @@ def test_mixed_for_shifted_pcode():
     s = PrefixCode("", "0")
     assert pair_agreement(s, s, 0) == (COFINITE, 0)
     assert pair_agreement(s, s, 1)[0] == MIXED
+
+
+def test_bit_tuples_are_checked():
+    # tuples are checked like strings: a 2 is no bit
+    with pytest.raises(ValueError):
+        make_evp((), (2,))
+    with pytest.raises(ValueError):
+        EvPeriodic((0, 3), (1,))
+    with pytest.raises(ValueError):
+        PrefixCode((), (3,))
+    assert make_evp((1,), (0,)) == Finite((0,))
+    assert PrefixCode((0, 1), (1,)) == PrefixCode("01", "1")
 
 
 def test_period_must_be_nonempty():

@@ -16,7 +16,6 @@ from transword.words import (
     block,
     canonicalize,
     concat,
-    cut_points,
     equal_up_to,
     gamma_recode,
     heg_equal,
@@ -27,7 +26,6 @@ from transword.words import (
     project_finite,
     ra_retract,
     reduce,
-    split_word,
     stream_word,
 )
 from transword.randwords import (
@@ -36,7 +34,13 @@ from transword.randwords import (
     random_word,
     shuffle_presentation,
 )
-from oracles import project_oracle, scan_reduce
+from oracles import (
+    cut_points,
+    project_oracle,
+    random_site_reduce,
+    scan_reduce,
+    split_word,
+)
 
 EVENS = EvPeriodic("", "10")
 UT = stream_word(True, 0, [Entry("a", K, 1)])
@@ -191,7 +195,7 @@ def test_normal_form_unique_under_shuffles():
     for _ in range(120):
         w = random_word(rng)
         base = reduce(w)
-        assert reduce(w, rng) == base
+        assert random_site_reduce(w, rng) == base
         assert reduce(shuffle_presentation(w, rng)) == base
 
 
@@ -238,7 +242,7 @@ def test_random_site_oracle_at_fuzz_size():
         r = reduce(w)
         assert is_reduced(r)
         for _ in range(2):
-            assert reduce(w, rng) == r
+            assert random_site_reduce(w, rng) == r
 
 
 @pytest.mark.parametrize("n", [10, 20, 40, 80])
@@ -271,7 +275,7 @@ def test_cap_sites_raise_cap_error(monkeypatch):
         reduce(parse_word("[a0] [a1] [a2] [a3]"))
     monkeypatch.setattr(transword.words, "_REDUCE_CAP", 1)
     with pytest.raises(CapError, match="random-site .* _REDUCE_CAP = 1"):
-        reduce(parse_word("[a0 a1 a1^-1 a0^-1]"), random.Random(0))
+        random_site_reduce(parse_word("[a0 a1 a1^-1 a0^-1]"), random.Random(0))
     # a backward and a forward copy of one stream cancel without end
     st = stream_word(True, 0, [Entry("a", affine(1, 0), 1)]).segments[0]
     with pytest.raises(CapError, match="junction .* _REDUCE_CAP = 1"):
@@ -325,6 +329,24 @@ def test_literal_vs_selector_same_word(text_w, text_v):
 @pytest.mark.parametrize("text_w, text_v", LITERAL_VS_SELECTOR)
 def test_literal_vs_selector_heg_equal(text_w, text_v):
     assert heg_equal(parse_word(text_w), parse_word(text_v))
+
+
+# a quadratic index with a negative linear coefficient: 2k^2 - k emits a0
+# at step 0, on the lower root of the quadratic
+NEGATIVE_A1 = ("st(+,0,{a(2k^2-k) a(2k^2+k)})", "[a0] st(+,0,{a((k^2+k)/2)})")
+
+
+def test_negative_linear_coefficient_projects():
+    w, v = map(parse_word, NEGATIVE_A1)
+    assert proj_rank(w, 12) == project_oracle(w, rank_letter_set(12))
+    assert equal_up_to(w, v, 40)
+
+
+# reduce keeps w at width 2: the folded index (k^2 - k)/2 does not
+# increase at step 0, and no move splits the head off to fold the rest
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_negative_linear_coefficient_heg_equal():
+    assert heg_equal(*map(parse_word, NEGATIVE_A1))
 
 
 def test_mixed_pattern_rejected():
