@@ -15,7 +15,9 @@ function only looks them up.  `apply_projected` is one call of it;
 sampled retraction words, and hands its table of projected pieces to
 `freegroup.enumerate_images` for the injectivity sweep, which extends
 each word's projected image from its prefix's instead of projecting
-every word afresh.
+every word afresh.  The sweep keys its table of seen images on letter
+tuples, which hash in C since letters are interned, and builds a
+`FreeWord` only to report a collision.
 
 `telescope_product` builds the stream a_{k(0)} a_{k(1)}^-1 a_{k(1)} ...
 whose every finite projection collapses to its first letter; enumerations
@@ -423,7 +425,8 @@ def embedding_check(
     rep.injective = True
     for n in range(1, n_max + 1):
         pieces = projectors[n - 1].pieces
-        seen: dict[tuple, FreeWord] = {}
+        # projected image -> first word with it, both letter tuples
+        seen: dict[tuple[Letter, ...], tuple[Letter, ...]] = {}
         alphabet = [Letter("a", i) for i in range(n)]
         image = {l: pieces[l.index][0] if l.index in pieces else () for l in alphabet}
         for u, key in enumerate_images(alphabet, len_max, image):
@@ -431,7 +434,8 @@ def embedding_check(
             if first is not u:
                 rep.injective = False
                 rep.fail(
-                    f"collision at level m_{n - 1}={levels[n - 1]}: {first} and {u}"
+                    f"collision at level m_{n - 1}={levels[n - 1]}: "
+                    f"{FreeWord(first)} and {FreeWord(u)}"
                 )
                 break
             rep.words_checked += 1

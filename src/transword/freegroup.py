@@ -1,9 +1,12 @@
 """Finite free-group words over the indexed alphabet {a_n, b_n, c_n}.
 
-Letters carry a family, a natural index and a sign.  Words are plain
-letter tuples; `reduce_free` computes the unique reduced form with a
-single stack pass.  The factorization and freeness helpers at the bottom
-back the free-embedding machinery: `split_for_adjunction` writes a word
+Letters carry a family, a natural index and a sign, and are interned:
+one object per signed letter, built together with its inverse, so letter
+equality, hashing and the cancellation test `cancels` are identity checks
+that never call back into Python.  Words are plain letter tuples;
+`reduce_free` computes the unique reduced form with a single stack pass.
+The factorization and freeness helpers at the bottom back the
+free-embedding machinery: `split_for_adjunction` writes a word
 as w0 w1 w2 w1^-1 w3 with w0/w3 over a designated generator subset Y and
 w2 cyclically reduced, and `adjunction_free_oracle` brute-forces
 injectivity of the substitution t -> w, y -> y on bounded-length words.
@@ -13,35 +16,71 @@ signed alphabet, with the reduced image of each under a letterwise
 substitution: a word's image is its prefix's image joined to the image
 of its last letter, with cancellation only at the junction (the
 reduced-word calculus of Cannon & Conner), so no image is ever reduced
-from scratch.
+from scratch.  It yields letter tuples, not `FreeWord`s, so a sweep
+that only hashes images builds no word object per word.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import total_ordering
 
 FAMILIES = ("a", "b", "c")
 _FAM_OFFSET = {"a": 0, "b": 1, "c": 2}
 
 
-@dataclass(frozen=True, order=True)
+# every letter built so far, by (fam, index, sign); see `Letter`
+_LETTERS: dict[tuple[str, int, int], Letter] = {}
+
+
+@total_ordering
 class Letter:
-    fam: str
-    index: int
-    sign: int = 1
+    """A signed letter fam_index^sign, interned: `Letter(fam, index, sign)`
+    returns the one object built for that triple, so equal letters are
+    identical, `==` and `hash` are object identity (both run in C), and
+    `inverse` is a slot.  A letter and its inverse are built together, on
+    first use, and point at each other; validation runs only then, and an
+    invalid triple never enters the table.  Letters order by
+    (fam, index, sign)."""
 
-    def __post_init__(self):
-        if self.fam not in FAMILIES:
-            raise ValueError(f"unknown letter family {self.fam!r}")
-        if self.index < 0:
-            raise ValueError("letter index must be a natural number")
-        if self.sign not in (1, -1):
-            raise ValueError("letter sign must be +1 or -1")
+    __slots__ = ("fam", "index", "sign", "inverse")
 
-    @property
-    def inverse(self) -> "Letter":
-        return Letter(self.fam, self.index, -self.sign)
+    def __new__(cls, fam: str, index: int, sign: int = 1):
+        self = _LETTERS.get((fam, index, sign))
+        if self is None:
+            if fam not in FAMILIES:
+                raise ValueError(f"unknown letter family {fam!r}")
+            if index < 0:
+                raise ValueError("letter index must be a natural number")
+            if sign not in (1, -1):
+                raise ValueError("letter sign must be +1 or -1")
+            pos, neg = object.__new__(cls), object.__new__(cls)
+            for l, s, other in ((pos, 1, neg), (neg, -1, pos)):
+                object.__setattr__(l, "fam", fam)
+                object.__setattr__(l, "index", index)
+                object.__setattr__(l, "sign", s)
+                object.__setattr__(l, "inverse", other)
+            # the positive letter's entry decides which pair is kept, so
+            # racing constructions of either sign agree on one pair
+            pos = _LETTERS.setdefault((fam, index, 1), pos)
+            _LETTERS.setdefault((fam, index, -1), pos.inverse)
+            self = pos if sign == 1 else pos.inverse
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Letter, (self.fam, self.index, self.sign))
+
+    def __lt__(self, other):
+        if not isinstance(other, Letter):
+            return NotImplemented
+        return (self.fam, self.index, self.sign) < (other.fam, other.index, other.sign)
 
     @property
     def rank(self) -> int:
@@ -110,9 +149,9 @@ def word(*letters: Letter) -> FreeWord:
 
 
 def cancels(x: Letter, y: Letter) -> bool:
-    """Whether y is the inverse of x, compared field by field so that no
-    inverse letter is built."""
-    return x.index == y.index and x.sign == -y.sign and x.fam == y.fam
+    """Whether y is the inverse of x: one identity test, letters being
+    interned."""
+    return x.inverse is y
 
 
 def reduce_free(w: FreeWord) -> FreeWord:
@@ -187,14 +226,15 @@ def split_for_adjunction(w: FreeWord, Y) -> AdjunctionSplit:
 def enumerate_images(
     alphabet: list[Letter], maxlen: int, image: Mapping[Letter, Sequence[Letter]]
 ):
-    """(u, reduced image of u) for every reduced word u of length <= maxlen
-    over the alphabet and its inverses, by length and then
-    lexicographically in the sorted signed alphabet, where `image` maps
-    each letter of the alphabet to its reduced image (a letter tuple) and
-    an inverse letter maps to the inverse image.  Each word is its parent
-    prefix plus one letter, so its image is the parent's image joined to
-    the letter's image, cancelling only at the junction: O(|piece|) steps
-    per word, never a re-reduction of the whole image."""
+    """(u, reduced image of u) as letter tuples, for every reduced word u
+    of length <= maxlen over the alphabet and its inverses, by length and
+    then lexicographically in the sorted signed alphabet, where `image`
+    maps each letter of the alphabet to its reduced image (a letter tuple)
+    and an inverse letter maps to the inverse image.  Each word is its
+    parent prefix plus one letter, so its image is the parent's image
+    joined to the letter's image, cancelling only at the junction:
+    O(|piece|) steps per word, never a re-reduction of the whole image.
+    Each yielded u is a new tuple object, except the empty word's `()`."""
     pieces = {l: tuple(image[l]) for l in alphabet}
     for l in alphabet:
         pieces.setdefault(l.inverse, tuple(x.inverse for x in reversed(pieces[l])))
@@ -202,7 +242,7 @@ def enumerate_images(
     # position of each letter's inverse in `signed`, to skip u x x^-1
     inverse_at = [signed.index(l.inverse) for l in signed]
     table = [(i, l, pieces[l]) for i, l in enumerate(signed)]
-    yield EMPTY, ()
+    yield (), ()
     frontier: list[tuple[tuple[Letter, ...], tuple[Letter, ...], int]] = [((), (), -1)]
     for _ in range(maxlen):
         new_frontier = []
@@ -213,12 +253,12 @@ def enumerate_images(
                 if i == skip:
                     continue
                 k, top = 0, min(n, len(piece))
-                while k < top and cancels(img[n - 1 - k], piece[k]):
+                while k < top and img[n - 1 - k].inverse is piece[k]:
                     k += 1
                 ext = prefix + (l,)
                 ext_img = img[: n - k] + piece[k:] if k else img + piece
                 new_frontier.append((ext, ext_img, i))
-                yield FreeWord(ext), ext_img
+                yield ext, ext_img
         frontier = new_frontier
 
 

@@ -11,8 +11,10 @@ and proj_rank(w, 12), of reduce on three shuffled presentations of w
 make_family(10) it prints decompose, apply_Ff and phi_sigma (under the
 cyclic permutation S1 -> S2 -> ... -> S10 -> S1) for one family word per
 seed (`family_word(Random(s), ...)`), then for every member word, the
-word of T and their inverses at n = 0..3; last, separation_pattern for
-every subset of the family.
+word of T and their inverses at n = 0..3; then separation_pattern for
+every subset of the family; last, the report lines of embedding_check
+for the doubling, tau and telescope maps and a collapsing map (a1 -> a0)
+at n_max 2..3 and len_max 3..5, each with a fixed retraction seed.
 
 A result that raises prints the exception's type and message instead.
 The script uses only long-standing names of the library, so one copy runs
@@ -26,10 +28,14 @@ import sys
 
 from transword import (
     T,
+    Letter,
+    SubstitutionMap,
     apply_Ff,
     canonicalize,
     concat,
     decompose,
+    doubling_map,
+    embedding_check,
     hag_normal,
     invert,
     is_reduced,
@@ -40,12 +46,29 @@ from transword import (
     reduce,
     render_word,
     separation_pattern,
+    tau_map,
+    telescope_map,
     u_word,
 )
+from transword.endo import AffineRule
 from transword.hag import render_class
 from transword.randwords import random_word, shuffle_presentation
+from transword.words import block
 
 FAMILY_K = 10
+
+
+def collapse_map():
+    """a1 -> a0: the projections of a0 and a1 collide."""
+    return SubstitutionMap(AffineRule((("a", 1, 0, 1),)), ((1, block(Letter("a", 0))),))
+
+
+EMBEDDING_MAPS = (
+    ("doubling", doubling_map),
+    ("tau", tau_map),
+    ("telescope", telescope_map),
+    ("collapse", collapse_map),
+)
 
 
 def _show(fn) -> str:
@@ -115,6 +138,13 @@ def corpus(seeds):
         for chosen in itertools.combinations(fam.names, r):
             bits = _show(lambda: separation_pattern(fam, chosen))
             yield f"separation {','.join(chosen) or '-'} {bits}"
+    for name, make in EMBEDDING_MAPS:
+        for n_max, len_max in itertools.product((2, 3), (3, 4, 5)):
+            rng = random.Random(100 * n_max + len_max)
+            lines = _show(
+                lambda: " | ".join(embedding_check(make(), n_max, len_max, rng=rng).lines())
+            )
+            yield f"embedding {name} {n_max} {len_max} {lines}"
 
 
 def main(argv=None) -> int:

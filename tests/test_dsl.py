@@ -15,7 +15,7 @@ from transword.freegroup import Letter
 from transword.randwords import random_word
 from transword.setspec import Finite, PrefixCode
 from transword.sigma import make_family
-from transword.words import block, canonicalize, equal_up_to, proj_rank
+from transword.words import block, canonicalize, equal_up_to
 
 
 def test_parse_letters_and_blocks():

@@ -22,20 +22,16 @@ from transword.endo import (
     telescope_map,
     telescope_product,
 )
-from transword.freegroup import EMPTY, FreeWord, Letter, a_letter_set, rank_letter_set
+from transword.freegroup import FreeWord, Letter, rank_letter_set
 from transword.hag import EMPTY_CLASS, hag_normal
 from transword.schema import affine
 from transword.sigma import T, make_family, u_word
 from transword.words import (
     block,
     concat,
-    equal_up_to,
-    from_free,
     heg_equal,
-    invert,
     proj_rank,
     project_finite,
-    reduce,
 )
 from transword import endo, words
 from transword.randwords import random_word
@@ -283,6 +279,30 @@ def test_embedding_check_projection_calls_per_level(monkeypatch):
         counts[len_max] = (calls, rep.words_checked)
     assert counts[3][0] == counts[5][0]
     assert counts[3][1] < counts[5][1]
+
+
+def test_embedding_check_sweep_builds_no_words(monkeypatch):
+    # the injectivity sweep hashes letter tuples; it builds a FreeWord only
+    # to report a collision.  The checks before the sweep do not depend on
+    # len_max, so the difference between two lengths is the sweep's count.
+    built = 0
+    real = FreeWord.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FreeWord, "__init__", counted)
+    counts = {}
+    for len_max in (0, 5):
+        built = 0
+        rep = embedding_check(doubling_map(), 3, len_max, rng=random.Random(4))
+        assert rep.ok
+        counts[len_max] = (built, rep.words_checked)
+    swept = counts[5][1] - counts[0][1]
+    assert swept > 5000
+    assert counts[5][0] - counts[0][0] < swept / 100
 
 
 def _collapse_map():

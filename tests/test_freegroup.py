@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +12,7 @@ from transword.freegroup import (
     FreeWord,
     Letter,
     adjunction_free_oracle,
+    cancels,
     cyclic_reduce,
     enumerate_images,
     is_reduced_free,
@@ -16,6 +20,8 @@ from transword.freegroup import (
     split_for_adjunction,
     word,
 )
+from transword.dsl import parse_word
+from transword.randwords import random_letter
 from oracles import enumerate_reduced, scan_reduce
 
 
@@ -30,6 +36,74 @@ letters_st = st.builds(
     st.sampled_from((1, -1)),
 )
 words_st = st.builds(lambda ls: FreeWord(tuple(ls)), st.lists(letters_st, max_size=12))
+
+
+def test_letters_are_interned():
+    l = Letter("b", 3, -1)
+    assert Letter("b", 3, -1) is l and Letter("b", 3) is l.inverse
+    assert l.inverse.inverse is l and l.inverse is not l
+    assert cancels(l, Letter("b", 3)) and not cancels(l, l)
+    assert (str(l), repr(l), l.rank) == ("b3^-1", "Letter(b3^-1)", 10)
+    # `==` and `hash` are identity, which interning makes value equality
+    assert l == Letter("b", 3, -1) and l != l.inverse and l != ("b", 3, -1)
+    assert {l: 1}[Letter("b", 3, -1)] == 1
+    # every construction path returns the table's object
+    (blk,) = parse_word("[b3^-1 a0]").segments
+    assert blk.word[0] is l and blk.word[1] is Letter("a", 0)
+    (stream,) = parse_word("st(+,0,{b(k+3)^-1})").segments
+    assert stream.letter(0) is l
+    rng = random.Random(5)
+    for _ in range(50):
+        x = random_letter(rng)
+        assert Letter(x.fam, x.index, x.sign) is x and x.inverse.inverse is x
+
+
+@given(letters_st)
+def test_interned_letter_fields(l):
+    assert Letter(l.fam, l.index, l.sign) is l
+    assert l.inverse is Letter(l.fam, l.index, -l.sign)
+    assert (l.inverse.fam, l.inverse.index, l.inverse.inverse) == (l.fam, l.index, l)
+
+
+def test_letter_copy_and_pickle():
+    l = Letter("c", 7, -1)
+    assert copy.copy(l) is l and copy.deepcopy(l) is l
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(l, protocol)) is l
+    w = word(l, Letter("a", 2), l.inverse)
+    again = pickle.loads(pickle.dumps(w))
+    assert again == w and all(a is b for a, b in zip(again, w))
+    assert all(a is b for a, b in zip(copy.deepcopy(w), w))
+
+
+@pytest.mark.parametrize("args", [("d", 0, 1), ("a", -1, 1), ("a", 0, 0), ("b", 2, 2)])
+def test_bad_letter_raises_every_time(args):
+    # an invalid letter never enters the table, so it fails on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Letter(*args)
+
+
+def test_letter_is_frozen():
+    l = Letter("a", 4)
+    for name, value in (("sign", -1), ("index", 5), ("inverse", l), ("other", 0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(l, name, value)
+    with pytest.raises(FrozenInstanceError):
+        del l.fam
+    assert (l.fam, l.index, l.sign, l.inverse.sign) == ("a", 4, 1, -1)
+
+
+def test_letter_order():
+    letters = [L(f, i, s) for f in "abc" for i in range(4) for s in (1, -1)]
+    random.Random(3).shuffle(letters)
+    by_fields = sorted(letters, key=lambda l: (l.fam, l.index, l.sign))
+    assert sorted(letters) == by_fields
+    assert sorted(letters, reverse=True) == by_fields[::-1]
+    x, y = L("a", 1, -1), L("a", 1)
+    assert x < y and x <= y and y > x and y >= x and x <= x and not x < x
+    with pytest.raises(TypeError):
+        x < ("a", 1, -1)
 
 
 def test_reduce_examples():
@@ -188,5 +262,5 @@ def test_enumerate_images_matches_substitution(sub, maxlen):
         return reduce_free(FreeWord(tuple(out))).letters
 
     pairs = list(enumerate_images(alphabet, maxlen, image))
-    assert [u for u, _ in pairs] == list(enumerate_reduced(alphabet, maxlen))
+    assert [u for u, _ in pairs] == [w.letters for w in enumerate_reduced(alphabet, maxlen)]
     assert all(img == substituted(u) for u, img in pairs)

@@ -13,7 +13,7 @@ from transword.hag import (
 )
 from transword.schema import Entry, K, Schema, affine
 from transword.setspec import PrefixCode
-from transword.sigma import T, make_family, u_word
+from transword.sigma import make_family, u_word
 from transword.words import (
     EMPTY_WORD,
     FiniteBlock,

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from transword.freegroup import Letter
 from transword.schema import (
     COFINITE,
     FINITE,
@@ -21,7 +20,7 @@ from transword.schema import (
     unroll,
 )
 from transword.randwords import random_stream
-from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, shifted
+from transword.setspec import EvPeriodic, PrefixCode, carry_twin, shifted
 from transword.words import _shift_schema
 
 from oracles import alignment_by_search

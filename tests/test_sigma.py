@@ -21,10 +21,8 @@ from transword.sigma import (
 from transword.words import (
     block,
     concat,
-    equal_up_to,
     heg_equal,
     invert,
-    is_reduced,
     proj_rank,
     reduce,
 )

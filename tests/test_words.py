@@ -29,7 +29,6 @@ from transword.words import (
     stream_word,
 )
 from transword.randwords import (
-    default_rng,
     random_reduced_word,
     random_word,
     shuffle_presentation,
@@ -38,7 +37,6 @@ from oracles import (
     cut_points,
     project_oracle,
     random_site_reduce,
-    scan_reduce,
     split_word,
 )
 
@@ -347,6 +345,25 @@ def test_negative_linear_coefficient_projects():
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_negative_linear_coefficient_heg_equal():
     assert heg_equal(*map(parse_word, NEGATIVE_A1))
+
+
+# one word as a prefix-code selector and as its decimation: code(1^j) is
+# 2 * code(0^j) and no odd number is a code of 1^j.  Prefix-code selectors
+# never decimate (`unroll` gives None), so neither decider aligns the two.
+PCODE_DECIMATION = (
+    'st(+,0,{sel(pcode("","1"))(k)})',
+    'st(+,0,{sel(pcode("","0"))(2k) c(2k+1)})',
+)
+
+
+def test_prefix_code_decimation_same_word():
+    assert equal_up_to(*map(parse_word, PCODE_DECIMATION), 40)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("equal", [heg_equal, hag_equal])
+def test_prefix_code_decimation_decided_equal(equal):
+    assert equal(*map(parse_word, PCODE_DECIMATION))
 
 
 def test_mixed_pattern_rejected():
