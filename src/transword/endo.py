@@ -48,6 +48,7 @@ from .words import (
     FiniteBlock,
     SchematicWord,
     Stream,
+    _split_head,
     canonicalize,
     concat,
     from_free,
@@ -247,33 +248,27 @@ def apply_endo(s: SubstitutionMap, w: SchematicWord) -> SchematicWord:
     table = s.exceptional_table()
     parts: list[SchematicWord] = []
     for seg in w.segments:
-        if isinstance(seg, FiniteBlock):
-            for l in seg.word:
+        pieces = [seg]
+        if isinstance(seg, Stream):
+            m = seg.schema.width
+            cut_step = seg.pos // m
+            for j, e in enumerate(seg.schema.entries):
+                for n in list(table) + list(range(s.rule.n0)):
+                    k = e.idx.solve(n)
+                    if k is not None and k * m + j >= seg.pos:
+                        cut_step = max(cut_step, k + 1)
+            entries = []
+            for e in seg.schema.entries:
+                entries.extend(s.rule.compose_idx(e.idx, e.sign))
+            tail = Stream(seg.forward, cut_step * len(entries), Schema(tuple(entries)))
+            pieces = _split_head(seg, cut_step * m)
+        for piece in pieces:
+            if isinstance(piece, Stream):
+                parts.append(SchematicWord((tail,)))
+                continue
+            for l in piece.word:
                 img = s.image_of(l.index)
                 parts.append(img if l.sign > 0 else invert(img))
-            continue
-        m = seg.schema.width
-        cut_step = seg.pos // m
-        for j, e in enumerate(seg.schema.entries):
-            for n in list(table) + list(range(s.rule.n0)):
-                k = e.idx.solve(n)
-                if k is not None and k * m + j >= seg.pos:
-                    cut_step = max(cut_step, k + 1)
-        head = [seg.letter(p) for p in range(seg.pos, cut_step * m)]
-        entries = []
-        for e in seg.schema.entries:
-            entries.extend(s.rule.compose_idx(e.idx, e.sign))
-        tail = Stream(seg.forward, cut_step * len(entries), Schema(tuple(entries)))
-        head_imgs = [
-            s.image_of(l.index) if l.sign > 0 else invert(s.image_of(l.index))
-            for l in head
-        ]
-        if seg.forward:
-            parts.extend(head_imgs)
-            parts.append(SchematicWord((tail,)))
-        else:
-            parts.append(SchematicWord((tail,)))
-            parts.extend(invert(img) for img in reversed(head_imgs))
     return concat(*parts) if parts else EMPTY_WORD
 
 

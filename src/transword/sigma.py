@@ -28,10 +28,11 @@ from .words import (
     FiniteBlock,
     SchematicWord,
     Stream,
+    _split_head,
     canonicalize,
     concat,
     invert,
-    is_reduced,
+    ra_retract,
     reduce,
 )
 
@@ -177,70 +178,47 @@ def _match_member(seg: Stream, fam: SigmaFamily):
     name = fam.tail_member(seg.schema)
     if name is None:
         return None
-    spec = fam.spec(name)
     delta, Kpos = tail_alignment(seg.schema, fam.schema(name))
-    start = max(seg.pos, Kpos, -delta)
-    while (
-        start - 1 >= max(seg.pos, -delta)
-        and seg.letter(start - 1) == _member_letter(spec, start - 1 + delta)
-    ):
-        start -= 1
-    return (name, start, delta)
+    return (name, max(seg.pos, Kpos, -delta), delta)
 
 
 def decompose(w: SchematicWord, fam: SigmaFamily) -> Decomposition:
     """Unique decomposition into maximal member-word intervals and maximal
     plain intervals."""
     w = canonicalize(w)
-    if not is_reduced(w):
+    if reduce(w) != w:
         raise ValueError("decompose expects a reduced word")
-    # linearize into atoms: letters, plain streams, and matched streams
+    # linearize into atoms: letters, plain streams, and matched streams,
+    # whose heads before the match are cut off as letters
     atoms: list[tuple] = []
     for seg in w.segments:
-        if isinstance(seg, FiniteBlock):
-            atoms.extend(("L", l) for l in seg.word)
-            continue
-        match = _match_member(seg, fam)
-        if match is None:
-            atoms.append(("S", seg))
-            continue
-        name, start, delta = match
-        if seg.forward:
-            atoms.extend(("L", seg.letter(p)) for p in range(seg.pos, start))
-            atoms.append(("M", name, start + delta, 1, fam.spec(name)))
-        else:
-            atoms.append(("M", name, start + delta, -1, fam.spec(name)))
-            atoms.extend(
-                ("L", seg.letter(p).inverse) for p in range(start - 1, seg.pos - 1, -1)
-            )
-    # predecessor extension: maximal intervals absorb adjacent block letters
-    # that continue the member word one position earlier
+        match = None if isinstance(seg, FiniteBlock) else _match_member(seg, fam)
+        for piece in [seg] if match is None else _split_head(seg, match[1]):
+            if isinstance(piece, FiniteBlock):
+                atoms.extend(("L", l) for l in piece.word)
+            elif match is None:
+                atoms.append(("S", piece))
+            else:
+                name, start, delta = match
+                sign = 1 if piece.forward else -1
+                atoms.append(("M", name, start + delta, sign, fam.spec(name)))
+    # predecessor extension, one pass: a forward interval pops the letters
+    # before it, a backward one on top absorbs those after it, while they
+    # continue the member word one position earlier
     out: list[tuple] = []
-    i = 0
-    while i < len(atoms):
-        atom = atoms[i]
-        if atom[0] != "M":
-            out.append(atom)
-            i += 1
-            continue
-        _, name, n, sign, spec = atom
-        if sign > 0:
-            while out and out[-1][0] == "L" and n > 0 and out[-1][1] == _member_letter(spec, n - 1):
+    for atom in atoms:
+        if atom[0] == "M" and atom[3] > 0:
+            _, name, n, sign, spec = atom
+            while n > 0 and out and out[-1] == ("L", _member_letter(spec, n - 1)):
                 out.pop()
                 n -= 1
-            out.append(("M", name, n, sign, spec))
-            i += 1
-        else:
-            i += 1
-            while (
-                i < len(atoms)
-                and atoms[i][0] == "L"
-                and n > 0
-                and atoms[i][1] == _member_letter(spec, n - 1).inverse
-            ):
-                i += 1
-                n -= 1
-            out.append(("M", name, n, sign, spec))
+            atom = ("M", name, n, sign, spec)
+        elif atom[0] == "L" and out and out[-1][0] == "M" and out[-1][3] < 0:
+            _, name, n, sign, spec = out[-1]
+            if n > 0 and atom[1] == _member_letter(spec, n - 1).inverse:
+                out[-1] = ("M", name, n - 1, sign, spec)
+                continue
+        out.append(atom)
     # group runs of plain atoms into maximal plain pieces
     pieces: list[Piece] = []
     run: list = []
@@ -325,8 +303,6 @@ def separation_pattern(fam: SigmaFamily, Scal) -> tuple[int, ...]:
     composite that rewrites chosen members onto the a-letters and then
     retracts away everything else.  Equals the characteristic vector of
     Scal, so distinct subsets give distinct homomorphisms."""
-    from .words import ra_retract
-
     Scal = set(Scal)
     unknown = Scal - set(fam.names)
     if unknown:

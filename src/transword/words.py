@@ -12,15 +12,18 @@ reduction.  Each input segment is settled by the moves on one segment
 (folding, head splits, cursor normalisation; when cancelling, also free
 reduction of blocks and pattern reduction of streams, which is how
 telescoping products collapse), then meets the top of the output stack
-through the moves at one junction (block merging, absorption into stream
-heads, cross moves; when cancelling, also letter-against-head and
-stream-pair cancellation via tail alignment).  The pieces of a move go
-back to the input, so no move applies on the stack and the pass ends on
-a word no move applies to: the normal form, as far as the moves are
-confluent.  The tests compare the pass against `random_site_reduce` in
-`tests/oracles.py`, which applies cancellation sites in random order.
-A block between a backward and a forward stream is offered to the
-backward one first, which is not yet order-independent (ROADMAP, item 1).
+through the moves at one junction: merge, absorb and cross move; when
+cancelling, also eat, pair-junction and pair-tail (see `_binary`).
+Absorb and eat read a block outward from the junction in the stream's
+forward sequence, so one rule serves both orientations, and
+pair-junction and pair-tail find where two tails agree by one walk.  The
+pieces of a move go back to the input, so no move applies on the stack
+and the pass ends on a word no move applies to: the normal form, as far
+as the moves are confluent.  The tests compare the pass against
+`random_site_reduce` in `tests/oracles.py`, which applies cancellation
+sites in random order.  A block between a backward and a forward stream
+is offered to the backward one first, which is not yet order-independent
+(ROADMAP, item 1).
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from .schema import (
     pair_cancellation,
     schema_valid,
     tail_alignment,
+    unroll,
 )
-from .setspec import SetSpec, shifted
+from .setspec import EvPeriodic, Finite, SetSpec, shifted
 
 _REDUCE_CAP = 100_000
 
@@ -190,14 +194,22 @@ def equal_up_to(w1: SchematicWord, w2: SchematicWord, N: int) -> bool:
 # ---------------------------------------------------------------------------
 # moves
 
+def _displayed(forward: bool, pieces: list[Segment]) -> list[Segment]:
+    """Pieces of a stream, given in forward-sequence order, in display
+    order: reversed, with blocks inverted, for a backward stream."""
+    if forward:
+        return pieces
+    return [
+        FiniteBlock(p.word.inverse) if isinstance(p, FiniteBlock) else p
+        for p in reversed(pieces)
+    ]
+
+
 def _split_head(st: Stream, upto: int) -> list[Segment]:
     """Positions [pos, upto) cut off as a finite block, and the rest of the
     stream, in display order."""
-    letters = [st.letter(p) for p in range(st.pos, upto)]
-    rest = Stream(st.forward, upto, st.schema)
-    if st.forward:
-        return [FiniteBlock(FreeWord(tuple(letters))), rest]
-    return [rest, FiniteBlock(FreeWord(tuple(l.inverse for l in reversed(letters))))]
+    head = FiniteBlock(FreeWord(tuple(st.letter(p) for p in range(st.pos, upto))))
+    return _displayed(st.forward, [head, Stream(st.forward, upto, st.schema)])
 
 
 def _step_hits(schema: Schema, s: int) -> bool:
@@ -247,8 +259,6 @@ def _normalize_cursor(st: Stream) -> Stream:
 
 def _prepend_bit(spec: SetSpec, bit: int) -> SetSpec | None:
     """The set T with T(0) = bit and T(k) = spec(k-1)."""
-    from .setspec import EvPeriodic, Finite
-
     if isinstance(spec, Finite):
         return Finite(([0] if bit else []) + [e + 1 for e in spec.elems])
     if isinstance(spec, EvPeriodic):
@@ -301,26 +311,34 @@ def _absorb_letters(st: Stream, letters) -> Stream | None:
     return ext
 
 
-def _absorb_forward(bw: FreeWord, st: Stream):
-    m = st.schema.width
-    if len(bw) < m:
-        return None
-    ext = _absorb_letters(st, list(bw.letters[-m:]))
-    if ext is None:
-        return None
-    return FreeWord(bw.letters[:-m]), ext
+def _block_meets_stream(bw: FreeWord, st: Stream, cancel: bool):
+    """The move where a block meets a stream head (a block before a forward
+    stream, or a backward stream before a block), in display order, or
+    None: absorb the width of letters at the junction as one earlier step,
+    else, with `cancel`, eat the letters that cancel the head.  The block's
+    i-th letter out from the junction, in the stream's forward sequence, is
+    bw[n-1-i] before a forward stream and bw[i].inverse after a backward
+    one; the block is read in place."""
+    n = len(bw)
 
+    def out(i: int) -> Letter:
+        return bw[n - 1 - i] if st.forward else bw[i].inverse
 
-def _absorb_backward(st: Stream, bw: FreeWord):
     m = st.schema.width
-    if len(bw) < m:
+    t, moved = m, None
+    if n >= m:
+        moved = _absorb_letters(st, [out(i) for i in reversed(range(m))])
+    if moved is None and cancel:
+        t = 0
+        while t < n and cancels(out(t), st.letter(st.pos + t)):
+            t += 1
+        if t:
+            moved = Stream(st.forward, st.pos + t, st.schema)
+    if moved is None:
         return None
-    # the block head holds the displayed (inverted, descending) letters
-    letters = [l.inverse for l in reversed(bw.letters[:m])]
-    ext = _absorb_letters(st, letters)
-    if ext is None:
-        return None
-    return ext, FreeWord(bw.letters[m:])
+    if st.forward:
+        return [FiniteBlock(FreeWord(bw.letters[: n - t])), moved]
+    return [moved, FiniteBlock(FreeWord(bw.letters[t:]))]
 
 
 def _cross_move(left: Stream, right: Stream):
@@ -367,40 +385,34 @@ def _apply_pattern(st: Stream) -> list[Segment] | None:
         return _split_head(st, (H + 1) * m)
     K = max(k0, data)
     entries = st.schema.entries
+    pieces: list[Segment] = []
+    if K > k0:  # the head before step K stays
+        head = FreeWord(tuple(st.letter(p) for p in range(st.pos, K * m)))
+        pieces.append(FiniteBlock(head))
     if j < m - 1:
         kept = entries[:j] + entries[j + 2 :]
-        tail: list[Segment] = (
-            [Stream(st.forward, K * (m - 2), Schema(kept))] if kept else []
-        )
     else:
         # wrap pair: entry 0 at step K survives once, inner entries stream on
-        first = FreeWord((entries[0].letter_at(K),))
+        pieces.append(FiniteBlock(FreeWord((entries[0].letter_at(K),))))
         kept = entries[1 : m - 1]
-        rest: list[Segment] = (
-            [Stream(st.forward, K * (m - 2), Schema(kept))] if kept else []
-        )
-        if st.forward:
-            tail = [FiniteBlock(first)] + rest
-        else:
-            tail = rest + [FiniteBlock(first.inverse)]
-    if K == k0:
-        return tail
-    # the head before step K stays; the stream from step K becomes the tail
-    head = _split_head(st, K * m)
-    return head[:1] + tail if st.forward else tail + head[1:]
+    if kept:
+        pieces.append(Stream(st.forward, K * (m - 2), Schema(kept)))
+    return _displayed(st.forward, pieces)
 
 
-def _tails_equal(u: Stream, v: Stream) -> bool:
-    """Whether u's forward sequence from its pos equals v's from its pos."""
+def _agreement(u: Stream, v: Stream) -> tuple[int, int] | None:
+    """(delta, k): u's letter at p equals v's at p + delta for all p >= k,
+    the least such k >= u.pos, v.pos - delta, found by walking back from
+    the bound of `tail_alignment`; None when the tails never agree."""
     al = tail_alignment(u.schema, v.schema)
     if al is None:
-        return False
+        return None
     delta, K = al
-    if delta != v.pos - u.pos:
-        return False
-    return all(
-        u.letter(p) == v.letter(p + delta) for p in range(u.pos, max(K, u.pos))
-    )
+    floor = max(u.pos, v.pos - delta)
+    k = max(floor, K)
+    while k > floor and u.letter(k - 1) == v.letter(k - 1 + delta):
+        k -= 1
+    return delta, k
 
 
 def _junction_run(u: Stream, v: Stream) -> int:
@@ -419,15 +431,10 @@ def _junction_run(u: Stream, v: Stream) -> int:
 def _infinite_tail_cancel(u: Stream, v: Stream) -> FiniteBlock | None:
     """For a (forward, backward) pair: cancel the common tails, returning
     the finite leftover, or None when the tails never match."""
-    al = tail_alignment(u.schema, v.schema)
+    al = _agreement(u, v)
     if al is None:
         return None
-    delta, K = al
-    k = max(u.pos, v.pos - delta, K)
-    while k - 1 >= max(u.pos, v.pos - delta) and u.letter(k - 1) == v.letter(
-        k - 1 + delta
-    ):
-        k -= 1
+    delta, k = al
     left = [u.letter(p) for p in range(u.pos, k)]
     right = [v.letter(p).inverse for p in range(k + delta - 1, v.pos - 1, -1)]
     return FiniteBlock(FreeWord(tuple(left + right)))
@@ -461,41 +468,19 @@ def _unary(seg: Segment, cancel: bool) -> list[Segment] | None:
 
 def _binary(a: Segment, b: Segment, cancel: bool) -> list[Segment] | None:
     """The first move at the junction of two settled segments, as their
-    replacement in display order, or None.  Canonical moves (merge blocks,
-    absorb letters into the stream head, cross move) come first; with
-    `cancel`, then eat-right, eat-left, pair-junction and pair-tail."""
+    replacement in display order, or None: merge two blocks; absorb, then
+    eat, where a block meets a stream head; where a backward stream meets
+    a forward one, pair-junction if the tails are equal, else cross move,
+    else pair-junction on the cancelling run; pair-tail where a forward
+    stream meets a backward one.  Eat and the pair moves need `cancel`."""
     if isinstance(a, FiniteBlock):
         if isinstance(b, FiniteBlock):
             return [FiniteBlock(FreeWord(a.word.letters + b.word.letters))]
-        if not b.forward:
-            return None
-        r = _absorb_forward(a.word, b)
-        if r:
-            return [FiniteBlock(r[0]), r[1]]
-        if not cancel or not cancels(a.word[-1], b.letter(b.pos)):
-            return None
-        letters = list(a.word.letters)
-        pos = b.pos
-        while letters and cancels(letters[-1], b.letter(pos)):
-            letters.pop()
-            pos += 1
-        return [FiniteBlock(FreeWord(tuple(letters))), Stream(True, pos, b.schema)]
+        return _block_meets_stream(a.word, b, cancel) if b.forward else None
     if isinstance(b, FiniteBlock):
-        if a.forward:
-            return None
-        r = _absorb_backward(a, b.word)
-        if r:
-            return [r[0], FiniteBlock(r[1])]
-        if not cancel or b.word[0] != a.letter(a.pos):
-            return None
-        letters = list(b.word.letters)
-        pos = a.pos
-        while letters and letters[0] == a.letter(pos):
-            letters.pop(0)
-            pos += 1
-        return [Stream(False, pos, a.schema), FiniteBlock(FreeWord(tuple(letters)))]
+        return None if a.forward else _block_meets_stream(b.word, a, cancel)
     if not a.forward and b.forward:
-        if _tails_equal(a, b):
+        if _agreement(a, b) == (b.pos - a.pos, a.pos):
             return [] if cancel else None
         moved = _cross_move(a, b)
         if moved is not None:
@@ -556,29 +541,16 @@ def invert(w: SchematicWord) -> SchematicWord:
     return SchematicWord(tuple(out))
 
 
-def _sites(w: SchematicWord):
-    """Cancellation moves on a canonical word as (start, stop, pieces):
-    single segments first, then junctions, each from the left."""
-    segs = w.segments
-    sites = []
-    for i, seg in enumerate(segs):
-        pieces = _unary(seg, True)
-        if pieces is not None:
-            sites.append((i, i + 1, pieces))
-    for i in range(len(segs) - 1):
-        pieces = _binary(segs[i], segs[i + 1], True)
-        if pieces is not None:
-            sites.append((i, i + 2, pieces))
-    return sites
-
-
 def reduce(w: SchematicWord) -> SchematicWord:
     """Reduced canonical word projection-equal to w."""
     return _rewrite(w, True)
 
 
 def is_reduced(w: SchematicWord) -> bool:
-    return not _sites(canonicalize(w))
+    """Whether `reduce` leaves canonicalize(w) unchanged; as the pass ends on
+    a word no move applies to, exactly when no cancellation move applies."""
+    c = canonicalize(w)
+    return reduce(c) == c
 
 
 def heg_equal(w1: SchematicWord, w2: SchematicWord) -> bool:
@@ -611,8 +583,6 @@ def gamma_recode(w: SchematicWord, direction: str) -> SchematicWord:
     """
     if direction not in ("encode", "decode"):
         raise ValueError("direction must be 'encode' or 'decode'")
-    from math import lcm as _lcm
-
     out: list[Segment] = []
     for seg in canonicalize(w).segments:
         if isinstance(seg, FiniteBlock):
@@ -622,11 +592,9 @@ def gamma_recode(w: SchematicWord, direction: str) -> SchematicWord:
         if direction == "encode":
             if any(e.fam != "a" for e in seg.schema.entries):
                 raise ValueError("encode expects a word over the a-letters only")
-            from .schema import unroll
-
             m = seg.schema.width
             step0 = seg.pos // m
-            T = 3 * _lcm(*(e.idx.div for e in seg.schema.entries))
+            T = 3 * lcm(*(e.idx.div for e in seg.schema.entries))
             # unroll so letter residues mod 3 are constant per entry, with
             # the phase chosen to keep the cursor on a period boundary
             big = unroll(seg.schema, T, phase=step0 % T)

@@ -11,7 +11,11 @@ and proj_rank(w, 12), of reduce on three shuffled presentations of w
 make_family(10) it prints decompose, apply_Ff and phi_sigma (under the
 cyclic permutation S1 -> S2 -> ... -> S10 -> S1) for one family word per
 seed (`family_word(Random(s), ...)`), then for every member word, the
-word of T and their inverses at n = 0..3; then separation_pattern for
+word of T and their inverses at n = 0..3, and for member-class streams
+that are not member schemas: a selector of each member, its carry twin or
+untwin at index k+d (d = 0..2), from positions 0..3, either orientation,
+with 0..3 seeded b/c letters on its head side (decompose and apply_Ff
+only); then separation_pattern for
 every subset of the family; last, the report lines of embedding_check
 for the doubling, tau and telescope maps and a collapsing map (a1 -> a0)
 at n_max 2..3 and len_max 3..5, each with a fixed retraction seed.
@@ -53,7 +57,9 @@ from transword import (
 from transword.endo import AffineRule
 from transword.hag import render_class
 from transword.randwords import random_word, shuffle_presentation
-from transword.words import block
+from transword.schema import Entry, Schema, affine
+from transword.setspec import carry_twin, carry_untwin
+from transword.words import SchematicWord, Stream, block
 
 FAMILY_K = 10
 
@@ -119,6 +125,32 @@ def family_lines(w, fam, perm):
     )
 
 
+def twin_class_words(fam):
+    """(label, word) for streams of each member's tail class whose schema
+    is not the member's, with seeded b/c letters at the indices just below
+    the head, before a forward stream or after a backward one."""
+    rng = random.Random(0)
+    for name, spec in fam.items():
+        variants = {"self": spec, "twin": carry_twin(spec), "untwin": carry_untwin(spec)}
+        for variant, code in variants.items():
+            if code is None:
+                continue
+            for d, pos, forward in itertools.product(range(3), range(4), (True, False)):
+                sch = Schema((Entry(code, affine(1, d)),))
+                stream = Stream(forward, pos, sch)
+                first = pos + d  # index of the head letter
+                letters = [
+                    Letter(rng.choice("bc"), q, 1 if forward else -1)
+                    for q in range(max(0, first - rng.randrange(4)), first)
+                ]
+                if forward:
+                    parts = (block(*letters), SchematicWord((stream,)))
+                else:
+                    parts = (SchematicWord((stream,)), block(*reversed(letters)))
+                sign = "+" if forward else "-"
+                yield f"{name} {variant} {d} {pos} {sign}", reduce(concat(*parts))
+
+
 def corpus(seeds):
     fam = make_family(FAMILY_K)
     perm = {n: fam.names[(i + 1) % len(fam)] for i, n in enumerate(fam.names)}
@@ -134,6 +166,9 @@ def corpus(seeds):
             for sign, w in (("+", word), ("-", invert(word))):
                 for label, out in family_lines(w, fam, perm):
                     yield f"member {name} {n} {sign} {label} {out}"
+    for label, w in twin_class_words(fam):
+        for key, out in itertools.islice(family_lines(w, fam, perm), 2):
+            yield f"twin {label} {key} {out}"
     for r in range(len(fam) + 1):
         for chosen in itertools.combinations(fam.names, r):
             bits = _show(lambda: separation_pattern(fam, chosen))

@@ -38,8 +38,9 @@ from transword.words import (
     SchematicWord,
     Segment,
     Stream,
-    _sites,
+    _binary,
     _split_head,
+    _unary,
     canonicalize,
     from_free,
     occurrences,
@@ -228,6 +229,22 @@ def class_word(h: HagClass, min_rank: int = 0) -> SchematicWord:
             k += 1
         segs.append(Stream(g.sign > 0, k * m, g.schema))
     return canonicalize(SchematicWord(tuple(segs)))
+
+
+def _sites(w: SchematicWord):
+    """Cancellation moves on a canonical word as (start, stop, pieces):
+    single segments first, then junctions, each from the left."""
+    segs = w.segments
+    sites = []
+    for i, seg in enumerate(segs):
+        pieces = _unary(seg, True)
+        if pieces is not None:
+            sites.append((i, i + 1, pieces))
+    for i in range(len(segs) - 1):
+        pieces = _binary(segs[i], segs[i + 1], True)
+        if pieces is not None:
+            sites.append((i, i + 2, pieces))
+    return sites
 
 
 def random_site_reduce(w: SchematicWord, rng) -> SchematicWord:

@@ -30,6 +30,7 @@ from transword.words import (
     block,
     concat,
     heg_equal,
+    invert,
     proj_rank,
     project_finite,
 )
@@ -135,6 +136,8 @@ def test_apply_endo_exceptional_on_stream_head():
         block(Letter("a", 9)), u_word("S1", 0, fam), u_word(T, 2)
     )
     assert heg_equal(img, expect)
+    # the backward stream: its head, displayed last, hits the same indices
+    assert heg_equal(apply_endo(s, invert(u_word(T, 0))), invert(img))
 
 
 def test_endo_law_on_concat():

@@ -21,7 +21,7 @@ from transword.schema import (
 )
 from transword.randwords import random_stream
 from transword.setspec import EvPeriodic, PrefixCode, carry_twin, shifted
-from transword.words import _shift_schema
+from transword.words import SchematicWord, Stream, _shift_schema
 
 from oracles import alignment_by_search
 
@@ -342,7 +342,6 @@ def test_poly_shift_match_integer_cases():
 @given(schema_st())
 def test_schemas_are_interned(sch):
     from transword.dsl import parse_word, render_word
-    from transword.words import SchematicWord, Stream
 
     family = [sch] + _presentations(sch)
     for s in family:

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from transword.dsl import parse_word
 from transword.freegroup import Letter
 from transword.hag import hag_normal, hag_product
-from transword.setspec import PrefixCode, intersection_bound
+from transword.setspec import Finite, PrefixCode, intersection_bound
 from transword.sigma import (
     Maximal,
     SigmaFamily,
@@ -26,7 +27,7 @@ from transword.words import (
     proj_rank,
     reduce,
 )
-from transword.randwords import random_letter, random_word
+from transword.randwords import random_letter, random_word, shuffle_presentation
 
 from oracles import cut_points, members_below, split_word
 
@@ -80,8 +81,6 @@ def test_make_family_properties():
 def test_family_rejects_bad_members():
     with pytest.raises(ValueError):
         SigmaFamily(("S1", "S2"), (PrefixCode("", "0"), PrefixCode("", "0")))
-    from transword.setspec import Finite
-
     with pytest.raises(ValueError):
         SigmaFamily(("S1",), (Finite((1, 2)),))
 
@@ -106,17 +105,23 @@ def test_decompose_whole_member():
     assert d.tags() == (Maximal("S1", 0, 1),)
 
 
+# streams of the member's twin class, whose schema is not the member's:
+# pcode("","1") at k+1 renders S1 = pcode("","0") from position 1 on
+TWIN_FWD = parse_word('[b0] st(+,0,{sel(pcode("","1"))(k+1)})')
+TWIN_BWD = parse_word('st(-,0,{sel(pcode("","1"))(k+1)}) [b0^-1]')
+
+
 def test_decompose_predecessor_extension():
-    w = concat(block(Letter("b", 0)), u_word("S1", 1, FAM2))
-    d = decompose(w, FAM2)
-    assert d.tags() == (Maximal("S1", 0, 1),)
+    for w in (concat(block(Letter("b", 0)), u_word("S1", 1, FAM2)), TWIN_FWD):
+        d = decompose(w, FAM2)
+        assert d.tags() == (Maximal("S1", 0, 1),)
 
 
 def test_decompose_extension_backward():
     # inverse orientation: the extension eats the following block letters
     w = reduce(concat(invert(u_word("S1", 2, FAM2)), block(Letter("b", 1, -1))))
-    d = decompose(w, FAM2)
-    assert d.tags() == (Maximal("S1", 1, -1),)
+    assert decompose(w, FAM2).tags() == (Maximal("S1", 1, -1),)
+    assert decompose(TWIN_BWD, FAM2).tags() == (Maximal("S1", 0, -1),)
 
 
 def test_decompose_plain_cases():
@@ -147,8 +152,6 @@ def test_decompose_laws_random():
                     expect = invert(expect)
                 assert piece.word == expect
         # stability under re-presentation
-        from transword.randwords import shuffle_presentation
-
         assert decompose(shuffle_presentation(w, rng), FAM8).tags() == d.tags()
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import transword.words
 from transword.dsl import parse_word
 from transword.freegroup import EMPTY, FreeWord, Letter, rank_letter_set, reduce_free
 from transword.hag import hag_equal
@@ -34,6 +35,7 @@ from transword.randwords import (
     shuffle_presentation,
 )
 from oracles import (
+    _sites,
     cut_points,
     project_oracle,
     random_site_reduce,
@@ -243,12 +245,18 @@ def test_random_site_oracle_at_fuzz_size():
             assert random_site_reduce(w, rng) == r
 
 
+def test_is_reduced_matches_sites_at_fuzz_size():
+    # is_reduced runs the rewrite pass; the oracle lists the cancellation
+    # sites of the canonical word directly
+    for seed in range(600):
+        w = random_word(random.Random(seed), **SIZES[1])
+        assert is_reduced(w) == (not _sites(canonicalize(w)))
+
+
 @pytest.mark.parametrize("n", [10, 20, 40, 80])
 def test_ww_inverse_fold_count(monkeypatch, n):
     # the stack pass settles each segment a bounded number of times, so
     # w.w^-1 costs O(segments) folds however long w is
-    import transword.words
-
     calls = 0
     real_fold = transword.words.fold
 
@@ -266,8 +274,6 @@ def test_ww_inverse_fold_count(monkeypatch, n):
 
 
 def test_cap_sites_raise_cap_error(monkeypatch):
-    import transword.words
-
     monkeypatch.setattr(transword.words, "_REDUCE_CAP", 2)
     with pytest.raises(CapError, match="rewriting .* _REDUCE_CAP = 2"):
         reduce(parse_word("[a0] [a1] [a2] [a3]"))
