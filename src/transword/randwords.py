@@ -15,7 +15,7 @@ import random
 from .freegroup import FreeWord, Letter
 from .schema import Entry, IndexFn, Schema, affine, unroll
 from .setspec import Finite, PrefixCode, SetSpec, make_evp
-from .words import FiniteBlock, SchematicWord, Stream, _split_head, reduce
+from .words import FiniteBlock, SchematicWord, Stream, _split_head
 
 DEFAULT_SEED = 1729
 
@@ -101,10 +101,6 @@ def random_word(
                 )
             )
     return SchematicWord(tuple(segs))
-
-
-def random_reduced_word(rng, **kw) -> SchematicWord:
-    return reduce(random_word(rng, **kw))
 
 
 def shuffle_presentation(w: SchematicWord, rng) -> SchematicWord:

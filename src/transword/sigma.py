@@ -28,6 +28,7 @@ from .words import (
     FiniteBlock,
     SchematicWord,
     Stream,
+    _settled_word,
     _split_head,
     canonicalize,
     concat,
@@ -138,7 +139,7 @@ def u_word(target, n: int = 0, fam: SigmaFamily | None = None) -> SchematicWord:
         sch = fam.schema(target)
     else:
         sch = member_schema(target)
-    return SchematicWord((Stream(True, n, sch),))
+    return _settled_word(Stream(True, n, sch))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +186,9 @@ def _match_member(seg: Stream, fam: SigmaFamily):
 def decompose(w: SchematicWord, fam: SigmaFamily) -> Decomposition:
     """Unique decomposition into maximal member-word intervals and maximal
     plain intervals."""
-    w = canonicalize(w)
-    if reduce(w) != w:
+    c = canonicalize(w)
+    w = reduce(c)
+    if w != c:
         raise ValueError("decompose expects a reduced word")
     # linearize into atoms: letters, plain streams, and matched streams,
     # whose heads before the match are cut off as letters

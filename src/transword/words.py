@@ -24,6 +24,24 @@ as the moves are confluent.  The tests compare the pass against
 sites in random order.  A block between a backward and a forward stream
 is offered to the backward one first, which is not yet order-independent
 (ROADMAP, item 1).
+
+Every word the pass returns is marked as its fixpoint: "canonical" from
+`canonicalize`, "reduced" from `reduce`.  The mark lives outside the
+dataclass fields, so `==`, `hash` and `repr` ignore it, and `reduce`,
+`canonicalize` and `concat` skip the passes it vouches for.  This is
+exact, whether or not the moves are confluent:
+- the pass reads only the current segment and the top of the stack and
+  puts pieces back in front of the rest of the input, so its state after
+  a prefix of the input depends only on that prefix;
+- every adjacent pair on the output stack passed `_unary` and `_binary`
+  when it was pushed, so a second pass over a marked word makes no move,
+  and a marked first word of `concat` is the stack that a pass over the
+  whole input reaches at the end of that word;
+- `_unary(., False)` and `_binary(., ., False)` return None whenever
+  their cancelling forms do, so a "reduced" word is also canonical.
+`invert` drops the mark: the pass is not mirror-symmetric (a block
+between a backward and a forward stream goes to the backward one), so
+the inverse of a fixpoint need not be one.
 """
 
 from __future__ import annotations
@@ -96,6 +114,10 @@ Segment = FiniteBlock | Stream
 class SchematicWord:
     segments: tuple[Segment, ...] = ()
 
+    # the fixpoint mark (module docstring): not a field, so not compared;
+    # set only by `_marked` on words the rewrite pass vouches for
+    _mark = 0
+
     def __bool__(self) -> bool:
         return bool(self.segments)
 
@@ -109,6 +131,13 @@ class SchematicWord:
 
 
 EMPTY_WORD = SchematicWord(())
+
+_CANONICAL, _REDUCED = 1, 2
+
+
+def _marked(w: SchematicWord, level: int) -> SchematicWord:
+    object.__setattr__(w, "_mark", level)
+    return w
 
 
 def block(*letters: Letter) -> SchematicWord:
@@ -207,7 +236,9 @@ def _displayed(forward: bool, pieces: list[Segment]) -> list[Segment]:
 
 def _split_head(st: Stream, upto: int) -> list[Segment]:
     """Positions [pos, upto) cut off as a finite block, and the rest of the
-    stream, in display order."""
+    stream, in display order; the stream itself when nothing is cut."""
+    if upto == st.pos:
+        return [st]
     head = FiniteBlock(FreeWord(tuple(st.letter(p) for p in range(st.pos, upto))))
     return _displayed(st.forward, [head, Stream(st.forward, upto, st.schema)])
 
@@ -495,10 +526,12 @@ def _binary(a: Segment, b: Segment, cancel: bool) -> list[Segment] | None:
     return None
 
 
-def _rewrite(w: SchematicWord, cancel: bool) -> SchematicWord:
-    """The stack pass: canonical moves only, or with `cancel` all moves."""
-    todo = list(reversed(w.segments))
-    out: list[Segment] = []
+def _rewrite(segments, cancel: bool, settled: tuple[Segment, ...] = ()) -> SchematicWord:
+    """The stack pass over `segments`, starting from the stack `settled`:
+    canonical moves only, or with `cancel` all moves.  The result is marked
+    as the pass's fixpoint."""
+    todo = list(reversed(segments))
+    out = list(settled)
     moves = 0
     while todo:
         seg = todo.pop()
@@ -517,21 +550,33 @@ def _rewrite(w: SchematicWord, cancel: bool) -> SchematicWord:
                 f"_REDUCE_CAP = {_REDUCE_CAP} moves in one pass"
             )
         todo.extend(reversed(pieces))
-    return SchematicWord(tuple(out))
+    return _marked(SchematicWord(tuple(out)), _REDUCED if cancel else _CANONICAL)
+
+
+def _settled_word(seg: Segment) -> SchematicWord:
+    """The word of one segment, marked reduced when no move on the segment
+    applies: for one segment, exactly the test that the pass is done."""
+    w = SchematicWord((seg,))
+    return _marked(w, _REDUCED) if _unary(seg, True) is None else w
 
 
 def canonicalize(w: SchematicWord) -> SchematicWord:
-    return _rewrite(w, False)
+    return w if w._mark >= _CANONICAL else _rewrite(w.segments, False)
 
 
 def concat(*words: SchematicWord) -> SchematicWord:
-    segs: tuple[Segment, ...] = ()
-    for w in words:
-        segs += w.segments
-    return canonicalize(SchematicWord(segs))
+    """The words one after another, canonicalized.  A marked first word is
+    the stack that a pass over all the segments holds once it has read
+    that word's, so only the segments after it go through the pass."""
+    first = words[0] if words else EMPTY_WORD
+    rest = tuple(seg for w in words[1:] for seg in w.segments)
+    if not first._mark:
+        return canonicalize(SchematicWord(first.segments + rest))
+    return _rewrite(rest, False, first.segments) if rest else first
 
 
 def invert(w: SchematicWord) -> SchematicWord:
+    """The inverse word, unmarked (module docstring)."""
     out: list[Segment] = []
     for seg in reversed(w.segments):
         if isinstance(seg, FiniteBlock):
@@ -543,12 +588,13 @@ def invert(w: SchematicWord) -> SchematicWord:
 
 def reduce(w: SchematicWord) -> SchematicWord:
     """Reduced canonical word projection-equal to w."""
-    return _rewrite(w, True)
+    return w if w._mark == _REDUCED else _rewrite(w.segments, True)
 
 
 def is_reduced(w: SchematicWord) -> bool:
     """Whether `reduce` leaves canonicalize(w) unchanged; as the pass ends on
-    a word no move applies to, exactly when no cancellation move applies."""
+    a word no move applies to, exactly when no cancellation move applies.
+    Raises CapError when the reduction reaches `_REDUCE_CAP`."""
     c = canonicalize(w)
     return reduce(c) == c
 
@@ -626,8 +672,9 @@ def gamma_recode(w: SchematicWord, direction: str) -> SchematicWord:
 
 def ra_retract(w: SchematicWord) -> SchematicWord:
     """Delete every b- and c-letter (selector streams vanish entirely)."""
+    c = canonicalize(w)
     out: list[Segment] = []
-    for seg in canonicalize(w).segments:
+    for seg in c.segments:
         if isinstance(seg, FiniteBlock):
             kept = tuple(l for l in seg.word if l.fam == "a")
             out.append(FiniteBlock(FreeWord(kept)))
@@ -642,4 +689,6 @@ def ra_retract(w: SchematicWord) -> SchematicWord:
         # same steps, fewer entries per step; pos sits on a period boundary
         new_pos = (seg.pos // m) * len(kept_entries)
         out.append(Stream(seg.forward, new_pos, Schema(kept_entries)))
+    if tuple(out) == c.segments:  # nothing dropped: c keeps its mark
+        return c
     return canonicalize(SchematicWord(tuple(out)))

@@ -5,7 +5,8 @@ cancellation, brute-force letter enumeration over a horizon) so that the
 production code paths are checked against something computed differently.
 The helpers at the bottom serve only the tests: the random-site rewrite
 order, cutting a word in two, set equality and indicator classification,
-truncated sequences, pairing-row words and reduced-word enumeration.
+truncated sequences, pairing-row words, reduced-word enumeration and
+random reduced schematic words.
 """
 
 from math import lcm
@@ -15,6 +16,7 @@ from transword.abelian import IntSeq
 from transword.endo import InadmissibleError, cantor_row, projector
 from transword.freegroup import EMPTY, FreeWord, Letter, cancels, rank_letter_set
 from transword.hag import Germ, HagClass
+from transword.randwords import random_word
 from transword.schema import (
     COFINITE,
     Entry,
@@ -44,6 +46,7 @@ from transword.words import (
     canonicalize,
     from_free,
     occurrences,
+    reduce,
 )
 
 
@@ -354,3 +357,7 @@ def enumerate_reduced(alphabet: list[Letter], maxlen: int):
                 new_frontier.append(ext)
                 yield FreeWord(ext)
         frontier = new_frontier
+
+
+def random_reduced_word(rng, **kw) -> SchematicWord:
+    return reduce(random_word(rng, **kw))

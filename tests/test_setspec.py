@@ -85,18 +85,26 @@ def test_indicator_classification_sound(s):
 
 @given(spec_st, spec_st, st.integers(-3, 3))
 @example(PrefixCode((), (1,)), PrefixCode((), (0,)), 1)
+@example(PrefixCode((), (1, 1, 1, 0)), PrefixCode((1, 1, 1, 0), (1,)), 0)
 def test_pair_agreement_sound(s1, s2, d):
     kind, bound = pair_agreement(s1, s2, d)
-    agree = tuple(
-        1 if s1.contains(k) == s2.contains(k + d) else 0 for k in range(HORIZON)
-    )
+
+    def agrees(k):
+        return 1 if s1.contains(k) == s2.contains(k + d) else 0
+
+    agree = tuple(agrees(k) for k in range(HORIZON))
     if kind == FINITE:
         assert all(a == 0 for a in agree[bound:])
     elif kind == COFINITE:
         assert all(a == 1 for a in agree[bound:])
     else:
-        # mixed: both agreement and disagreement recur within the horizon
-        assert 0 in agree[20:] and 1 in agree[20:]
+        # mixed: both agreement and disagreement recur.  Prefix-code
+        # members grow like 2^depth, so two codes can agree up to any fixed
+        # horizon: also look at the members of depth 20 to 40 (past 10^6)
+        deep = [s1.member(j) for j in range(20, 41) if isinstance(s1, PrefixCode)]
+        deep += [s2.member(j) - d for j in range(20, 41) if isinstance(s2, PrefixCode)]
+        seen = agree[20:] + tuple(agrees(k) for k in deep)
+        assert 0 in seen and 1 in seen
 
 
 @given(spec_st, spec_st)

@@ -281,6 +281,31 @@ def test_separation_sweep_computes_once_per_schema(monkeypatch):
     assert sorted(built, key=fam.members.index) == list(fam.members)
 
 
+def test_separation_sweep_passes_per_member_word(monkeypatch):
+    # member words are marked as fixpoints of the rewrite pass, so the sweep
+    # runs at most two passes per member word: ra_retract's and hag_normal's
+    # over the empty word, when the member is not rewritten onto T.  Passes
+    # skipped on marked words do not reach `_rewrite`; without the mark the
+    # sweep makes six passes per member word (61 440)
+    from transword import words
+
+    real = words._rewrite
+    passes = 0
+
+    def counting(*args):
+        nonlocal passes
+        passes += 1
+        return real(*args)
+
+    monkeypatch.setattr(words, "_rewrite", counting)
+    fam = make_family(10)
+    for r in range(len(fam) + 1):
+        for chosen in itertools.combinations(fam.names, r):
+            before = passes
+            separation_pattern(fam, chosen)
+            assert passes - before <= 2 * len(fam)
+
+
 # -- the permutation action ------------------------------------------------------
 
 def _perm_map(fam, perm):

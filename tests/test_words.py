@@ -29,15 +29,12 @@ from transword.words import (
     reduce,
     stream_word,
 )
-from transword.randwords import (
-    random_reduced_word,
-    random_word,
-    shuffle_presentation,
-)
+from transword.randwords import random_word, shuffle_presentation
 from oracles import (
     _sites,
     cut_points,
     project_oracle,
+    random_reduced_word,
     random_site_reduce,
     split_word,
 )
@@ -199,16 +196,33 @@ def test_normal_form_unique_under_shuffles():
         assert reduce(shuffle_presentation(w, rng)) == base
 
 
-# three presentations of one word that reduce to different values; a change
-# of any verdict here, by the junction fix or otherwise, shows up
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-@pytest.mark.parametrize("seed", [435, 2744, 2991])
-def test_normal_form_unique_under_shuffles_known_defects(seed):
+# fuzz seeds whose word and three shuffled presentations of it do not all
+# reduce to one value; a change of any verdict here, by the junction fix or
+# otherwise, shows up
+KNOWN_DEFECT_SEEDS = [435, 2744, 2991, 4539]
+
+
+def _known_defect_shuffles(seed):
     rng = random.Random(seed)
     w = random_word(rng, max_segments=10, max_index=15)
+    return w, [shuffle_presentation(w, rng) for _ in range(3)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("seed", KNOWN_DEFECT_SEEDS)
+def test_normal_form_unique_under_shuffles_known_defects(seed):
+    w, shuffles = _known_defect_shuffles(seed)
     base = reduce(w)
-    for _ in range(3):
-        assert reduce(shuffle_presentation(w, rng)) == base
+    for v in shuffles:
+        assert reduce(v) == base
+
+
+@pytest.mark.parametrize("seed", KNOWN_DEFECT_SEEDS)
+def test_known_defect_shuffles_same_word(seed):
+    w, shuffles = _known_defect_shuffles(seed)
+    for v in shuffles:
+        assert hag_equal(w, v)
+        assert equal_up_to(w, v, 20)
 
 
 def test_homomorphism_shape():
@@ -271,6 +285,35 @@ def test_ww_inverse_fold_count(monkeypatch, n):
     product = SchematicWord(w.segments + invert(w).segments)
     assert reduce(product) == EMPTY_WORD
     assert calls <= 2 * len(product.segments)
+
+
+# -- the fixpoint mark ---------------------------------------------------------
+
+def test_marked_words_skip_their_passes():
+    rng = random.Random(52)
+    for _ in range(100):
+        w = random_word(rng, **SIZES[1])
+        r, c = reduce(w), canonicalize(w)
+        assert reduce(r) is r and canonicalize(r) is r and canonicalize(c) is c
+        assert is_reduced(r)
+        # the mark is no field: equality, hash and rendering ignore it
+        plain = SchematicWord(r.segments)
+        assert plain == r and hash(plain) == hash(r) and repr(plain) == repr(r)
+        # the pass is not mirror-symmetric, so the inverse is not marked
+        inv = invert(r)
+        assert reduce(inv) is not inv and canonicalize(inv) is not inv
+
+
+def test_concat_with_marked_prefix_matches_fresh_pass():
+    # a marked first word seeds the stack of concat's pass; an unmarked copy
+    # of the same segments goes through the whole pass
+    for seed in range(600):
+        rng = random.Random(seed)
+        w, v = random_word(rng, **SIZES[1]), random_word(rng, **SIZES[1])
+        for first in (canonicalize(w), reduce(w)):
+            for rest in ((), (v,), (invert(first), v)):
+                segs = first.segments + tuple(s for x in rest for s in x.segments)
+                assert concat(first, *rest) == canonicalize(SchematicWord(segs))
 
 
 def test_cap_sites_raise_cap_error(monkeypatch):
@@ -370,6 +413,57 @@ def test_prefix_code_decimation_same_word():
 @pytest.mark.parametrize("equal", [heg_equal, hag_equal])
 def test_prefix_code_decimation_decided_equal(equal):
     assert equal(*map(parse_word, PCODE_DECIMATION))
+
+
+# presentations of one word where a block sits between a backward and a
+# forward stream, and heg_equal tells them apart (ROADMAP item 1, the
+# junction shape): the smallest pair, then the shuffled pairs of queries
+# 37, 336 and 981 of the `equality` benchmark workload at seeds 10, 27, 34
+JUNCTION_PAIRS = [
+    (
+        "st(-,1,{b(k+1)}) st(+,0,{b(k+1)^-1 c(k+1)})",
+        "st(-,0,{b(k+1)}) [c1] st(+,1,{b(k+1)^-1 c(k+1)})",
+    ),
+    (
+        'st(-,1,{sel(fin{3,6})(k+14)^-1}) '
+        'st(+,3,{sel(eper("0","011"))(k+11) sel(pcode("","1"))(2k+8)^-1})',
+        'st(-,0,{sel(fin{0,3,6})(k+14)^-1}) [c14^-1] '
+        'st(+,4,{sel(eper("0","011"))(k+11) sel(pcode("","1"))(2k+8)^-1})',
+    ),
+    (
+        '[c8^-1 c9 b5^-1] st(-,3,{sel(eper("0","1"))((k^2+7k+6)/2)^-1}) '
+        'st(+,0,{b(k+12) a(k+3)}) st(+,3,{sel(eper("","010"))(k+11)}) '
+        "st(-,2,{c(k+10)^-1})",
+        '[c8^-1] [c9 b5^-1] st(-,3,{sel(eper("0","1"))((k^2+7k+6)/2)^-1}) '
+        "[b12] [a3] [b13 a4 b14 a5] st(+,3,{b(k+12) a(k+3)}) "
+        'st(+,3,{sel(eper("","010"))(k+11)}) st(-,2,{c(k+10)^-1})',
+    ),
+    (
+        '[b4^-1] st(+,3,{sel(eper("0","01"))(2k+12)}) [c12 b4^-1 c7 c8^-1] '
+        "[c13^-1 a6^-1] [b10^-1 a4^-1 a3 c12^-1] "
+        "st(+,2,{sel(fin{1})((k^2+7k+6)/2) b((k^2+3k)/2)^-1}) st(-,2,{c(k+8)^-1}) "
+        "[a1^-1 c12^-1 a10 c9] st(-,2,{sel(fin{4})(2k+6)^-1}) "
+        'st(+,3,{sel(eper("","1"))(k+5) b(2k+9)})',
+        '[b4^-1] st(+,3,{sel(eper("0","01"))(2k+12)}) [c12 b4^-1] [c7 c8^-1] '
+        "[c13^-1 a6^-1] [b10^-1 a4^-1 a3 c12^-1] "
+        "st(+,2,{sel(fin{1})((k^2+7k+6)/2) b((k^2+3k)/2)^-1}) st(-,2,{c(k+8)^-1}) "
+        "[a1^-1 c12^-1 a10 c9] st(-,2,{sel(fin{4})(2k+6)^-1}) [b8 b15] "
+        'st(+,4,{sel(eper("","1"))(k+5) b(2k+9)})',
+    ),
+]
+
+
+@pytest.mark.parametrize("text_w, text_v", JUNCTION_PAIRS)
+def test_junction_pair_same_word(text_w, text_v):
+    w, v = parse_word(text_w), parse_word(text_v)
+    assert hag_equal(w, v)
+    assert equal_up_to(w, v, 20)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("text_w, text_v", JUNCTION_PAIRS)
+def test_junction_pair_heg_equal(text_w, text_v):
+    assert heg_equal(parse_word(text_w), parse_word(text_v))
 
 
 def test_mixed_pattern_rejected():
