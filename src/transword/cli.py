@@ -115,7 +115,7 @@ def _run(args) -> dict:
         if fam is None:
             raise ValueError("decompose needs --family k=K")
         w = dsl.parse_word(args.expr, env)
-        dec = sigma.decompose(w, fam)
+        dec = sigma.decompose(words.reduce(w), fam)
         pieces = []
         for piece in dec.pieces:
             if piece.tag is None:

@@ -5,9 +5,14 @@ obtained by rewriting one selector word into another.
 `make_family(k)` codes k eventually periodic branches of the binary tree
 into k pairwise almost disjoint infinite prefix-code sets S1..Sk (plus
 the distinguished symbol T outside the family; its word streams over the
-a-letters).  `decompose` finds, in a reduced word, every maximal interval
-rendering some member word or its inverse; `apply_Ff` replaces those
-intervals according to a table f and keeps everything else verbatim.
+a-letters).  `decompose` and `apply_Ff` share one walk over a reduced
+word.  It finds every stream whose tail renders a member word or its
+inverse, cuts the stream's head off as letters, and then widens each such
+interval: a forward interval takes the letters before it, and a backward
+interval the letters after it, as long as they continue the member word
+one position earlier.  What is left forms the maximal plain intervals.
+`decompose` returns all the intervals as pieces; `apply_Ff` replaces each
+member interval according to a table f and keeps the plain ones verbatim.
 `psi_f` pushes the result into the archipelago quotient, where it is a
 homomorphism; permutations of the family act by automorphisms, and
 `separation_pattern` exhibits one distinguishable kernel pattern per
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 from .freegroup import FreeWord, Letter
 from .hag import Germ, HagClass, _cancelled, hag_normal
@@ -169,10 +175,6 @@ class Decomposition:
         return tuple(p.tag for p in self.pieces)
 
 
-def _member_letter(spec: SetSpec, q: int) -> Letter:
-    return Letter("b" if spec.contains(q) else "c", q, 1)
-
-
 def _match_member(seg: Stream, fam: SigmaFamily):
     """(name, start, delta) for the member whose word the stream tail
     renders: positions p >= start carry the member letter at p+delta."""
@@ -183,77 +185,70 @@ def _match_member(seg: Stream, fam: SigmaFamily):
     return (name, max(seg.pos, Kpos, -delta), delta)
 
 
+def _atoms(w: SchematicWord, fam: SigmaFamily):
+    """The word's letters, plain streams and matched stream tails, in
+    display order; the head of a matched stream is cut off as letters."""
+    for seg in w.segments:
+        match = None if isinstance(seg, FiniteBlock) else _match_member(seg, fam)
+        if match is None:
+            yield from seg.word if isinstance(seg, FiniteBlock) else (seg,)
+            continue
+        name, start, delta = match
+        for piece in _split_head(seg, start):
+            if isinstance(piece, FiniteBlock):
+                yield from piece.word
+            else:
+                yield Maximal(name, start + delta, 1 if piece.forward else -1)
+
+
+def _plain_word(atoms) -> SchematicWord:
+    segs: list = []
+    for is_letter, run in groupby(atoms, key=lambda a: isinstance(a, Letter)):
+        if is_letter:
+            segs.append(FiniteBlock(FreeWord(tuple(run))))
+        else:
+            segs.extend(run)
+    return canonicalize(SchematicWord(tuple(segs)))
+
+
+def _intervals(w: SchematicWord, fam: SigmaFamily):
+    """The reduced word's maximal plain intervals, as canonical words, and
+    its maximal member intervals, as tags, in order (module docstring)."""
+    c = canonicalize(w)
+    if reduce(c) != c:
+        raise ValueError("decompose expects a reduced word")
+    out: list = []  # Letter | Stream | Maximal
+    for atom in _atoms(c, fam):
+        if isinstance(atom, Maximal) and atom.sign > 0:
+            member, n = fam.schema(atom.name), atom.n
+            while n > 0 and out and out[-1] == member.letter_at(n - 1):
+                out.pop()
+                n -= 1
+            atom = Maximal(atom.name, n, 1)
+        elif out and isinstance(top := out[-1], Maximal) and top.sign < 0 < top.n:
+            if atom == fam.schema(top.name).letter_at(top.n - 1).inverse:
+                out[-1] = Maximal(top.name, top.n - 1, -1)
+                continue
+        out.append(atom)
+    for tagged, run in groupby(out, key=lambda a: isinstance(a, Maximal)):
+        yield from run if tagged else (_plain_word(run),)
+
+
+def _tag_word(tag: Maximal, name: str, fam: SigmaFamily) -> SchematicWord:
+    """The word for `name` from the tag's position on, in its orientation."""
+    word = u_word(name, tag.n, fam)
+    return word if tag.sign > 0 else invert(word)
+
+
 def decompose(w: SchematicWord, fam: SigmaFamily) -> Decomposition:
     """Unique decomposition into maximal member-word intervals and maximal
     plain intervals."""
-    c = canonicalize(w)
-    w = reduce(c)
-    if w != c:
-        raise ValueError("decompose expects a reduced word")
-    # linearize into atoms: letters, plain streams, and matched streams,
-    # whose heads before the match are cut off as letters
-    atoms: list[tuple] = []
-    for seg in w.segments:
-        match = None if isinstance(seg, FiniteBlock) else _match_member(seg, fam)
-        for piece in [seg] if match is None else _split_head(seg, match[1]):
-            if isinstance(piece, FiniteBlock):
-                atoms.extend(("L", l) for l in piece.word)
-            elif match is None:
-                atoms.append(("S", piece))
-            else:
-                name, start, delta = match
-                sign = 1 if piece.forward else -1
-                atoms.append(("M", name, start + delta, sign, fam.spec(name)))
-    # predecessor extension, one pass: a forward interval pops the letters
-    # before it, a backward one on top absorbs those after it, while they
-    # continue the member word one position earlier
-    out: list[tuple] = []
-    for atom in atoms:
-        if atom[0] == "M" and atom[3] > 0:
-            _, name, n, sign, spec = atom
-            while n > 0 and out and out[-1] == ("L", _member_letter(spec, n - 1)):
-                out.pop()
-                n -= 1
-            atom = ("M", name, n, sign, spec)
-        elif atom[0] == "L" and out and out[-1][0] == "M" and out[-1][3] < 0:
-            _, name, n, sign, spec = out[-1]
-            if n > 0 and atom[1] == _member_letter(spec, n - 1).inverse:
-                out[-1] = ("M", name, n - 1, sign, spec)
-                continue
-        out.append(atom)
-    # group runs of plain atoms into maximal plain pieces
-    pieces: list[Piece] = []
-    run: list = []
-
-    def flush():
-        if not run:
-            return
-        segs: list = []
-        letters: list[Letter] = []
-        for a in run:
-            if a[0] == "L":
-                letters.append(a[1])
-            else:
-                if letters:
-                    segs.append(FiniteBlock(FreeWord(tuple(letters))))
-                    letters = []
-                segs.append(a[1])
-        if letters:
-            segs.append(FiniteBlock(FreeWord(tuple(letters))))
-        pieces.append(Piece(canonicalize(SchematicWord(tuple(segs))), None))
-        run.clear()
-
-    for a in out:
-        if a[0] == "M":
-            flush()
-            _, name, n, sign, _ = a
-            word = u_word(name, n, fam)
-            pieces.append(
-                Piece(word if sign > 0 else invert(word), Maximal(name, n, sign))
-            )
-        else:
-            run.append(a)
-    flush()
+    pieces = [
+        Piece(_tag_word(part, part.name, fam), part)
+        if isinstance(part, Maximal)
+        else Piece(part, None)
+        for part in _intervals(w, fam)
+    ]
     return Decomposition(tuple(pieces))
 
 
@@ -270,15 +265,13 @@ def _validate_map(fam: SigmaFamily, f: dict[str, str]):
 
 def apply_Ff(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> SchematicWord:
     """Replace every maximal member interval for S by the same-position
-    word for f(S); plain pieces pass through verbatim."""
+    word for f(S); plain intervals pass through verbatim.  Builds only the
+    images, not the words of the member intervals they replace."""
     _validate_map(fam, f)
-    parts = []
-    for piece in decompose(w, fam).pieces:
-        if piece.tag is None:
-            parts.append(piece.word)
-        else:
-            img = u_word(f[piece.tag.name], piece.tag.n, fam)
-            parts.append(img if piece.tag.sign > 0 else invert(img))
+    parts = [
+        _tag_word(part, f[part.name], fam) if isinstance(part, Maximal) else part
+        for part in _intervals(w, fam)
+    ]
     return concat(*parts) if parts else EMPTY_WORD
 
 

@@ -4,7 +4,8 @@ These deliberately use the naive algorithm in each case (repeated-scan
 cancellation, brute-force letter enumeration over a horizon) so that the
 production code paths are checked against something computed differently.
 The helpers at the bottom serve only the tests: the random-site rewrite
-order, cutting a word in two, set equality and indicator classification,
+order, cutting a word in two, `apply_Ff` as a rewrite of the pieces of
+`decompose`, set equality and indicator classification,
 truncated sequences, pairing-row words, reduced-word enumeration and
 random reduced schematic words.
 """
@@ -33,6 +34,7 @@ from transword.setspec import (
     _shift_bits,
     pair_agreement,
 )
+from transword.sigma import SigmaFamily, decompose, u_word
 from transword.words import (
     EMPTY_WORD,
     CapError,
@@ -44,7 +46,9 @@ from transword.words import (
     _split_head,
     _unary,
     canonicalize,
+    concat,
     from_free,
+    invert,
     occurrences,
     reduce,
 )
@@ -300,6 +304,21 @@ def split_word(w: SchematicWord, cut) -> tuple[SchematicWord, SchematicWord]:
         SchematicWord(before + tuple(pieces[:cut])),
         SchematicWord(tuple(pieces[cut:]) + after),
     )
+
+
+def apply_Ff_by_pieces(
+    w: SchematicWord, fam: SigmaFamily, f: dict[str, str]
+) -> SchematicWord:
+    """`apply_Ff` by its definition: decompose the word, swap the word of
+    each member piece for the same-position word of its image, concat."""
+    parts = []
+    for piece in decompose(w, fam).pieces:
+        if piece.tag is None:
+            parts.append(piece.word)
+        else:
+            img = u_word(f[piece.tag.name], piece.tag.n, fam)
+            parts.append(img if piece.tag.sign > 0 else invert(img))
+    return concat(*parts) if parts else EMPTY_WORD
 
 
 def members_below(spec: SetSpec, bound: int) -> list[int]:

@@ -55,6 +55,30 @@ def test_decompose_report():
     assert "maximal(S1,0,+)" in out
 
 
+def test_decompose_reduces_input_first():
+    # as apply-ff does; the library's decompose still rejects unreduced words
+    expr = "[a0 a0^-1] st(+,0,{sel(S1)(k)})"
+    code, out, err = run(["decompose", "-e", expr, "--family", "k=2"])
+    assert code == 0, err
+    assert out.splitlines()[1:] == ["pieces:", "  maximal(S1,0,+): st(+,0,{sel(S1)(k)})"]
+    code, out, _ = run(["apply-ff", "-e", expr, "-f", "f{S1->T, S2->S2}", "--family", "k=2"])
+    assert code == 0
+    assert "result: st(+,0,{a(k)})" in out
+
+
+def test_decompose_mixed_pieces():
+    code, out, _ = run(
+        ["decompose", "-e", "[a0 b1] st(+,2,{sel(S1)(k)}) [c5]", "--family", "k=2"]
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "pieces:",
+        "  plain: [a0]",
+        "  maximal(S1,1,+): st(+,1,{sel(S1)(k)})",
+        "  plain: [c5]",
+    ]
+
+
 def test_apply_ff():
     code, out, _ = run(
         [
@@ -105,9 +129,11 @@ def test_parse_error_exit_code():
 
 
 def test_domain_error_exit_code():
-    code, _, err = run(["decompose", "-e", "[a0]"])  # missing --family
-    assert code == 1
-    assert "family" in err
+    for argv in (["decompose", "-e", "[a0]"], ["apply-ff", "-e", "[a0]", "-f", "f{S1->T}"]):
+        code, out, err = run(argv)  # missing --family
+        assert code == 1
+        assert out == ""
+        assert "family" in err and "Traceback" not in err
 
 
 def test_cap_exit_code(monkeypatch):

@@ -29,7 +29,8 @@ from transword.words import (
 )
 from transword.randwords import random_letter, random_word, shuffle_presentation
 
-from oracles import cut_points, members_below, split_word
+from corpus import family_word
+from oracles import apply_Ff_by_pieces, cut_points, members_below, split_word
 
 FAM2 = make_family(2)
 FAM8 = make_family(8)
@@ -83,6 +84,23 @@ def test_family_rejects_bad_members():
         SigmaFamily(("S1", "S2"), (PrefixCode("", "0"), PrefixCode("", "0")))
     with pytest.raises(ValueError):
         SigmaFamily(("S1",), (Finite((1, 2)),))
+    s1, s2 = FAM2.members
+    for names, members in (
+        (("S1", "S2"), (s1,)),  # unpaired
+        (("S1", "S1"), (s1, s2)),  # duplicate
+        (("S1", T), (s1, s2)),  # the non-member symbol
+    ):
+        with pytest.raises(ValueError):
+            SigmaFamily(names, members)
+    with pytest.raises(ValueError):
+        make_family(0)
+
+
+def test_family_lookups_reject_unknown_names():
+    for lookup in (FAM2.spec, FAM2.schema):
+        with pytest.raises(KeyError, match="S3"):
+            lookup("S3")
+    assert FAM2.schema(T) is u_word(T).segments[0].schema
 
 
 def test_u_word_letters():
@@ -96,6 +114,11 @@ def test_u_word_letters():
     wt = u_word(T, 3)
     assert proj_rank(wt, 16).letters == (Letter("a", 3), Letter("a", 4), Letter("a", 5))
     assert heg_equal(u_word("S1", 2, FAM2), split_word(u_word("S1", 0, FAM2), (0, 2))[1])
+    with pytest.raises(ValueError, match="family"):
+        u_word("S1")
+    for name, spec in FAM8.items():
+        for n in range(4):
+            assert u_word(spec, n) == u_word(name, n, FAM8)
 
 
 # -- decomposition --------------------------------------------------------------
@@ -173,6 +196,28 @@ def test_apply_Ff_examples():
 def test_apply_Ff_requires_total_map():
     with pytest.raises(ValueError):
         apply_Ff(u_word("S1", 0, FAM2), FAM2, {"S1": T})
+    with pytest.raises(ValueError, match="outside"):
+        apply_Ff(u_word("S1", 0, FAM2), FAM2, {"S1": "S3", "S2": "S2"})
+
+
+def test_apply_Ff_matches_piece_rewrite():
+    # apply_Ff maps the walk's tags straight to images; the oracle rewrites
+    # decompose's pieces, member words included
+    fam = make_family(10)
+    names = fam.names
+    maps = (
+        {n: n for n in names},
+        {n: names[(i + 1) % len(names)] for i, n in enumerate(names)},
+        {n: (T if i % 2 else n) for i, n in enumerate(names)},
+    )
+    samples = [family_word(random.Random(seed), fam) for seed in range(200)]
+    for name in names + (T,):
+        for n in range(4):
+            w = u_word(name, n, fam)
+            samples += [w, invert(w)]
+    for w in samples:
+        for f in maps:
+            assert apply_Ff(w, fam, f) == apply_Ff_by_pieces(w, fam, f)
 
 
 def test_psi_examples():
@@ -198,6 +243,8 @@ def test_psi_homomorphism_with_interior_splits():
 
 
 def test_separation_patterns():
+    with pytest.raises(ValueError, match="S3"):
+        separation_pattern(FAM2, {"S1", "S3"})
     assert separation_pattern(FAM2, {"S1"}) == (1, 0)
     assert separation_pattern(FAM2, set()) == (0, 0)
     assert separation_pattern(FAM2, {"S1", "S2"}) == (1, 1)
@@ -279,6 +326,28 @@ def test_separation_sweep_computes_once_per_schema(monkeypatch):
     for calls in bodies.values():
         assert len(calls) == len(set(calls)) <= len(fam) + 1
     assert sorted(built, key=fam.members.index) == list(fam.members)
+
+
+def test_separation_sweep_words_per_member_word(monkeypatch):
+    # apply_Ff maps each tag straight to its image, so the sweep builds two
+    # words per member word: the input and its image (building the member
+    # interval's word as well, three: 30 720)
+    from transword import sigma
+
+    real = sigma.u_word
+    built = 0
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(sigma, "u_word", counting)
+    fam = make_family(10)
+    for mask in range(1 << len(fam)):
+        chosen = {n for i, n in enumerate(fam.names) if mask >> i & 1}
+        separation_pattern(fam, chosen)
+    assert built <= 2 * len(fam) * 2 ** len(fam)
 
 
 def test_separation_sweep_passes_per_member_word(monkeypatch):
