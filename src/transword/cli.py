@@ -15,7 +15,6 @@ import json
 import sys
 
 from . import abelian, dsl, endo, hag, sigma, words
-from .randwords import default_rng
 
 
 def _family_arg(text: str):
@@ -184,9 +183,7 @@ def _run(args) -> dict:
         }
     if args.cmd == "embedding-check":
         s = dsl.parse_substitution(args.sub)
-        rep = endo.embedding_check(
-            s, args.nmax, args.lenmax, rng=default_rng()
-        )
+        rep = endo.embedding_check(s, args.nmax, args.lenmax)
         return {"substitution": args.sub, "report": rep.lines()}
     raise AssertionError(args.cmd)
 

@@ -1,29 +1,16 @@
 """Seeded random generators for fragment words, and presentation
 shufflers for the confluence tests.
 
-The default seed is DEFAULT_SEED; the TRANSWORD_SEED environment variable
-overrides it wherever `default_rng` is used (CLI demo modes, sampled
-checks).  Generated words stay small: a handful of segments, letter
-indices in single digits.
+Every generator takes the caller's `random.Random`.  Generated words stay
+small: a handful of segments, letter indices in single digits.
 """
 
 from __future__ import annotations
-
-import os
-import random
 
 from .freegroup import FreeWord, Letter
 from .schema import Entry, IndexFn, Schema, affine, unroll
 from .setspec import Finite, PrefixCode, SetSpec, make_evp
 from .words import FiniteBlock, SchematicWord, Stream, _split_head
-
-DEFAULT_SEED = 1729
-
-
-def default_rng(seed: int | None = None) -> random.Random:
-    if seed is None:
-        seed = int(os.environ.get("TRANSWORD_SEED", DEFAULT_SEED))
-    return random.Random(seed)
 
 
 def random_letter(rng, max_index=8, fams="abc") -> Letter:

@@ -18,7 +18,8 @@ with 0..3 seeded b/c letters on its head side (decompose and apply_Ff
 only); then separation_pattern for
 every subset of the family; last, the report lines of embedding_check
 for the doubling, tau and telescope maps and a collapsing map (a1 -> a0)
-at n_max 2..3 and len_max 3..5, each with a fixed retraction seed.
+at n_max 2..3 and len_max 3..5, each passed a seeded rng, which the
+exact retraction check leaves unused.
 
 A result that raises prints the exception's type and message instead.
 The script uses only long-standing names of the library, so one copy runs

@@ -7,7 +7,9 @@ The helpers at the bottom serve only the tests: the random-site rewrite
 order, cutting a word in two, `apply_Ff` as a rewrite of the pieces of
 `decompose`, set equality and indicator classification,
 truncated sequences, pairing-row words, reduced-word enumeration and
-random reduced schematic words.
+random reduced schematic words.  The embedding ladder's retraction
+identity is checked on sampled words, apart from the library's exact
+check on the projector's pieces.
 """
 
 from math import lcm
@@ -15,7 +17,14 @@ from math import lcm
 import transword.words
 from transword.abelian import IntSeq
 from transword.endo import InadmissibleError, cantor_row, projector
-from transword.freegroup import EMPTY, FreeWord, Letter, cancels, rank_letter_set
+from transword.freegroup import (
+    EMPTY,
+    FreeWord,
+    Letter,
+    a_letter_set,
+    cancels,
+    rank_letter_set,
+)
 from transword.hag import Germ, HagClass
 from transword.randwords import random_word
 from transword.schema import (
@@ -50,6 +59,8 @@ from transword.words import (
     from_free,
     invert,
     occurrences,
+    proj_rank,
+    project_finite,
     reduce,
 )
 
@@ -169,6 +180,26 @@ def injectivity_by_projection(s, levels, len_max: int):
             seen[key] = u
             checked += 1
     return True, checked, []
+
+
+def retraction_by_samples(s, n_max: int, samples: int, rng):
+    """The retraction identity of the embedding ladder on random words over
+    the a-letters: for n = 1..n_max, up to `samples` words are projected
+    by the projector to the letters below level m_{n-1} (the least m at
+    which the image of a_{n-1} projects nontrivially), once as drawn and
+    once after keeping only a_0 .. a_{n-1}.  Returns (n, first word on
+    which the two differ) for each n with such a word."""
+    failures = []
+    for n in range(1, n_max + 1):
+        image = s.image_of(n - 1)
+        level = next(m for m in range(1, 1000) if proj_rank(image, m))
+        project = projector(s, rank_letter_set(level))
+        for _ in range(samples):
+            w = random_word(rng, pure_a=True)
+            if project(w) != project(from_free(project_finite(w, a_letter_set(n)))):
+                failures.append((n, w))
+                break
+    return failures
 
 
 def alignment_by_search(su: Schema, sv: Schema) -> tuple[int, int] | None:

@@ -112,6 +112,7 @@ def test_embedding_check_cli():
     code, out, _ = run(["embedding-check", "-s", "doubling", "--nmax", "2", "--lenmax", "3"])
     assert code == 0
     assert "verdict: PASS" in out
+    assert "retraction identity (all words): yes" in out
 
 
 def test_embedding_check_cli_rejects_malformed_input():

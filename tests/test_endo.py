@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -22,22 +23,28 @@ from transword.endo import (
     telescope_map,
     telescope_product,
 )
-from transword.freegroup import FreeWord, Letter, rank_letter_set
+from transword.freegroup import FreeWord, Letter, a_letter_set, rank_letter_set
 from transword.hag import EMPTY_CLASS, hag_normal
 from transword.schema import affine
 from transword.sigma import T, make_family, u_word
 from transword.words import (
     block,
     concat,
+    from_free,
     heg_equal,
     invert,
     proj_rank,
     project_finite,
 )
-from transword import endo, words
+from transword import endo, randwords, words
 from transword.randwords import random_word
 
-from oracles import admissible_by_scan, injectivity_by_projection, row_product_word
+from oracles import (
+    admissible_by_scan,
+    injectivity_by_projection,
+    retraction_by_samples,
+    row_product_word,
+)
 
 
 def test_cantor_pairing():
@@ -355,3 +362,81 @@ def test_embedding_check_matches_projection_oracle():
 def test_embedding_check_rejects_malformed_input(n_max, len_max, samples):
     with pytest.raises(ValueError, match="embedding_check needs n_max >= 1"):
         embedding_check(doubling_map(), n_max, len_max, samples)
+
+
+def _random_affine_map(rng):
+    # a tail rule of one or two affine letters and one to three exceptional
+    # images, mostly over the a-letters, some with streams
+    pattern = tuple(
+        ("a", rng.randrange(1, 4), rng.randrange(4), rng.choice((1, -1)))
+        for _ in range(rng.randrange(1, 3))
+    )
+    exceptional = tuple(
+        (n, random_word(rng, max_segments=2, max_index=6, pure_a=rng.random() < 0.7))
+        for n in rng.sample(range(6), rng.randrange(1, 4))
+    )
+    return SubstitutionMap(AffineRule(pattern), exceptional)
+
+
+def _ladder_maps():
+    named = [doubling_map(), tau_map(), telescope_map(), identity_map(), _collapse_map()]
+    rng = random.Random(14)
+    return named + [_random_affine_map(rng) for _ in range(60)]
+
+
+def _retraction_failures(rep):
+    """(n, j) for each 'retraction identity fails at n on aj' line."""
+    return [
+        tuple(map(int, m.groups()))
+        for f in rep.failures
+        if (m := re.fullmatch(r"retraction identity fails at n=(\d+) on a(\d+)", f))
+    ]
+
+
+def test_retraction_check_matches_samples():
+    n_max = 3
+    outcomes = set()
+    for i, s in enumerate(_ladder_maps()):
+        rep = embedding_check(s, n_max, 1)
+        if len(rep.levels) < n_max + 1:
+            continue  # stopped before the retraction identity
+        exact = _retraction_failures(rep)
+        assert rep.retraction_ok == (not exact)
+        assert [n for n, _ in exact] == sorted({n for n, _ in exact})
+        sampled = retraction_by_samples(s, n_max, 25, random.Random(i))
+        outcomes.add((rep.retraction_ok, bool(sampled)))
+        if rep.retraction_ok:
+            assert sampled == []
+        # a sampled failure at n is an exact failure at n
+        assert {n for n, _ in sampled} <= {n for n, _ in exact}
+        for n, j in exact:
+            # the witness fails the identity as a one-letter word
+            project = projector(s, rank_letter_set(rep.levels[n - 1]))
+            w = block(Letter("a", j))
+            assert j >= n
+            assert project(w) != project(from_free(project_finite(w, a_letter_set(n))))
+    assert outcomes == {(True, False), (False, True)}
+
+
+def test_collapse_retraction_witness():
+    rep = embedding_check(_collapse_map(), 3, 3)
+    assert not rep.retraction_ok
+    assert _retraction_failures(rep) == [(1, 1)]
+    assert "retraction identity fails at n=1 on a1" in rep.failures
+    assert "retraction identity (all words): NO" in rep.lines()
+
+
+def test_embedding_check_draws_no_words(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedding_check drew a random word")
+
+    monkeypatch.setattr(randwords, "random_word", refuse)
+    for s in _ladder_maps()[:5]:
+        for rng in (None, random.Random(4)):
+            embedding_check(s, 3, 3, rng=rng)
+
+
+def test_check_admissible_matches_letter_scan_on_ladder_maps():
+    for s in _ladder_maps():
+        for bound in (3, 9, 20):
+            assert check_admissible(s, bound) == admissible_by_scan(s, bound)
