@@ -3,7 +3,8 @@
 A substitution is admissible when every concrete letter appears in only
 finitely many images; `support_query` answers which source indices use a
 letter, and `check_admissible` audits it against direct enumeration
-(one pass over each image collects the letters it uses).
+(one pass over each image collects the letters it uses: the tail rule's
+letter tuple, or an exceptional image's kept letters).
 `apply_endo` materializes the image of a word (streams map to streams by
 composing the tail pattern with each entry's index function);
 `projector(s, letters)` computes the projection of the image to a finite
@@ -22,12 +23,25 @@ every word exactly when the piece of every a_j with j >= n in S is
 trivial.  The one-letter word a_j shows the "only if" direction, and
 deleting letters that h kills does not change an image, which gives the
 "if" direction.  The check is one scan of the table, and a failure names
-the least such a_j.  The injectivity sweep hands the same table to
-`freegroup.enumerate_images`, which extends each word's projected image
-from its prefix's instead of projecting every word afresh.  The sweep
-keys its table of seen images on letter tuples, which hash in C since
-letters are interned, and builds a `FreeWord` only to report a
-collision.
+the least such a_j.
+
+Injectivity reads the same table.  On words over a_0 .. a_{n-1} the
+projector is the homomorphism F_n -> F sending a_i to its piece g_i, and
+such a homomorphism is injective exactly when g_0 .. g_{n-1} freely
+generate a free subgroup of rank n: its image is generated by the g_i,
+and a free group of rank n that n elements generate has them as a basis,
+free groups being Hopfian.  `freegroup.is_free_basis` decides this by
+Stallings folding: folding the bouquet of the g_i keeps the subgroup, and
+the folded graph's rank |E| - |V| + 1 is the subgroup's.  When it holds,
+no two words collide at any length, and `words_checked` counts the
+reduced words up to len_max that the verdict covers
+(`freegroup.reduced_word_count`).  When it fails, a collision exists at
+some length, and the sweep runs only to name the first one within
+len_max: it hands the table to `freegroup.enumerate_images`, which
+extends each word's projected image from its prefix's, keys its table of
+seen images on letter tuples, and builds a `FreeWord` only to report a
+collision.  A sweep that finds none leaves the verdict "yes" for the
+words it walked.
 
 `telescope_product` builds the stream a_{k(0)} a_{k(1)}^-1 a_{k(1)} ...
 whose every finite projection collapses to its first letter; enumerations
@@ -47,8 +61,10 @@ from .freegroup import (
     FreeWord,
     Letter,
     enumerate_images,
+    is_free_basis,
     rank_letter_set,
     reduce_free,
+    reduced_word_count,
 )
 from .hag import min_rank_of
 from .schema import Entry, IndexFn, Schema
@@ -222,13 +238,28 @@ def tau_map() -> SubstitutionMap:
 
 def check_admissible(s: SubstitutionMap, bound: int) -> bool:
     """Verify support_query against direct enumeration for every letter of
-    rank < bound; False also when some support is infinite."""
+    rank < bound; False also when some support is infinite.  An image the
+    tail rule gives is a letter tuple, read directly; only exceptional
+    images, which may hold streams, go through `kept_letters`."""
     horizon = 3 * bound + 64
     letters = rank_letter_set(bound)
     actual: dict[tuple[str, int], set[int]] = {key: set() for key in letters}
+    # both signs of each audited letter -> its set in `actual`
+    hits = {
+        Letter(fam, index, sign): actual[fam, index]
+        for fam, index in letters
+        for sign in (1, -1)
+    }
+    table = s._table
     for n in range(horizon):
-        for l in kept_letters(s.image_of(n), letters):
-            actual[l.fam, l.index].add(n)
+        if n in table:
+            used = kept_letters(table[n], letters)
+        else:
+            used = s.rule.image(n).letters
+        for l in used:
+            hit = hits.get(l)
+            if hit is not None:
+                hit.add(n)
     for fam, index in sorted(letters):
         try:
             claimed = s.support_query(fam, index)
@@ -364,8 +395,8 @@ def embedding_check(
     """Verify the embedding ladder for a substitution: strictly increasing
     image ranks, least nonvanishing projection levels m_n, images of later
     letters above earlier levels, the retraction identity on all words,
-    and exhaustive injectivity of the level-(m_{n-1}) projection of the
-    image on reduced words of the first n letters.
+    and injectivity of the level-(m_{n-1}) projection of the image on
+    reduced words of the first n letters.
 
     The level-(m_{n-1}) projector is w -> h(p_S(w)): p_S keeps its source
     letters S and h sends a_j to its piece.  The retraction identity
@@ -373,6 +404,16 @@ def embedding_check(
     homomorphisms, so it holds for every word exactly when the piece of
     each a_j in S with j >= n is trivial (a_j itself is the witness when
     it is not); it is decided by one scan of the projector's table.
+
+    On words over a_0 .. a_{n-1} the projector is the homomorphism
+    a_i -> g_i (the pieces), injective exactly when the g_i are a free
+    basis of a rank-n subgroup (free groups are Hopfian), which
+    `is_free_basis` decides by Stallings folding.  Then no collision exists
+    at any length and `words_checked` grows by the number of reduced words
+    of length <= len_max, the words the verdict covers.  Otherwise a
+    collision exists, and the reduced words are walked in order only to
+    name the first one within len_max, counting the words walked before
+    it; if there is none within len_max, the verdict stays "yes".
     `samples` and `rng` are accepted and unused: no word is drawn.
     ValueError for n_max < 1, len_max < 0 or samples < 0, which would
     check nothing."""
@@ -433,10 +474,16 @@ def embedding_check(
     rep.injective = True
     for n in range(1, n_max + 1):
         pieces = projectors[n - 1].pieces
+        gens = [pieces[i][0] if i in pieces else () for i in range(n)]
+        if is_free_basis(gens):
+            # injective on all of F_n: no collision at any length
+            rep.words_checked += reduced_word_count(n, len_max)
+            continue
+        # some collision exists; the sweep names the first within len_max
         # projected image -> first word with it, both letter tuples
         seen: dict[tuple[Letter, ...], tuple[Letter, ...]] = {}
         alphabet = [Letter("a", i) for i in range(n)]
-        image = {l: pieces[l.index][0] if l.index in pieces else () for l in alphabet}
+        image = dict(zip(alphabet, gens))
         for u, key in enumerate_images(alphabet, len_max, image):
             first = seen.setdefault(key, u)  # one hash of the image per word
             if first is not u:

@@ -10,6 +10,13 @@ free-embedding machinery: `split_for_adjunction` writes a word
 as w0 w1 w2 w1^-1 w3 with w0/w3 over a designated generator subset Y and
 w2 cyclically reduced, and `adjunction_free_oracle` brute-forces
 injectivity of the substitution t -> w, y -> y on bounded-length words.
+`is_free_basis` decides exactly whether letter tuples freely generate a
+free subgroup of rank their number, by Stallings folding (Stallings 1983;
+Kapovich & Myasnikov 2002): the bouquet of one loop per tuple is folded
+with union-find to a fixpoint, and its rank |E| - |V| + 1 is compared
+with the number of tuples.  So whether a homomorphism of free groups,
+given by the images of a basis, is injective is decided without walking
+a word; `reduced_word_count` counts the words such a verdict covers.
 Injectivity sweeps run over `enumerate_images`, which walks the reduced
 words over a signed alphabet, ordered by length and then by the sorted
 signed alphabet, with the reduced image of each under a letterwise
@@ -260,6 +267,65 @@ def enumerate_images(
                 new_frontier.append((ext, ext_img, i))
                 yield ext, ext_img
         frontier = new_frontier
+
+
+def reduced_word_count(n: int, maxlen: int) -> int:
+    """Number of reduced words of length <= maxlen over n letters and their
+    inverses: 1 of length 0 and 2n(2n-1)^(L-1) of each length L >= 1."""
+    return sum(2 * n * (2 * n - 1) ** (L - 1) if L else 1 for L in range(maxlen + 1))
+
+
+def is_free_basis(gens: Sequence[Sequence[Letter]]) -> bool:
+    """Whether the reduced letter tuples `gens` freely generate a free
+    subgroup of rank len(gens), by Stallings folding: the bouquet of one
+    loop per generator is folded to a fixpoint (two edges with one label
+    leaving, or entering, one vertex are merged) and the folded graph's
+    rank |E| - |V| + 1 is compared with len(gens).  Folding keeps the
+    subgroup read off the base vertex, and a folded graph's rank is that
+    subgroup's rank; n elements generating a free group of rank n are a
+    basis of it, free groups being Hopfian.  An empty generator gives
+    False.  Time is about linear in the total generator length."""
+    if not all(gens):
+        return False
+    # the bouquet: vertex 0 is the base, each loop adds len(g) - 1 vertices;
+    # an edge is (tail, positive letter, head)
+    edges: list[tuple[int, Letter, int]] = []
+    size = 1
+    for g in gens:
+        tail = 0
+        for k, l in enumerate(g):
+            if k == len(g) - 1:
+                head = 0
+            else:
+                head, size = size, size + 1
+            edges.append((tail, l, head) if l.sign > 0 else (head, l.inverse, tail))
+            tail = head
+    parent = list(range(size))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    # merge the ends of equally labelled edges at one vertex; an entry made
+    # before a merge may name a vertex that is no longer a root, so the
+    # pass reruns over the edge list until a whole pass merges nothing
+    folded = False
+    while not folded:
+        folded = True
+        out: dict[tuple[int, Letter], int] = {}
+        into: dict[tuple[int, Letter], int] = {}
+        for tail, l, head in edges:
+            for table, here, there in ((out, tail, head), (into, head, tail)):
+                here, there = find(here), find(there)
+                other = find(table.setdefault((here, l), there))
+                if other != there:
+                    parent[other] = there
+                    folded = False
+    vertices = {find(v) for v in range(size)}
+    arcs = {(find(tail), l, find(head)) for tail, l, head in edges}
+    return len(arcs) - len(vertices) + 1 == len(gens)
 
 
 def adjunction_free_oracle(w: FreeWord, Y, maxlen: int) -> bool:

@@ -234,11 +234,11 @@ _SCHEMAS: dict[tuple[Entry, ...], Schema] = {}
 class Schema:
     """A nonempty tuple of entries, interned: `Schema(entries)` returns the
     one object built for an equal entries tuple, so equal schemas are
-    identical and `==` is `is`.  The hash, `fold`, validity and `tail_key`
-    are computed on first use and kept in the object's slots, once per
-    distinct schema."""
+    identical and `==` is `is`.  `width`, the number of entries, is set
+    with them; the hash, `fold`, validity and `tail_key` are computed on
+    first use and kept in the object's slots, once per distinct schema."""
 
-    __slots__ = ("entries", "_hash", "_folded", "_valid", "_key")
+    __slots__ = ("entries", "width", "_hash", "_folded", "_valid", "_key")
 
     def __new__(cls, entries: tuple[Entry, ...]):
         entries = tuple(entries)
@@ -248,6 +248,7 @@ class Schema:
                 raise ValueError("schema needs at least one entry")
             self = object.__new__(cls)
             object.__setattr__(self, "entries", entries)
+            object.__setattr__(self, "width", len(entries))
             for slot in ("_hash", "_folded", "_valid", "_key"):
                 object.__setattr__(self, slot, None)
             self = _SCHEMAS.setdefault(entries, self)
@@ -272,10 +273,6 @@ class Schema:
 
     def __repr__(self) -> str:
         return f"Schema(entries={self.entries!r})"
-
-    @property
-    def width(self) -> int:
-        return len(self.entries)
 
     @property
     def tail_key(self) -> tuple:

@@ -19,7 +19,9 @@ only); then separation_pattern for
 every subset of the family; last, the report lines of embedding_check
 for the doubling, tau and telescope maps and a collapsing map (a1 -> a0)
 at n_max 2..3 and len_max 3..5, each passed a seeded rng, which the
-exact retraction check leaves unused.
+exact retraction check leaves unused, and for 60 seeded random affine
+maps with exceptional images (`random_affine_maps`) at n_max 1..3 and
+len_max 0..5.
 
 A result that raises prints the exception's type and message instead.
 The script uses only long-standing names of the library, so one copy runs
@@ -76,6 +78,25 @@ EMBEDDING_MAPS = (
     ("telescope", telescope_map),
     ("collapse", collapse_map),
 )
+
+
+def random_affine_maps():
+    """60 seeded maps, each a tail rule of one or two affine letters and
+    one to three exceptional images, mostly over the a-letters, some with
+    streams."""
+    rng = random.Random(14)
+    maps = []
+    for _ in range(60):
+        pattern = tuple(
+            ("a", rng.randrange(1, 4), rng.randrange(4), rng.choice((1, -1)))
+            for _ in range(rng.randrange(1, 3))
+        )
+        exceptional = tuple(
+            (n, random_word(rng, max_segments=2, max_index=6, pure_a=rng.random() < 0.7))
+            for n in rng.sample(range(6), rng.randrange(1, 4))
+        )
+        maps.append(SubstitutionMap(AffineRule(pattern), exceptional))
+    return maps
 
 
 def _show(fn) -> str:
@@ -181,6 +202,10 @@ def corpus(seeds):
                 lambda: " | ".join(embedding_check(make(), n_max, len_max, rng=rng).lines())
             )
             yield f"embedding {name} {n_max} {len_max} {lines}"
+    for i, s in enumerate(random_affine_maps()):
+        for n_max, len_max in itertools.product((1, 2, 3), range(6)):
+            lines = _show(lambda: " | ".join(embedding_check(s, n_max, len_max).lines()))
+            yield f"embedding random{i} {n_max} {len_max} {lines}"
 
 
 def main(argv=None) -> int:

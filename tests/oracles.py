@@ -5,13 +5,15 @@ cancellation, brute-force letter enumeration over a horizon) so that the
 production code paths are checked against something computed differently.
 The helpers at the bottom serve only the tests: the random-site rewrite
 order, cutting a word in two, `apply_Ff` as a rewrite of the pieces of
-`decompose`, set equality and indicator classification,
-truncated sequences, pairing-row words, reduced-word enumeration and
-random reduced schematic words.  The embedding ladder's retraction
+`decompose`, set equality and indicator classification, truncated
+sequences, pairing-row words, reduced-word enumeration, a free-basis
+test by Nielsen reduction (apart from the library's Stallings folding)
+and random reduced schematic words.  The embedding ladder's retraction
 identity is checked on sampled words, apart from the library's exact
 check on the projector's pieces.
 """
 
+import itertools
 from math import lcm
 
 import transword.words
@@ -407,6 +409,52 @@ def enumerate_reduced(alphabet: list[Letter], maxlen: int):
                 new_frontier.append(ext)
                 yield FreeWord(ext)
         frontier = new_frontier
+
+
+def _major_half(w: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    return w[: (len(w) + 1) // 2]
+
+
+def _nielsen_order(w: tuple[Letter, ...]):
+    """The order of Lyndon & Schupp (Combinatorial Group Theory, I.2) on
+    the pairs {w, w^-1} of reduced words: by length, then by the lesser
+    and then the greater of the major initial halves of w and w^-1,
+    lexicographically.  Each length holds finitely many pairs, so the
+    order is a well-order."""
+    inverse = tuple(l.inverse for l in reversed(w))
+    low, high = sorted((_major_half(w), _major_half(inverse)))
+    return len(w), low, high
+
+
+def _nielsen_move(gens: list[tuple[Letter, ...]]) -> bool:
+    """Replace one g_i by a product g_i^e g_j^d (j != i, e, d = +-1) that is
+    below it in `_nielsen_order`; False when there is none."""
+    signed = [(g, tuple(l.inverse for l in reversed(g))) for g in gens]
+    for i, j in itertools.permutations(range(len(gens)), 2):
+        for gi, gj in itertools.product(signed[i], signed[j]):
+            product = scan_reduce(FreeWord(gi + gj)).letters
+            if _nielsen_order(product) < _nielsen_order(gens[i]):
+                gens[i] = product
+                return True
+    return False
+
+
+def nielsen_free_basis(gens) -> bool:
+    """Whether the words `gens` freely generate a free subgroup of rank
+    len(gens), by Nielsen reduction: apply `_nielsen_move` until no
+    generator is trivial or no move is left.  Each move keeps the subgroup
+    and the number of generators.  A set with no move left satisfies
+    Nielsen's conditions N1 and N2, since a violation of either gives a
+    move (the proof of Lyndon & Schupp, Prop. I.2.2), so with no trivial
+    generator it is a free basis (Prop. I.2.5).  A trivial generator
+    leaves len(gens) - 1 generators of the subgroup, whose rank is then
+    below len(gens).  Moves strictly descend a well-order, so the loop
+    ends."""
+    gens = [scan_reduce(FreeWord(tuple(g))).letters for g in gens]
+    while all(gens):
+        if not _nielsen_move(gens):
+            return True
+    return False
 
 
 def random_reduced_word(rng, **kw) -> SchematicWord:

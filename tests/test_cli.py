@@ -3,6 +3,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 from transword.cli import main
+from transword.freegroup import reduced_word_count
 
 
 def run(argv):
@@ -113,6 +114,15 @@ def test_embedding_check_cli():
     assert code == 0
     assert "verdict: PASS" in out
     assert "retraction identity (all words): yes" in out
+
+
+def test_embedding_check_cli_long_words():
+    # the pieces are free bases, so the verdict covers every word unwalked
+    code, out, _ = run(["embedding-check", "-s", "doubling", "--nmax", "3", "--lenmax", "10"])
+    words = sum(reduced_word_count(n, 10) for n in (1, 2, 3))
+    assert code == 0
+    assert "verdict: PASS" in out
+    assert f"injectivity ({words} reduced words): yes" in out
 
 
 def test_embedding_check_cli_rejects_malformed_input():

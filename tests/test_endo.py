@@ -23,7 +23,13 @@ from transword.endo import (
     telescope_map,
     telescope_product,
 )
-from transword.freegroup import FreeWord, Letter, a_letter_set, rank_letter_set
+from transword.freegroup import (
+    FreeWord,
+    Letter,
+    a_letter_set,
+    rank_letter_set,
+    reduced_word_count,
+)
 from transword.hag import EMPTY_CLASS, hag_normal
 from transword.schema import affine
 from transword.sigma import T, make_family, u_word
@@ -39,6 +45,7 @@ from transword.words import (
 from transword import endo, randwords, words
 from transword.randwords import random_word
 
+from corpus import random_affine_maps
 from oracles import (
     admissible_by_scan,
     injectivity_by_projection,
@@ -356,6 +363,27 @@ def test_embedding_check_matches_projection_oracle():
     assert failures == ["collision at level m_1=1: [a0^-1] and [a1^-1]"]
 
 
+def test_embedding_check_free_levels_walk_no_words(monkeypatch):
+    # each level's pieces are a free basis, so the verdict covers every
+    # word up to len_max without walking one
+    def refuse(*args):
+        raise AssertionError("embedding_check walked the words")
+
+    monkeypatch.setattr(endo, "enumerate_images", refuse)
+    words = sum(reduced_word_count(n, 8) for n in (1, 2, 3))
+    assert words == 599_075
+    for s in (doubling_map(), tau_map(), telescope_map()):
+        rep = embedding_check(s, 3, 8)
+        assert rep.ok and rep.injective and rep.words_checked == words
+    # pieces that are no basis still go to the sweep for a witness
+    with pytest.raises(AssertionError, match="walked"):
+        embedding_check(_collapse_map(), 2, 3)
+    monkeypatch.undo()
+    rep = embedding_check(_collapse_map(), 2, 3)
+    assert rep.words_checked == 10
+    assert rep.failures[-1] == "collision at level m_1=1: [a0^-1] and [a1^-1]"
+
+
 @pytest.mark.parametrize(
     "n_max, len_max, samples", [(0, 3, 25), (-1, 3, 25), (2, -1, 25), (2, 3, -1)]
 )
@@ -364,24 +392,9 @@ def test_embedding_check_rejects_malformed_input(n_max, len_max, samples):
         embedding_check(doubling_map(), n_max, len_max, samples)
 
 
-def _random_affine_map(rng):
-    # a tail rule of one or two affine letters and one to three exceptional
-    # images, mostly over the a-letters, some with streams
-    pattern = tuple(
-        ("a", rng.randrange(1, 4), rng.randrange(4), rng.choice((1, -1)))
-        for _ in range(rng.randrange(1, 3))
-    )
-    exceptional = tuple(
-        (n, random_word(rng, max_segments=2, max_index=6, pure_a=rng.random() < 0.7))
-        for n in rng.sample(range(6), rng.randrange(1, 4))
-    )
-    return SubstitutionMap(AffineRule(pattern), exceptional)
-
-
 def _ladder_maps():
     named = [doubling_map(), tau_map(), telescope_map(), identity_map(), _collapse_map()]
-    rng = random.Random(14)
-    return named + [_random_affine_map(rng) for _ in range(60)]
+    return named + random_affine_maps()
 
 
 def _retraction_failures(rep):

@@ -5,7 +5,7 @@ import random
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from transword.freegroup import (
     EMPTY,
@@ -15,14 +15,16 @@ from transword.freegroup import (
     cancels,
     cyclic_reduce,
     enumerate_images,
+    is_free_basis,
     is_reduced_free,
     reduce_free,
+    reduced_word_count,
     split_for_adjunction,
     word,
 )
 from transword.dsl import parse_word
 from transword.randwords import random_letter
-from oracles import enumerate_reduced, scan_reduce
+from oracles import enumerate_reduced, nielsen_free_basis, scan_reduce
 
 
 def L(fam, i, s=1):
@@ -264,3 +266,84 @@ def test_enumerate_images_matches_substitution(sub, maxlen):
     pairs = list(enumerate_images(alphabet, maxlen, image))
     assert [u for u, _ in pairs] == [w.letters for w in enumerate_reduced(alphabet, maxlen)]
     assert all(img == substituted(u) for u, img in pairs)
+
+
+def test_reduced_word_count_matches_enumeration():
+    for n in range(4):
+        alphabet = [L("a", i) for i in range(n)]
+        for maxlen in range(6):
+            image = {l: (l,) for l in alphabet}
+            walked = sum(1 for _ in enumerate_images(alphabet, maxlen, image))
+            assert reduced_word_count(n, maxlen) == walked
+
+
+def _gens(*words):
+    """Generators written as lists of (index, sign) over the a-letters."""
+    return [tuple(L("a", i, s) for i, s in w) for w in words]
+
+
+@pytest.mark.parametrize(
+    "gens, free",
+    [
+        (_gens(), True),
+        (_gens([]), False),
+        (_gens([(0, 1)], [(0, 1)]), False),
+        (_gens([(0, 1), (1, 1)], [(1, 1), (0, 1)]), True),
+        (_gens([(0, 1), (1, 1), (0, -1)], [(0, 1), (1, -1), (0, -1)]), False),
+        # the ladder's pieces: doubling, tau and telescope at n = 3
+        (_gens([(0, 1), (1, 1)], [(2, 1), (3, 1)], [(4, 1)]), True),
+        (_gens([(0, 1), (2, -1)], [(1, 1)], [(2, 1)]), True),
+        (_gens([(0, 1), (1, -1)], [(1, 1), (2, -1)], [(2, 1)]), True),
+        # generator order does not matter
+        (_gens([(1, 1)], [(0, 1), (1, -1)]), True),
+        (_gens([(0, 1), (1, -1)], [(1, 1)]), True),
+        # a relation g0 g1 g2 = 1 among words no product of two shortens
+        (_gens([(0, 1), (1, 1)], [(1, -1), (2, 1)], [(2, -1), (0, -1)]), False),
+    ],
+)
+def test_is_free_basis_examples(gens, free):
+    assert is_free_basis(gens) == free
+    assert nielsen_free_basis(gens) == free
+
+
+_A4 = [L("a", i, s) for i in range(4) for s in (1, -1)]
+reduced_st = st.lists(st.sampled_from(_A4), max_size=5).map(
+    lambda ls: reduce_free(FreeWord(tuple(ls))).letters
+)
+gens_st = st.lists(reduced_st, min_size=1, max_size=4)
+
+
+def _inverse(g):
+    return tuple(l.inverse for l in reversed(g))
+
+
+@given(gens_st, st.randoms(use_true_random=False))
+def test_is_free_basis_matches_nielsen(gens, rng):
+    free = is_free_basis(gens)
+    assert free == nielsen_free_basis(gens)
+    # the verdict is one of the subgroup and the number of generators
+    shuffled = rng.sample(gens, len(gens))
+    assert is_free_basis(shuffled) == free
+    i = rng.randrange(len(gens))
+    assert is_free_basis(gens[:i] + [_inverse(gens[i])] + gens[i + 1 :]) == free
+    if len(gens) > 1:
+        j = rng.choice([j for j in range(len(gens)) if j != i])
+        moved = reduce_free(FreeWord(gens[i] + gens[j])).letters
+        assert is_free_basis(gens[:i] + [moved] + gens[i + 1 :]) == free
+
+
+@given(gens_st)
+def test_free_basis_has_no_collision(gens):
+    # a free basis maps distinct words to distinct images
+    assume(is_free_basis(gens))
+    alphabet = [L("c", i) for i in range(len(gens))]
+    images = [img for _, img in enumerate_images(alphabet, 3, dict(zip(alphabet, gens)))]
+    assert len(set(images)) == len(images)
+
+
+@given(reduced_st, st.sets(st.integers(0, 3), max_size=3))
+def test_free_basis_agrees_with_adjunction_oracle(w, ys):
+    Y = {("a", y) for y in ys}
+    assume(any((l.fam, l.index) not in Y for l in w))
+    if is_free_basis([w] + [(L("a", y),) for y in sorted(ys)]):
+        assert adjunction_free_oracle(FreeWord(w), Y, 4)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -376,4 +377,7 @@ def test_schema_copy_and_pickle():
     assert all(a.schema is b.schema for a, b in zip(again.segments[1:], w.segments[1:]))
     s = w.segments[1].schema
     assert copy.copy(s) is s and copy.deepcopy(s) is s
+    assert s.width == len(s.entries) == 2
+    with pytest.raises(FrozenInstanceError):
+        s.width = 3
     assert copy.deepcopy(w) == w
