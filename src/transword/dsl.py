@@ -15,7 +15,6 @@ position.  `render_*` emit text that re-parses to an equal value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .freegroup import FreeWord, Letter
 from .schema import Entry, IndexFn, Schema
@@ -37,6 +36,7 @@ _TOKEN = re.compile(
     r"""\s*(?:
         (?P<string>"[01]*")
       | (?P<number>\d+)
+      | (?P<letter>[abc][0-9]+(?![A-Za-z_0-9]))
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<arrow>->)
       | (?P<sym>[\[\](){},:+\-^/*])
@@ -46,21 +46,19 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    pos: int
+# tokens are (kind, text, pos) tuples; a letter such as `b3` is a whole
+# identifier, and a member or set name may look like one
+_NAMES = ("ident", "letter")
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
             raise ParseError(f"unexpected character {m[kind]!r}", text, m.start(kind))
-        toks.append(_Tok(kind, m[kind], m.start(kind)))
-    toks.append(_Tok("eof", "", len(text)))
+        toks.append((kind, m[kind], m.start(kind)))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -71,33 +69,33 @@ class _Parser:
         self.i = 0
         self.env = env or {}
 
-    def peek(self) -> _Tok:
+    def peek(self) -> tuple[str, str, int]:
         return self.toks[self.i]
 
-    def next(self) -> _Tok:
+    def next(self) -> tuple[str, str, int]:
         t = self.toks[self.i]
         self.i += 1
         return t
 
     def fail(self, msg: str):
-        raise ParseError(msg, self.text, self.peek().pos)
+        raise ParseError(msg, self.text, self.peek()[2])
 
-    def expect(self, text: str) -> _Tok:
+    def expect(self, text: str) -> tuple[str, str, int]:
         t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", self.text, t.pos)
+        if t[1] != text:
+            raise ParseError(f"expected {text!r}, found {t[1]!r}", self.text, t[2])
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.peek()[1] == text
 
     # -- atoms ------------------------------------------------------------
 
     def number(self) -> int:
-        t = self.next()
-        if t.kind != "number":
-            raise ParseError("expected a number", self.text, t.pos)
-        return int(t.text)
+        kind, text, pos = self.next()
+        if kind != "number":
+            raise ParseError("expected a number", self.text, pos)
+        return int(text)
 
     def sign_suffix(self) -> int:
         if self.at("^"):
@@ -114,11 +112,10 @@ class _Parser:
         return 1
 
     def letter(self) -> Letter:
-        t = self.next()
-        m = re.fullmatch(r"([abc])(\d+)", t.text)
-        if t.kind != "ident" or m is None:
-            raise ParseError(f"expected a letter, found {t.text!r}", self.text, t.pos)
-        return Letter(m.group(1), int(m.group(2)), self.sign_suffix())
+        kind, text, pos = self.next()
+        if kind != "letter":
+            raise ParseError(f"expected a letter, found {text!r}", self.text, pos)
+        return Letter(text[0], int(text[1:]), self.sign_suffix())
 
     def poly(self, var: str) -> tuple[int, int, int, int]:
         """(a2, a1, a0, div) of a polynomial in `var`, deg <= 2."""
@@ -141,11 +138,11 @@ class _Parser:
         sign = 1
         first = True
         while True:
-            t = self.peek()
-            if t.text == "-":
+            t = self.peek()[1]
+            if t == "-":
                 self.next()
                 sign = -1
-            elif t.text == "+":
+            elif t == "+":
                 self.next()
                 sign = 1
             elif not first:
@@ -153,10 +150,10 @@ class _Parser:
             first = False
             coef = 1
             got_coef = False
-            if self.peek().kind == "number":
+            if self.peek()[0] == "number":
                 coef = self.number()
                 got_coef = True
-            if self.peek().kind == "ident" and self.peek().text == var:
+            if self.peek()[:2] == ("ident", var):
                 self.next()
                 if self.at("^"):
                     self.next()
@@ -170,7 +167,7 @@ class _Parser:
             else:
                 self.fail(f"expected a {var}-term or number")
             sign = 1
-            if self.peek().text not in ("+", "-"):
+            if self.peek()[1] not in ("+", "-"):
                 break
         return a2, a1, a0
 
@@ -185,8 +182,8 @@ class _Parser:
     # -- set specs ---------------------------------------------------------
 
     def setspec(self) -> SetSpec:
-        t = self.peek()
-        if t.text == "fin":
+        kind, text, _ = self.peek()
+        if text == "fin":
             self.next()
             self.expect("{")
             elems = []
@@ -197,39 +194,39 @@ class _Parser:
                     elems.append(self.number())
             self.expect("}")
             return Finite(elems)
-        if t.text in ("eper", "pcode"):
-            kind = self.next().text
+        if text in ("eper", "pcode"):
+            kind = self.next()[1]
             self.expect("(")
             s1 = self._bitstring()
             self.expect(",")
             s2 = self._bitstring()
             self.expect(")")
             return make_evp(s1, s2) if kind == "eper" else PrefixCode(s1, s2)
-        if t.kind == "ident" and t.text in self.env:
+        if kind in _NAMES and text in self.env:
             self.next()
-            return self.env[t.text]
-        self.fail(f"expected a set spec, found {t.text!r}")
+            return self.env[text]
+        self.fail(f"expected a set spec, found {text!r}")
         raise AssertionError
 
     def _bitstring(self) -> str:
-        t = self.next()
-        if t.kind != "string":
-            raise ParseError("expected a quoted bit string", self.text, t.pos)
-        return t.text[1:-1]
+        kind, text, pos = self.next()
+        if kind != "string":
+            raise ParseError("expected a quoted bit string", self.text, pos)
+        return text[1:-1]
 
     # -- words -------------------------------------------------------------
 
     def entry(self) -> Entry:
-        t = self.peek()
-        if t.text == "sel":
+        kind, text, _ = self.peek()
+        if text == "sel":
             self.next()
             self.expect("(")
             fam: str | SetSpec = self.setspec()
             self.expect(")")
-        elif t.kind == "ident" and t.text in ("a", "b", "c"):
-            fam = self.next().text
+        elif kind == "ident" and text in ("a", "b", "c"):
+            fam = self.next()[1]
         else:
-            self.fail(f"expected an entry, found {t.text!r}")
+            self.fail(f"expected an entry, found {text!r}")
             raise AssertionError
         self.expect("(")
         idx = self.index_fn("k")
@@ -239,10 +236,10 @@ class _Parser:
     def stream(self) -> Stream:
         self.expect("st")
         self.expect("(")
-        t = self.next()
-        if t.text not in ("+", "-"):
-            raise ParseError("stream direction must be + or -", self.text, t.pos)
-        forward = t.text == "+"
+        _, text, pos = self.next()
+        if text not in ("+", "-"):
+            raise ParseError("stream direction must be + or -", self.text, pos)
+        forward = text == "+"
         self.expect(",")
         k0 = self.number()
         self.expect(",")
@@ -261,21 +258,19 @@ class _Parser:
     def word(self) -> SchematicWord:
         segs = []
         while True:
-            t = self.peek()
-            if t.text == "[":
+            kind, text, _ = self.peek()
+            if text == "[":
                 self.next()
                 letters = []
                 while not self.at("]"):
                     letters.append(self.letter())
                 self.next()
                 segs.append(FiniteBlock(FreeWord(tuple(letters))))
-            elif t.text == "st":
+            elif text == "st":
                 segs.append(self.stream())
-            elif t.kind == "ident" and re.fullmatch(r"[abc]\d+", t.text):
+            elif kind == "letter":
                 letters = [self.letter()]
-                while self.peek().kind == "ident" and re.fullmatch(
-                    r"[abc]\d+", self.peek().text
-                ):
+                while self.peek()[0] == "letter":
                     letters.append(self.letter())
                 segs.append(FiniteBlock(FreeWord(tuple(letters))))
             else:
@@ -289,14 +284,14 @@ class _Parser:
         self.expect("{")
         table: dict[str, str] = {}
         while not self.at("}"):
-            src = self.next()
-            if src.kind != "ident":
-                raise ParseError("expected a member name", self.text, src.pos)
+            kind, src, pos = self.next()
+            if kind not in _NAMES:
+                raise ParseError("expected a member name", self.text, pos)
             self.expect("->")
-            dst = self.next()
-            if dst.kind != "ident":
-                raise ParseError("expected a member name or T", self.text, dst.pos)
-            table[src.text] = dst.text
+            kind, dst, pos = self.next()
+            if kind not in _NAMES:
+                raise ParseError("expected a member name or T", self.text, pos)
+            table[src] = dst
             if self.at(","):
                 self.next()
         self.expect("}")
@@ -312,41 +307,39 @@ class _Parser:
             telescope_map,
         )
 
-        t = self.peek()
+        kind, text, _ = self.peek()
         named = {
             "identity": identity_map,
             "telescope": telescope_map,
             "doubling": doubling_map,
             "tau": tau_map,
         }
-        if t.kind == "ident" and t.text in named:
+        if kind == "ident" and text in named:
             self.next()
-            return named[t.text]()
+            return named[text]()
         self.expect("sub")
         self.expect("{")
         self.expect("tail")
         self.expect(":")
         self.expect("a")
         self.expect("(")
-        tok = self.next()
-        if tok.text != "n":
-            raise ParseError("tail rule variable must be n", self.text, tok.pos)
+        _, text, pos = self.next()
+        if text != "n":
+            raise ParseError("tail rule variable must be n", self.text, pos)
         self.expect(")")
         self.expect("->")
         self.expect("[")
         pattern = []
         while not self.at("]"):
-            fam_tok = self.next()
-            if fam_tok.kind != "ident" or fam_tok.text not in ("a", "b", "c"):
-                raise ParseError("expected a pattern letter", self.text, fam_tok.pos)
+            kind, fam, pos = self.next()
+            if kind != "ident" or fam not in ("a", "b", "c"):
+                raise ParseError("expected a pattern letter", self.text, pos)
             self.expect("(")
             a2, a1, a0, div = self.poly("n")
             if a2 or div != 1:
-                raise ParseError(
-                    "tail patterns are affine in n", self.text, fam_tok.pos
-                )
+                raise ParseError("tail patterns are affine in n", self.text, pos)
             self.expect(")")
-            pattern.append((fam_tok.text, a1, a0, self.sign_suffix()))
+            pattern.append((fam, a1, a0, self.sign_suffix()))
         self.next()
         exceptional = []
         while self.at(","):
@@ -363,15 +356,15 @@ class _Parser:
 def parse_word(text: str, env: dict[str, SetSpec] | None = None) -> SchematicWord:
     p = _Parser(text, env)
     w = p.word()
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
+    if p.peek()[0] != "eof":
+        p.fail(f"trailing input {p.peek()[1]!r}")
     return w
 
 
 def parse_setspec(text: str, env=None) -> SetSpec:
     p = _Parser(text, env)
     s = p.setspec()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         p.fail("trailing input")
     return s
 
@@ -379,7 +372,7 @@ def parse_setspec(text: str, env=None) -> SetSpec:
 def parse_sigma_map(text: str) -> dict[str, str]:
     p = _Parser(text)
     m = p.sigma_map()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         p.fail("trailing input")
     return m
 
@@ -387,7 +380,7 @@ def parse_sigma_map(text: str) -> dict[str, str]:
 def parse_substitution(text: str):
     p = _Parser(text)
     s = p.substitution()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         p.fail("trailing input")
     return s
 

@@ -81,7 +81,6 @@ from .words import (
     kept_letters,
     occurrences,
     project_finite,
-    proj_rank,
     reduce,
 )
 
@@ -390,7 +389,7 @@ class EmbeddingReport:
 
 
 def embedding_check(
-    s: SubstitutionMap, n_max: int, len_max: int, samples: int = 25, rng=None
+    s: SubstitutionMap, n_max: int, len_max: int, *, rng=None
 ) -> EmbeddingReport:
     """Verify the embedding ladder for a substitution: strictly increasing
     image ranks, least nonvanishing projection levels m_n, images of later
@@ -414,13 +413,13 @@ def embedding_check(
     collision exists, and the reduced words are walked in order only to
     name the first one within len_max, counting the words walked before
     it; if there is none within len_max, the verdict stays "yes".
-    `samples` and `rng` are accepted and unused: no word is drawn.
-    ValueError for n_max < 1, len_max < 0 or samples < 0, which would
-    check nothing."""
-    if n_max < 1 or len_max < 0 or samples < 0:
+    `rng` is accepted and unused, as no word is drawn; it stays only
+    because the benchmark harness passes it.  ValueError for n_max < 1 or
+    len_max < 0, which would check nothing."""
+    if n_max < 1 or len_max < 0:
         raise ValueError(
-            "embedding_check needs n_max >= 1, len_max >= 0 and samples >= 0, "
-            f"got n_max={n_max}, len_max={len_max}, samples={samples}"
+            "embedding_check needs n_max >= 1 and len_max >= 0, "
+            f"got n_max={n_max}, len_max={len_max}"
         )
     rep = EmbeddingReport()
     rep.admissible = check_admissible(s, bound=3 * (2 * n_max + 4))
@@ -440,12 +439,17 @@ def embedding_check(
     if any(ranks[n + 1] <= ranks[n] for n in range(len(ranks) - 1)):
         rep.fail("image ranks do not strictly increase")
 
+    # the least m below the search bound with proj_rank(img, m) nonempty;
+    # the projection changes only at m = r + 1 for the ranks r of the
+    # image's letters, so only those m are probed
+    below = rank_letter_set(3 * (max(ranks) + len_max + 4) - 1)
     levels = []
     for n, img in enumerate(images[: n_max + 1]):
+        kept = kept_letters(img, below)
         found = None
-        for m in range(1, 3 * (max(ranks) + len_max + 4)):
-            if proj_rank(img, m):
-                found = m
+        for r in sorted({l.rank for l in kept}):
+            if reduce_free(FreeWord(tuple(l for l in kept if l.rank <= r))):
+                found = r + 1
                 break
         if found is None:
             rep.fail(f"no nonvanishing projection level for a{n}")

@@ -50,14 +50,15 @@ from .setspec import (
     COFINITE,
     FINITE,
     MIXED,
-    EvPeriodic,
-    Finite,
     PrefixCode,
     SetSpec,
+    _bit,
     _canonical_evp,
+    _evp_bits,
+    _from_bits,
     carry_twin,
     carry_untwin,
-    make_evp,
+    decimated,
     pair_agreement,
 )
 
@@ -177,11 +178,7 @@ def fam_agreement(f1: FamSpec, f2: FamSpec, shift: int):
         return (FINITE, 0)
     if isinstance(f2, str):  # a literal chooses alike at every step, even k+shift < 0
         shift = 0
-    return pair_agreement(_LITERAL.get(f1, f1), _LITERAL.get(f2, f2), shift)
-
-
-# literal b and c as the selector sets that choose them at every step
-_LITERAL = {"b": EvPeriodic((), (1,)), "c": Finite(())}
+    return pair_agreement(f1, f2, shift)
 
 
 def pair_cancellation(e1: Entry, e2: Entry, shift: int):
@@ -331,15 +328,17 @@ def _stripped(e: Entry, j: int, m: int) -> tuple[tuple, tuple]:
     """Entry j of m as its sign, prefix-code branch (empty for other
     families) and letter index as a polynomial in the position; and the
     purely periodic step pattern of families it follows from some step on."""
-    fam, f = _LITERAL.get(e.fam, e.fam), e.idx
+    fam, f = e.fam, e.idx
     branch = ((), ())
-    if isinstance(fam, PrefixCode):
+    bits = _evp_bits(fam)
+    if bits is not None:  # bits are _C/_B
+        prefix, period = bits
+        r = -len(prefix) % len(period)
+        steps = period[r:] + period[:r]
+    elif fam == "a":
+        steps = (_A,)
+    else:
         branch, steps = (fam.branch_prefix, fam.branch_period), (_CODE,)
-    elif isinstance(fam, EvPeriodic):  # bits are _C/_B
-        r = -len(fam.prefix) % len(fam.period)
-        steps = fam.period[r:] + fam.period[:r]
-    else:  # 'a' or a finite set
-        steps = (_A,) if fam == "a" else (_C,)
     # position p = m*k + j carries index f(k) = f((p - j) / m)
     index = _poly_at(f.a2, f.a1 * m, f.a0 * m * m, f.div * m * m, 1, -j)
     return (e.sign, *branch, *index), steps
@@ -390,40 +389,27 @@ def _compute_valid(schema: Schema) -> bool:
     return True
 
 
-def _decimate(spec: SetSpec, t: int, s: int) -> SetSpec | None:
-    """{k : t*k + s in spec}, staying in the representation class."""
-    if isinstance(spec, Finite):
-        return Finite((e - s) // t for e in spec.elems if e >= s and (e - s) % t == 0)
-    if isinstance(spec, EvPeriodic):
-        plen, L = len(spec.prefix), len(spec.period)
-        pre = []
-        k = 0
-        while t * k + s < plen:
-            pre.append(1 if spec.contains(t * k + s) else 0)
-            k += 1
-        start = k
-        per = [1 if spec.contains(t * (start + i) + s) else 0 for i in range(L)]
-        return make_evp(tuple(pre), tuple(per))
-    return None  # prefix-code sets do not decimate
-
-
 def unroll(schema: Schema, t: int, phase: int = 0) -> Schema | None:
     """Present the same letter sequence with period width*t; step kappa of
     the result covers original steps t*kappa+phase .. t*kappa+phase+t-1,
     so positions on an original boundary at a step congruent to phase mod
-    t land on a boundary of the result.  None when a selector set cannot
-    be decimated."""
-    if t == 1:
-        return schema
+    t land on a boundary of the result.  For t = 1 this is a shift: the
+    result emits at step k what the schema emits at step k + phase.  None
+    when a selector set cannot be re-indexed (prefix codes, except at
+    t = 1 and phase 0) or an index function leaves the naturals."""
     out = []
     for s in range(t):
         for e in schema.entries:
             fam = e.fam
             if isinstance(fam, SetSpec):
-                fam = _decimate(fam, t, phase + s)
+                fam = decimated(fam, t, phase + s)
                 if fam is None:
                     return None
-            out.append(Entry(fam, e.idx.compose_affine(t, phase + s), e.sign))
+            try:
+                idx = e.idx.compose_affine(t, phase + s)
+            except ValueError:
+                return None
+            out.append(Entry(fam, idx, e.sign))
     return Schema(tuple(out))
 
 
@@ -431,31 +417,15 @@ def _weave_fams(fams: list[FamSpec], t: int) -> FamSpec | None:
     """A single famspec F with F(t*k+s) == fams[s](k), for folding."""
     if all(isinstance(f, str) for f in fams):
         return fams[0] if len(set(fams)) == 1 else None
-    if any(f == "a" for f in fams):
-        return None
-    tests = []
-    stable = 0  # step from which every strand is periodic
-    span = 1
-    for f in fams:
-        if f == "b":
-            tests.append(lambda k: True)
-        elif f == "c":
-            tests.append(lambda k: False)
-        elif isinstance(f, Finite):
-            tests.append(f.contains)
-            stable = max(stable, (f.elems[-1] + 1) if f.elems else 0)
-        elif isinstance(f, EvPeriodic):
-            tests.append(f.contains)
-            stable = max(stable, len(f.prefix))
-            span = lcm(span, len(f.period))
-        else:
-            return None  # prefix-code selectors do not weave
-    prefix = tuple(1 if tests[n % t](n // t) else 0 for n in range(t * stable))
-    period = tuple(
-        1 if tests[(t * stable + n) % t]((t * stable + n) // t) else 0
-        for n in range(t * span)
+    strands = [_evp_bits(f) for f in fams]
+    if None in strands:
+        return None  # 'a' and prefix-code selectors do not weave
+    stable = max(len(prefix) for prefix, _ in strands)  # every strand periodic
+    span = lcm(*(len(period) for _, period in strands))
+    bits = tuple(
+        _bit(*strands[n % t], n // t) for n in range(t * (stable + span))
     )
-    return make_evp(prefix, period)
+    return _from_bits(bits[: t * stable], bits[t * stable :])
 
 
 def fold(schema: Schema) -> Schema:

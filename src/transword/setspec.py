@@ -6,6 +6,16 @@ naturals; a PrefixCode spec denotes {code(branch restricted to k) : k >= 0}
 for an eventually periodic branch.  Distinct branches give almost disjoint
 infinite sets, which is what the separation machinery runs on.
 
+Every other family choice (a finite set, an eventually periodic set, or
+a schema entry's literal b, in at every step, or c, at none) is read
+through one bit view, `_evp_bits`: membership as the bit sequence
+prefix + period + period + ...  Sets are built back from checked bit
+tuples by `_from_bits`, which demotes an all-zero period to Finite;
+`make_evp` parses outside input and calls it.  One re-indexing,
+`decimated(spec, t, s)` = {k : t*k + s in spec}, serves cursor shifts
+(t = 1, a slice of the bits) and unrolls; folding, tail keys, agreement
+and intersection read the same view.
+
 The classification helpers at the bottom decide, for any two specs and an
 integer shift, whether the agreement set {k : (k in S1) == (k+d in S2)} is
 finite, cofinite, or neither ("mixed").  Stream cancellation, germ
@@ -50,6 +60,13 @@ def _canonical_evp(prefix: Bits, period: Bits) -> tuple[Bits, Bits]:
     return prefix, period
 
 
+def _bit(prefix: Bits, period: Bits, n: int) -> int:
+    """Bit n >= 0 of the sequence prefix + period + period + ..."""
+    if n < len(prefix):
+        return prefix[n]
+    return period[(n - len(prefix)) % len(period)]
+
+
 def code(bits) -> int:
     """Bijection from finite bit strings to naturals: int('1'+s, 2) - 1."""
     bits = _parse_bits(bits)
@@ -70,9 +87,9 @@ def decode(n: int) -> Bits:
 class SetSpec:
     """Base marker; concrete variants below.  All immutable and hashable.
 
-    Library code builds periodic sets through `make_evp`, which demotes an
-    all-zero period to the Finite variant so that equal sets stay
-    syntactically equal."""
+    Library code builds periodic sets through `make_evp` or `_from_bits`,
+    which demote an all-zero period to the Finite variant so that equal
+    sets stay syntactically equal."""
 
     def contains(self, n: int) -> bool:
         raise NotImplementedError
@@ -111,11 +128,7 @@ class EvPeriodic(SetSpec):
         object.__setattr__(self, "period", per)
 
     def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n < len(self.prefix):
-            return self.prefix[n] == 1
-        return self.period[(n - len(self.prefix)) % len(self.period)] == 1
+        return n >= 0 and _bit(self.prefix, self.period, n) == 1
 
     def is_infinite(self) -> bool:
         return any(self.period)
@@ -137,9 +150,7 @@ class PrefixCode(SetSpec):
         object.__setattr__(self, "branch_period", per)
 
     def branch_bit(self, i: int) -> int:
-        if i < len(self.branch_prefix):
-            return self.branch_prefix[i]
-        return self.branch_period[(i - len(self.branch_prefix)) % len(self.branch_period)]
+        return _bit(self.branch_prefix, self.branch_period, i)
 
     def contains(self, n: int) -> bool:
         if n < 0:
@@ -181,11 +192,69 @@ def carry_untwin(spec: PrefixCode) -> PrefixCode | None:
 
 def make_evp(prefix, period) -> SetSpec:
     """EvPeriodic, demoted to Finite when the period is all zeros."""
-    prefix = _parse_bits(prefix)
-    period = _parse_bits(period)
-    if not any(period):
-        return Finite(n for n, b in enumerate(prefix) if b)
-    return EvPeriodic(prefix, period)
+    return _from_bits(_parse_bits(prefix), _parse_bits(period))
+
+
+def _from_bits(prefix: Bits, period: Bits) -> SetSpec:
+    """The set with bit sequence prefix + period + period + ..., from bit
+    tuples already checked: Finite when the period is all zeros, else
+    EvPeriodic in canonical form.  Neither constructor parses again."""
+    if 1 not in period:
+        spec = object.__new__(Finite)
+        object.__setattr__(spec, "elems", tuple(n for n, b in enumerate(prefix) if b))
+        return spec
+    spec = object.__new__(EvPeriodic)
+    pre, per = _canonical_evp(prefix, period)
+    object.__setattr__(spec, "prefix", pre)
+    object.__setattr__(spec, "period", per)
+    return spec
+
+
+def _evp_bits(spec) -> tuple[Bits, Bits] | None:
+    """The bit view (module docstring): (prefix, period) of a finite or
+    eventually periodic set, or of a literal 'b' (every step) or 'c' (no
+    step); None for prefix-code sets and 'a'."""
+    if isinstance(spec, EvPeriodic):
+        return spec.prefix, spec.period
+    if isinstance(spec, Finite):
+        bits = [0] * (spec.elems[-1] + 1 if spec.elems else 0)
+        for e in spec.elems:
+            bits[e] = 1
+        return tuple(bits), (0,)
+    return _LITERAL_BITS.get(spec)
+
+
+_LITERAL_BITS = {"b": ((), (1,)), "c": ((), (0,))}
+
+
+def _shift_bits(bits: tuple[Bits, Bits], d: int) -> tuple[Bits, Bits]:
+    """Bit sequence of {k : k+d in S} given S's bits; d may be negative."""
+    prefix, period = bits
+    if d < 0:
+        return (0,) * (-d) + prefix, period
+    if d <= len(prefix):
+        return prefix[d:], period
+    r = (d - len(prefix)) % len(period)
+    return (), period[r:] + period[:r]
+
+
+def decimated(spec, t: int, s: int) -> SetSpec | None:
+    """The set {k >= 0 : t*k + s in spec}, for t >= 1 and any s (negative
+    positions are outside every set), read through the bit view; literal
+    'b' and 'c' count as the set of all naturals and the empty set.  None
+    for a prefix-code set unless t = 1 and s = 0: prefix-code sets neither
+    shift nor decimate."""
+    bits = _evp_bits(spec)
+    if bits is None:
+        return spec if t == 1 and s == 0 else None
+    prefix, period = _shift_bits(bits, s)  # t = 1 stays a slice
+    if t > 1:
+        start = -(-len(prefix) // t)  # the first k with t*k past the prefix
+        rest = t * start - len(prefix)
+        L = len(period)
+        period = tuple(period[(rest + t * i) % L] for i in range(L))
+        prefix = prefix[::t]
+    return _from_bits(prefix, period)
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +269,6 @@ COFINITE = "cofinite"
 MIXED = "mixed"
 
 
-def _evp_bits(spec: SetSpec) -> tuple[Bits, Bits] | None:
-    """(prefix, period) bit representation, or None for prefix-code sets."""
-    if isinstance(spec, Finite):
-        top = spec.elems[-1] + 1 if spec.elems else 0
-        return tuple(1 if spec.contains(n) else 0 for n in range(top)), (0,)
-    if isinstance(spec, EvPeriodic):
-        return spec.prefix, spec.period
-    return None
-
-
-def _shift_bits(bits: tuple[Bits, Bits], d: int) -> tuple[Bits, Bits]:
-    """Bit sequence of {k : k+d in S} given S's bits; d may be negative."""
-    prefix, period = bits
-    if d < 0:
-        return (0,) * (-d) + prefix, period
-    if d <= len(prefix):
-        return prefix[d:], period
-    r = (d - len(prefix)) % len(period)
-    return (), period[r:] + period[:r]
-
-
 def _classify_bitstream(prefix: Bits, period: Bits):
     if all(period):
         zeros = [i for i, b in enumerate(prefix) if b == 0]
@@ -232,7 +280,8 @@ def _classify_bitstream(prefix: Bits, period: Bits):
 
 
 def pair_agreement(s1: SetSpec, s2: SetSpec, shift: int = 0):
-    """Classify {k >= 0 : (k in s1) == (k+shift in s2)}."""
+    """Classify {k >= 0 : (k in s1) == (k+shift in s2)}; either set may
+    also be a literal 'b' or 'c', read through the bit view."""
     b1, b2 = _evp_bits(s1), _evp_bits(s2)
     if b1 is None and b2 is None:
         if s1 == s2 and shift == 0:
@@ -251,38 +300,20 @@ def pair_agreement(s1: SetSpec, s2: SetSpec, shift: int = 0):
         # infinite periodic sets are syndetic, prefix-code sets are not,
         # and finite sets differ from any infinite set infinitely often.
         return (MIXED, None)
-    p1, q1 = b1
-    p2, q2 = _shift_bits(b2, shift)
+    return _classify_bitstream(
+        *_pointwise(b1, _shift_bits(b2, shift), lambda x, y: int(x == y))
+    )
+
+
+def _pointwise(b1: tuple[Bits, Bits], b2: tuple[Bits, Bits], op) -> tuple[Bits, Bits]:
+    """The bit view of n -> op(bit n of b1, bit n of b2)."""
+    (p1, q1), (p2, q2) = b1, b2
     start = max(len(p1), len(p2))
-    step = lcm(len(q1), len(q2))
-
-    def bit(bits, n):
-        prefix, period = bits
-        if n < len(prefix):
-            return prefix[n]
-        return period[(n - len(prefix)) % len(period)]
-
-    agree_prefix = tuple(
-        1 if bit((p1, q1), n) == bit((p2, q2), n) else 0 for n in range(start)
+    bits = tuple(
+        op(_bit(p1, q1, n), _bit(p2, q2, n))
+        for n in range(start + lcm(len(q1), len(q2)))
     )
-    agree_period = tuple(
-        1 if bit((p1, q1), n) == bit((p2, q2), n) else 0
-        for n in range(start, start + step)
-    )
-    return _classify_bitstream(agree_prefix, agree_period)
-
-
-def shifted(spec: SetSpec, d: int) -> SetSpec | None:
-    """The spec denoting {k : k+d in spec}, or None when it leaves the
-    representation class (prefix-code sets shift only by 0)."""
-    if isinstance(spec, Finite):
-        return Finite(e - d for e in spec.elems if e - d >= 0)
-    if isinstance(spec, EvPeriodic):
-        pre, per = _shift_bits((spec.prefix, spec.period), d)
-        return make_evp(pre, per)
-    if isinstance(spec, PrefixCode):
-        return spec if d == 0 else None
-    raise TypeError(spec)
+    return bits[:start], bits[start:]
 
 
 def intersection_bound(s1: SetSpec, s2: SetSpec) -> int | None:
@@ -290,14 +321,8 @@ def intersection_bound(s1: SetSpec, s2: SetSpec) -> int | None:
     intersection is infinite."""
     b1, b2 = _evp_bits(s1), _evp_bits(s2)
     if b1 is not None and b2 is not None:
-        p1, q1 = b1
-        p2, q2 = b2
-        start = max(len(p1), len(p2))
-        step = lcm(len(q1), len(q2))
-        if any(s1.contains(n) and s2.contains(n) for n in range(start, start + step)):
-            return None
-        hits = [n for n in range(start) if s1.contains(n) and s2.contains(n)]
-        return (hits[-1] + 1) if hits else 0
+        kind, bound = _classify_bitstream(*_pointwise(b1, b2, lambda x, y: x & y))
+        return bound if kind == FINITE else None
     if b1 is None and b2 is None:
         # two branches share exactly their common prefixes
         assert isinstance(s1, PrefixCode) and isinstance(s2, PrefixCode)
@@ -310,12 +335,8 @@ def intersection_bound(s1: SetSpec, s2: SetSpec) -> int | None:
     # periodic set against a prefix-code set: walk the code sequence of the
     # branch through the periodic set's residue automaton; the intersection
     # is infinite exactly when a member state lies on the automaton's cycle
-    pc = s1 if b1 is None else s2
-    ev = s2 if b1 is None else s1
+    pc, (eprefix, eperiod) = (s1, b2) if b1 is None else (s2, b1)
     assert isinstance(pc, PrefixCode)
-    ebits = _evp_bits(ev)
-    assert ebits is not None
-    eprefix, eperiod = ebits
     plen, L = len(eprefix), len(eperiod)
     bper = len(pc.branch_period)
     cval, j = 0, 0  # cval = code(branch restricted to j)
@@ -323,7 +344,7 @@ def intersection_bound(s1: SetSpec, s2: SetSpec) -> int | None:
     seen: dict[tuple[int, int], int] = {}
     trail: list[bool] = []
     while True:
-        member = ev.contains(cval)
+        member = _bit(eprefix, eperiod, cval) == 1
         if member:
             hits.append(cval)
         if cval >= plen and j >= len(pc.branch_prefix):

@@ -69,7 +69,7 @@ from .schema import (
     tail_alignment,
     unroll,
 )
-from .setspec import EvPeriodic, Finite, SetSpec, shifted
+from .setspec import SetSpec, _evp_bits, _from_bits
 
 _REDUCE_CAP = 100_000
 
@@ -256,45 +256,19 @@ def _step_hits(schema: Schema, s: int) -> bool:
     return False
 
 
-def _shift_schema(schema: Schema, d: int) -> Schema | None:
-    """The schema emitting at step k what this one emits at step k+d."""
-    entries = []
-    for e in schema.entries:
-        fam = e.fam
-        if isinstance(fam, SetSpec):
-            fam = shifted(fam, d)
-            if fam is None:
-                return None
-        try:
-            idx = e.idx.shift(d)
-        except ValueError:
-            return None
-        entries.append(Entry(fam, idx, e.sign))
-    return Schema(tuple(entries))
-
-
 def _normalize_cursor(st: Stream) -> Stream:
     """Fold a boundary cursor into the schema when every entry shifts;
     prefix-code selectors keep their cursor."""
     m = st.schema.width
     if st.pos == 0 or st.pos % m:
         return st
-    sch = _shift_schema(st.schema, st.pos // m)
+    sch = unroll(st.schema, 1, st.pos // m)
     if sch is None:
         return st
     try:
         return Stream(st.forward, 0, sch)
     except ValueError:
         return st
-
-
-def _prepend_bit(spec: SetSpec, bit: int) -> SetSpec | None:
-    """The set T with T(0) = bit and T(k) = spec(k-1)."""
-    if isinstance(spec, Finite):
-        return Finite(([0] if bit else []) + [e + 1 for e in spec.elems])
-    if isinstance(spec, EvPeriodic):
-        return EvPeriodic((bit,) + spec.prefix, spec.period)
-    return None  # prefix-code sets do not extend
 
 
 def _absorb_letters(st: Stream, letters) -> Stream | None:
@@ -325,11 +299,10 @@ def _absorb_letters(st: Stream, letters) -> Stream | None:
             return None
         fam = e.fam
         if isinstance(fam, SetSpec):
-            if l.fam not in ("b", "c"):
-                return None
-            fam = _prepend_bit(fam, 1 if l.fam == "b" else 0)
-            if fam is None:
-                return None
+            bits = _evp_bits(fam)
+            if bits is None or l.fam not in ("b", "c"):
+                return None  # prefix-code sets do not extend
+            fam = _from_bits((1 if l.fam == "b" else 0,) + bits[0], bits[1])
         elif fam != l.fam:
             return None
         entries.append(Entry(fam, idx, e.sign))

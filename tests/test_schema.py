@@ -12,6 +12,7 @@ from transword.schema import (
     IndexFn,
     K,
     Schema,
+    _weave_fams,
     affine,
     fold,
     pair_cancellation,
@@ -21,8 +22,8 @@ from transword.schema import (
     unroll,
 )
 from transword.randwords import random_stream
-from transword.setspec import EvPeriodic, PrefixCode, carry_twin, shifted
-from transword.words import SchematicWord, Stream, _shift_schema
+from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, decimated
+from transword.words import SchematicWord, Stream
 
 from oracles import alignment_by_search
 
@@ -140,6 +141,19 @@ def test_unroll_decimates_selectors():
     assert unroll(Schema((Entry(PrefixCode("", "0"), K, 1),)), 2) is None
 
 
+bits_st = st.lists(st.integers(0, 1), max_size=4).map(tuple)
+periodic_st = st.one_of(
+    st.builds(Finite, st.lists(st.integers(0, 12), max_size=5)),
+    st.builds(EvPeriodic, bits_st, bits_st.filter(bool)),
+)
+
+
+@given(periodic_st, st.integers(1, 4))
+def test_weave_inverts_decimation(spec, t):
+    strands = [decimated(spec, t, s) for s in range(t)]
+    assert _weave_fams(strands, t) == decimated(spec, 1, 0)
+
+
 @given(idx_st, st.integers(1, 3))
 def test_fold_undoes_unroll(f, t):
     sch = Schema((Entry("a", f, 1),))
@@ -243,12 +257,12 @@ TWINS = (
 def _rotate(sch, r):
     """The presentation starting r entries later: entries that wrap move
     one step forward."""
-    wrapped = _shift_schema(Schema(sch.entries[:r]), 1)
+    wrapped = unroll(Schema(sch.entries[:r]), 1, 1)
     return None if wrapped is None else Schema(sch.entries[r:] + wrapped.entries)
 
 
 def _twinned(sch):
-    """`_shift_schema(sch, -1)` with every branch ending in ones moved to
+    """`unroll(sch, 1, -1)` with every branch ending in ones moved to
     its twin: (x0 1^w, f) at step k renders what (x1 0^w, f(k-1)) renders
     at step k+1.  None when some entry cannot move."""
     out = []
@@ -257,7 +271,7 @@ def _twinned(sch):
         if isinstance(fam, PrefixCode):
             fam = carry_twin(fam)
         elif not isinstance(fam, str):
-            fam = shifted(fam, -1)
+            fam = decimated(fam, 1, -1)
         if fam is None:
             return None
         try:
@@ -270,7 +284,7 @@ def _twinned(sch):
 def _presentations(sch):
     cands = [unroll(sch, 2), unroll(sch, 3), _twinned(sch)]
     cands += [_rotate(sch, r) for r in range(1, sch.width)]
-    cands += [_shift_schema(sch, d) for d in (1, 2, 3)]
+    cands += [unroll(sch, 1, d) for d in (1, 2, 3)]
     return [c for c in cands if c is not None and schema_valid(c)]
 
 
@@ -284,6 +298,18 @@ def schema_st(draw):
         if twin is not None and schema_valid(twin):
             sch = twin
     return sch
+
+
+@given(schema_st(), st.integers(-2, 4))
+def test_unroll_by_one_shifts(sch, d):
+    shifted = unroll(sch, 1, d)
+    if shifted is None:
+        # a prefix code moves only by 0; an index function can leave the
+        # naturals only when shifted back
+        assert d < 0 or any(isinstance(e.fam, PrefixCode) for e in sch.entries)
+        return
+    for p in range(max(0, -d * sch.width), 40):
+        assert shifted.letter_at(p) == sch.letter_at(p + d * sch.width)
 
 
 @given(schema_st())

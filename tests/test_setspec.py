@@ -8,13 +8,14 @@ from transword.setspec import (
     EvPeriodic,
     Finite,
     PrefixCode,
+    _from_bits,
     carry_twin,
     code,
+    decimated,
     decode,
     intersection_bound,
     make_evp,
     pair_agreement,
-    shifted,
 )
 
 from oracles import eventually_equal, indicator_classification, sets_equal
@@ -59,15 +60,28 @@ def test_evp_canonical_form_preserves_membership(s):
     assert raw == s  # canonicalization makes equality syntactic
 
 
-@given(spec_st, st.integers(0, 6))
-def test_shift_matches_membership(s, d):
-    t = shifted(s, d)
-    if t is None:
-        assert isinstance(s, PrefixCode) and d != 0
+def _member(s, n):
+    """Membership, with literal b and c as all naturals and the empty set."""
+    if isinstance(s, str):
+        return s == "b" and n >= 0
+    return s.contains(n)
+
+
+@given(st.one_of(spec_st, st.sampled_from("bc")), st.integers(1, 3), st.integers(-1, 6))
+def test_shift_matches_membership(s, t, d):
+    r = decimated(s, t, d)
+    if isinstance(s, PrefixCode):
+        # prefix-code sets neither shift nor decimate
+        assert r == (s if (t, d) == (1, 0) else None)
         return
-    assert bitmap(t, 100) == tuple(
-        1 if s.contains(i + d) else 0 for i in range(100)
+    assert bitmap(r, 100) == tuple(
+        1 if _member(s, t * i + d) else 0 for i in range(100)
     )
+
+
+@given(bits_st, period_st)
+def test_from_bits_matches_make_evp(prefix, period):
+    assert _from_bits(prefix, period) == make_evp(prefix, period)
 
 
 @given(spec_st)
