@@ -72,6 +72,8 @@ def distinct_homs_demo(k: int, p: int) -> int:
 
 def evaluation_matrix(k: int, p: int) -> list[tuple[int, ...]]:
     """All 2^k evaluation vectors in subset enumeration order."""
+    if k < 0:
+        raise ValueError(f"k must be a natural number, got {k}")
     out = []
     for r in range(k + 1):
         for subset in combinations(range(k), r):

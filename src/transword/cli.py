@@ -20,7 +20,11 @@ from . import abelian, dsl, endo, hag, sigma, words
 def _family_arg(text: str):
     if not text.startswith("k="):
         raise dsl.ParseError("expected k=<size>", text, 0)
-    return sigma.make_family(int(text[2:]))
+    try:
+        size = int(text[2:])
+    except ValueError:
+        raise dsl.ParseError("expected an integer size after k=", text, 2) from None
+    return sigma.make_family(size)
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
+from operator import attrgetter, is_not
 
 FAMILIES = ("a", "b", "c")
 _FAM_OFFSET = {"a": 0, "b": 1, "c": 2}
@@ -173,7 +174,9 @@ def reduce_free(w: FreeWord) -> FreeWord:
 
 
 def is_reduced_free(w: FreeWord) -> bool:
-    return not any(cancels(w[i], w[i + 1]) for i in range(len(w) - 1))
+    """Whether no letter of w is followed by its inverse; one scan in C."""
+    ls = w.letters
+    return all(map(is_not, map(attrgetter("inverse"), ls), ls[1:]))
 
 
 def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:

@@ -32,17 +32,23 @@ the position shift between two schemas of one class, the difference of
 their normal presentations' starts, with a position from which their
 letters agree; stream cancellation and the interval decomposition use it.
 
-Schemas are hash-consed: `Schema(entries)` returns the one object for
-that entries tuple, so a schema's hash, `fold`, validity (`schema_valid`)
-and `tail_key` are computed once per distinct schema, however often
-callers rebuild it.  The intern table lives for the whole process and
-holds one object per distinct schema built, in place of the 4096-entry
-bound of the validity cache it replaces.
+Schemas, entries and index functions are hash-consed (Filliatre &
+Conchon, *Type-safe modular hash-consing*, 2006): `Schema(entries)`,
+`Entry(fam, idx, sign)` and `IndexFn(a2, a1, a0, div)` return the one
+object for their value, so equality is identity and each constructor
+validates a value once.  Every value derived from a schema alone is
+computed once per distinct schema, however often callers rebuild it, and
+kept in its slots: the hash, `fold`, validity (`schema_valid`),
+`tail_key`, the adjacent-pair classes (`Schema.pair_classes`) and the
+shifts `unroll(schema, 1, d)`, None included.  The rewrite pass visits a
+stream several times per pass and asks each time for its shift and its
+pattern sites, so these are the lookups it repeats.  The intern tables
+live for the whole process and hold one object per distinct value built.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from math import gcd, isqrt, lcm
 
 from .freegroup import Letter
@@ -65,33 +71,49 @@ from .setspec import (
 FamSpec = str | SetSpec  # 'a' | 'b' | 'c' | selector set
 
 
-@dataclass(frozen=True)
-class IndexFn:
+class _Interned:
+    """Base of the hash-consed classes below: an instance is shared by
+    every caller that builds its value, so it is frozen, and `==` and
+    `hash` stay object identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# every index function built so far, by argument tuple, both as given and
+# in lowest terms; see `IndexFn`
+_INDEX_FNS: dict[tuple[int, int, int, int], IndexFn] = {}
+
+
+class IndexFn(_Interned):
     """(a2*k^2 + a1*k + a0) / div, integer-valued and strictly increasing
-    on the naturals."""
+    on the naturals, kept in lowest terms.  Interned like `Schema`:
+    `IndexFn(a2, a1, a0, div)` returns the one object for that function,
+    so `IndexFn(2, 2, 0, 2) is IndexFn(1, 1, 0, 1)` and `==` and `hash`
+    are object identity.  Validation and the reduction to lowest terms run
+    only when an argument tuple is first seen; an invalid tuple never
+    enters the table, so it raises on every call."""
 
-    a2: int
-    a1: int
-    a0: int
-    div: int = 1
+    __slots__ = ("a2", "a1", "a0", "div")
 
-    def __post_init__(self):
-        if self.div <= 0:
-            raise ValueError("div must be positive")
-        g = gcd(gcd(abs(self.a2), abs(self.a1)), gcd(abs(self.a0), self.div))
-        if g > 1:
-            object.__setattr__(self, "a2", self.a2 // g)
-            object.__setattr__(self, "a1", self.a1 // g)
-            object.__setattr__(self, "a0", self.a0 // g)
-            object.__setattr__(self, "div", self.div // g)
-        for k in (0, 1, 2):
-            num = self.a2 * k * k + self.a1 * k + self.a0
-            if num % self.div:
-                raise ValueError(f"index function not integer-valued at k={k}")
-        if self.a2 < 0 or self.a2 + self.a1 <= 0:
-            raise ValueError("index function must be strictly increasing")
-        if self.a0 < 0:
-            raise ValueError("index function must be natural-valued at 0")
+    def __new__(cls, a2: int, a1: int, a0: int, div: int = 1):
+        key = (a2, a1, a0, div)
+        self = _INDEX_FNS.get(key)
+        if self is None:
+            self = _INDEX_FNS.setdefault(key, _new_index_fn(cls, *key))
+        return self
+
+    def __reduce__(self):
+        return (IndexFn, (self.a2, self.a1, self.a0, self.div))
+
+    def __repr__(self) -> str:
+        fields = f"a2={self.a2!r}, a1={self.a1!r}, a0={self.a0!r}, div={self.div!r}"
+        return f"IndexFn({fields})"
 
     def value(self, k: int) -> int:
         return (self.a2 * k * k + self.a1 * k + self.a0) // self.div
@@ -119,6 +141,30 @@ class IndexFn:
             terms.append(str(self.a0))
         body = "+".join(terms).replace("+-", "-")
         return f"({body})/{self.div}" if self.div != 1 else body
+
+
+def _new_index_fn(cls, a2: int, a1: int, a0: int, div: int) -> IndexFn:
+    """The interned function for an argument tuple not yet in the table:
+    validated and reduced to lowest terms; ValueError when invalid."""
+    if div <= 0:
+        raise ValueError("div must be positive")
+    g = gcd(a2, a1, a0, div)
+    a2, a1, a0, div = a2 // g, a1 // g, a0 // g, div // g
+    for k in (0, 1, 2):
+        if (a2 * k * k + a1 * k + a0) % div:
+            raise ValueError(f"index function not integer-valued at k={k}")
+    if a2 < 0 or a2 + a1 <= 0:
+        raise ValueError("index function must be strictly increasing")
+    if a0 < 0:
+        raise ValueError("index function must be natural-valued at 0")
+    key = (a2, a1, a0, div)
+    self = _INDEX_FNS.get(key)
+    if self is None:
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, key):
+            object.__setattr__(self, name, value)
+        self = _INDEX_FNS.setdefault(key, self)
+    return self
 
 
 def affine(a1: int, a0: int = 0) -> IndexFn:
@@ -149,17 +195,37 @@ def poly_shift_match(f: IndexFn, g: IndexFn) -> int | None:
         return None
 
 
-@dataclass(frozen=True)
-class Entry:
-    fam: FamSpec
-    idx: IndexFn
-    sign: int = 1
+# every entry built so far, by (fam, idx, sign); see `Entry`
+_ENTRIES: dict[tuple, Entry] = {}
 
-    def __post_init__(self):
-        if isinstance(self.fam, str) and self.fam not in ("a", "b", "c"):
-            raise ValueError(f"bad famspec {self.fam!r}")
-        if self.sign not in (1, -1):
-            raise ValueError("entry sign must be +1 or -1")
+
+class Entry(_Interned):
+    """One entry of a schema: the letter fam(idx(k))^sign at step k.
+    Interned like `IndexFn`: equal entries are one object, `==` and
+    `hash` are object identity, and an invalid triple raises on every
+    call."""
+
+    __slots__ = ("fam", "idx", "sign")
+
+    def __new__(cls, fam: FamSpec, idx: IndexFn, sign: int = 1):
+        key = (fam, idx, sign)
+        self = _ENTRIES.get(key)
+        if self is None:
+            if isinstance(fam, str) and fam not in ("a", "b", "c"):
+                raise ValueError(f"bad famspec {fam!r}")
+            if sign not in (1, -1):
+                raise ValueError("entry sign must be +1 or -1")
+            self = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key):
+                object.__setattr__(self, name, value)
+            self = _ENTRIES.setdefault(key, self)
+        return self
+
+    def __reduce__(self):
+        return (Entry, (self.fam, self.idx, self.sign))
+
+    def __repr__(self) -> str:
+        return f"Entry(fam={self.fam!r}, idx={self.idx!r}, sign={self.sign!r})"
 
     def family_at(self, k: int) -> str:
         if isinstance(self.fam, str):
@@ -228,14 +294,19 @@ def _natural_roots(a: int, b: int, c: int) -> tuple[int, ...]:
 _SCHEMAS: dict[tuple[Entry, ...], Schema] = {}
 
 
-class Schema:
+class Schema(_Interned):
     """A nonempty tuple of entries, interned: `Schema(entries)` returns the
     one object built for an equal entries tuple, so equal schemas are
     identical and `==` is `is`.  `width`, the number of entries, is set
-    with them; the hash, `fold`, validity and `tail_key` are computed on
-    first use and kept in the object's slots, once per distinct schema."""
+    with them.  Each value derived from the schema alone is computed on
+    first use and kept in a slot, once per distinct schema: the hash,
+    `fold`, validity (`schema_valid`), `tail_key`, `pair_classes`, and in
+    `_shifts` a dict d -> `unroll(schema, 1, d)`, failed shifts (None)
+    included."""
 
-    __slots__ = ("entries", "width", "_hash", "_folded", "_valid", "_key")
+    __slots__ = (
+        "entries", "width", "_hash", "_folded", "_valid", "_key", "_pairs", "_shifts"
+    )
 
     def __new__(cls, entries: tuple[Entry, ...]):
         entries = tuple(entries)
@@ -246,16 +317,10 @@ class Schema:
             self = object.__new__(cls)
             object.__setattr__(self, "entries", entries)
             object.__setattr__(self, "width", len(entries))
-            for slot in ("_hash", "_folded", "_valid", "_key"):
+            for slot in cls.__slots__[2:]:
                 object.__setattr__(self, slot, None)
             self = _SCHEMAS.setdefault(entries, self)
         return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (Schema, (self.entries,))
@@ -279,6 +344,20 @@ class Schema:
         if self._key is None:
             object.__setattr__(self, "_key", _compute_tail_key(self))
         return self._key[0]
+
+    @property
+    def pair_classes(self) -> tuple[tuple[int, str, object], ...]:
+        """(j, kind, data) for each of `adjacent_pairs`, in order: (kind,
+        data) is `pair_cancellation(e1, e2, shift)` of the pair whose first
+        entry is entry j.  Computed once, on first use."""
+        pairs = self._pairs
+        if pairs is None:
+            pairs = tuple(
+                (j, *pair_cancellation(e1, e2, shift))
+                for j, e1, e2, shift in self.adjacent_pairs()
+            )
+            object.__setattr__(self, "_pairs", pairs)
+        return pairs
 
     def letter_at(self, p: int) -> Letter:
         k, j = divmod(p, self.width)
@@ -383,10 +462,7 @@ def schema_valid(schema: Schema) -> bool:
 
 
 def _compute_valid(schema: Schema) -> bool:
-    for _, e1, e2, shift in schema.adjacent_pairs():
-        if pair_cancellation(e1, e2, shift)[0] == MIXED:
-            return False
-    return True
+    return all(kind != MIXED for _, kind, _ in schema.pair_classes)
 
 
 def unroll(schema: Schema, t: int, phase: int = 0) -> Schema | None:
@@ -396,7 +472,21 @@ def unroll(schema: Schema, t: int, phase: int = 0) -> Schema | None:
     t land on a boundary of the result.  For t = 1 this is a shift: the
     result emits at step k what the schema emits at step k + phase.  None
     when a selector set cannot be re-indexed (prefix codes, except at
-    t = 1 and phase 0) or an index function leaves the naturals."""
+    t = 1 and phase 0) or an index function leaves the naturals.  Shifts
+    are computed once per (schema, phase) and kept in the schema's
+    `_shifts` slot."""
+    if t != 1:
+        return _compute_unroll(schema, t, phase)
+    shifts = schema._shifts
+    if shifts is None:
+        shifts = {}
+        object.__setattr__(schema, "_shifts", shifts)
+    if phase not in shifts:
+        shifts[phase] = _compute_unroll(schema, 1, phase)
+    return shifts[phase]
+
+
+def _compute_unroll(schema: Schema, t: int, phase: int) -> Schema | None:
     out = []
     for s in range(t):
         for e in schema.entries:

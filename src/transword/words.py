@@ -64,7 +64,6 @@ from .schema import (
     IndexFn,
     Schema,
     fold,
-    pair_cancellation,
     schema_valid,
     tail_alignment,
     unroll,
@@ -366,14 +365,14 @@ def _cross_move(left: Stream, right: Stream):
 
 
 def _pattern_site(st: Stream):
-    """First rewritable pattern pair, as (pair_index, kind, data)."""
+    """First rewritable pattern pair, as (pair_index, kind, data): a pair
+    that cancels cofinitely, or at some step >= the stream's (finite hits
+    are ascending)."""
     k0 = st.step
-    for j, e1, e2, shift in st.schema.adjacent_pairs():
-        kind, data = pair_cancellation(e1, e2, shift)
-        if kind == COFINITE:
-            return j, kind, data
-        if kind == FINITE and data and any(h >= k0 for h in data):
-            return j, kind, data
+    for site in st.schema.pair_classes:
+        kind, data = site[1], site[2]
+        if kind == COFINITE or (kind == FINITE and data and data[-1] >= k0):
+            return site
     return None
 
 
@@ -385,7 +384,7 @@ def _apply_pattern(st: Stream) -> list[Segment] | None:
     m = st.schema.width
     k0 = st.step
     if kind == FINITE:
-        H = max(h for h in data if h >= k0)
+        H = data[-1]
         return _split_head(st, (H + 1) * m)
     K = max(k0, data)
     entries = st.schema.entries
@@ -465,7 +464,7 @@ def _unary(seg: Segment, cancel: bool) -> list[Segment] | None:
     if seg.pos % m:
         return _split_head(seg, seg.pos + m - seg.pos % m)
     normal = _normalize_cursor(seg)
-    if normal != seg:
+    if normal is not seg:
         return [normal]
     return _apply_pattern(seg) if cancel else None
 

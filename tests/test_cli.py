@@ -137,6 +137,11 @@ def test_parse_error_exit_code():
     code, _, err = run(["reduce", "-e", "[a0 oops]"])
     assert code == 2
     assert "parse error" in err and "column" in err
+    for family in ("x=3", "k=abc", "k="):
+        code, out, err = run(["reduce", "-e", "[a0]", "--family", family])
+        assert code == 2
+        assert out == ""
+        assert "parse error" in err and "Traceback" not in err
 
 
 def test_domain_error_exit_code():
@@ -145,6 +150,10 @@ def test_domain_error_exit_code():
         assert code == 1
         assert out == ""
         assert "family" in err and "Traceback" not in err
+    code, out, err = run(["demo-abelian", "-k", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "k must be a natural number" in err and "shift count" not in err
 
 
 def test_cap_exit_code(monkeypatch):

@@ -12,6 +12,7 @@ from transword.schema import (
     IndexFn,
     K,
     Schema,
+    _compute_unroll,
     _weave_fams,
     affine,
     fold,
@@ -407,3 +408,80 @@ def test_schema_copy_and_pickle():
     with pytest.raises(FrozenInstanceError):
         s.width = 3
     assert copy.deepcopy(w) == w
+
+
+def test_index_fn_and_entry_interned():
+    import copy
+    import pickle
+
+    assert IndexFn(2, 2, 0, 2) is IndexFn(1, 1, 0, 1)
+    assert IndexFn(0, 3, 0, 3) is affine(1) is K
+    f = IndexFn(1, 3, 0, 2)
+    e = Entry(PrefixCode("01", "1"), f, -1)
+    assert Entry(PrefixCode("01", "1"), IndexFn(2, 6, 0, 4), -1) is e
+    assert f.shift(1).shift(-1) is f and e.idx is f
+    # the repr of the frozen dataclasses these classes replace
+    assert repr(f) == "IndexFn(a2=1, a1=3, a0=0, div=2)"
+    assert repr(Entry("a", K, 1)) == (
+        "Entry(fam='a', idx=IndexFn(a2=0, a1=1, a0=0, div=1), sign=1)"
+    )
+    assert repr(Entry(PrefixCode("", "0"), K, -1)) == (
+        "Entry(fam=PrefixCode(branch_prefix=(), branch_period=(0,)), "
+        "idx=IndexFn(a2=0, a1=1, a0=0, div=1), sign=-1)"
+    )
+    for x in (f, e):
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(x, protocol)) is x
+    for x, name, value in ((f, "a2", 3), (f, "div", 1), (e, "sign", 1), (e, "idx", K)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, value)
+    with pytest.raises(FrozenInstanceError):
+        del f.a0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IndexFn(0, 0, 3),  # constant
+        lambda: IndexFn(0, -1, 9),  # decreasing
+        lambda: IndexFn(0, 1, 1, 2),  # not integer-valued
+        lambda: IndexFn(0, 1, 0, 0),  # zero divisor
+        lambda: IndexFn(0, 1, -1),  # negative at 0
+        lambda: Entry("d", K, 1),
+        lambda: Entry("a", K, 0),
+    ],
+)
+def test_bad_index_fn_or_entry_raises_every_time(make):
+    # an invalid argument tuple never enters a table, so it fails on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_schema_slots_match_fresh_computation():
+    # the cached shifts and pair classes are the values computed afresh,
+    # on random schemas with and without prefix codes
+    codes = failed = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        sch = random_stream(rng, selectors=TWINS if seed % 3 == 0 else None).schema
+        family = [sch] + [s for s in (unroll(sch, 2), unroll(sch, 3)) if s is not None]
+        for s in family:
+            for d in range(5):
+                cached = unroll(s, 1, d)
+                assert cached is _compute_unroll(s, 1, d)  # None exactly where it is
+                assert unroll(s, 1, d) is cached and s._shifts[d] is cached
+                failed += cached is None
+            direct = tuple(
+                (j, *pair_cancellation(e1, e2, shift))
+                for j, e1, e2, shift in s.adjacent_pairs()
+            )
+            assert s.pair_classes == direct
+            assert schema_valid(s) == all(kind != MIXED for _, kind, _ in direct)
+        codes += any(isinstance(e.fam, PrefixCode) for e in sch.entries)
+    assert codes >= 20 and failed >= 20
+    p1, p2 = EvPeriodic("", "01"), EvPeriodic("", "0011")
+    invalid = Schema((Entry(p1, K, 1), Entry(p2, K, -1)))
+    assert not schema_valid(invalid)
+    assert MIXED in (kind for _, kind, _ in invalid.pair_classes)
