@@ -10,6 +10,34 @@ Substitution: `sub{tail: a(n) -> [a(2n) a(2n+1)], except: 0 -> [a0 a1]}`
 
 The grammar is whitespace-insensitive; errors carry the offending
 position.  `render_*` emit text that re-parses to an equal value.
+
+The word grammar, over the tokens of `_TOKEN` (N a number, BITS a quoted
+bit string, NAME a set name of the environment):
+
+    word    := segment*
+    segment := '[' letter* ']' | letter+
+             | 'st' '(' ('+'|'-') ',' N ',' '{' entry+ '}' ')'
+    letter  := a LETTER token such as `b3`, then exp?
+    exp     := '^' ('+'|'-')? 1
+    entry   := ('a' | 'b' | 'c' | 'sel' '(' spec ')') '(' index ')' exp?
+    spec    := 'fin' '{' (N (',' N)*)? '}'
+             | ('eper' | 'pcode') '(' BITS ',' BITS ')' | NAME
+    index   := poly | '(' poly ')' ('/' N)?
+    poly    := ('+'|'-')? term (('+'|'-') term)*
+    term    := N | N? 'k' ('^' 2)?
+
+No rule refers to itself, so the grammar is regular, and `parse_word`
+reads a word with one `findall` of a compiled pattern, `_SEGMENT`: one
+match per block, bare letter or stream, whose groups hold a stream's
+header and first entry.  A block's letters, a stream's other entries and
+a polynomial's terms take one more `findall` each, and the interned
+values are built straight from the groups.  When a character starts no
+segment, letter or entry there, or a constructor refuses what was read,
+`parse_word` runs the descent parser `_Parser` on the whole text
+instead, so the value or the `ParseError` (message, line and column) is
+always the one `_Parser` gives.  `_Parser` also reads set specs, family
+maps and substitutions (whose exceptional images are words), and it is
+the reference the scanner is tested against.
 """
 
 from __future__ import annotations
@@ -182,7 +210,7 @@ class _Parser:
     # -- set specs ---------------------------------------------------------
 
     def setspec(self) -> SetSpec:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if text == "fin":
             self.next()
             self.expect("{")
@@ -201,7 +229,10 @@ class _Parser:
             self.expect(",")
             s2 = self._bitstring()
             self.expect(")")
-            return make_evp(s1, s2) if kind == "eper" else PrefixCode(s1, s2)
+            try:
+                return make_evp(s1, s2) if kind == "eper" else PrefixCode(s1, s2)
+            except ValueError as e:  # an empty period
+                raise ParseError(str(e), self.text, pos) from None
         if kind in _NAMES and text in self.env:
             self.next()
             return self.env[text]
@@ -353,7 +384,136 @@ class _Parser:
         return SubstitutionMap(AffineRule(tuple(pattern)), tuple(exceptional))
 
 
+# -- the segment scanner (module docstring) -----------------------------------
+
+# An identifier (`st`, `k`, a letter, a set name) ends where `_TOKEN` ends
+# it, and a number whose value is checked is matched whole.
+_IDENT_END = r"(?![A-Za-z_0-9])"
+_EXP = r"(?:\s*\^\s*([+-]?)\s*0*1(?!\d))?"  # group: the exponent's sign
+_LETTER = rf"([abc])([0-9]+){_IDENT_END}{_EXP}"  # groups: family, index, sign
+_TERM = r"(?:\d+\s*)?k(?:\s*\^\s*0*2(?!\d))?|\d+"
+_POLY = rf"[+-]?\s*(?:{_TERM})(?:\s*[+-]\s*(?:{_TERM}))*"
+# groups: literal family; the numbers of `fin{...}`; eper or pcode and its
+# two bit strings; set name; a1 and a0 of a plain `k`, `2k` or `k+3`; any other
+# polynomial, in parentheses with its divisor or bare; the exponent's sign
+_ENTRY = (
+    r"(?:([abc])|sel\s*\(\s*(?:"
+    r"fin\s*\{\s*((?:\d+(?:\s*,\s*\d+)*)?)\s*\}"
+    r'|(eper|pcode)\s*\(\s*"([01]*)"\s*,\s*"([01]*)"\s*\)'
+    rf"|((?!(?:fin|eper|pcode){_IDENT_END})[A-Za-z_][A-Za-z_0-9]*)"
+    r")\s*\))\s*\((?:(\d*)k(?:\+(\d+))?\)"
+    rf"|\s*(?:\(\s*({_POLY})\s*\)(?:\s*/\s*(\d+))?|({_POLY}))\s*\)){_EXP}"
+)
+
+
+# One segment a match: a block (its bracket and the text up to the
+# closing one), a letter of a bare run, a stream (direction, start, its
+# first entry's groups, and the text of its other entries up to its
+# closing brace), or any other character, which leaves every group empty
+# and ends the scan.  A block's letters and a stream's other entries are
+# read by `_LETTERS` and `_ENTRIES`, which match any other character too: a
+# pattern that repeated the letter or entry pattern would hold the
+# matcher's state for every repetition.  (19 groups: CPython 3.11 keeps
+# freed 20-tuples on a free list that it never reuses.)
+_SEGMENT = re.compile(
+    r"\s*(?:(\[[^\]]*)\]"
+    rf"|{_LETTER}"
+    rf"|st\s*\(\s*([+-])\s*,\s*(\d+)\s*,\s*\{{\s*{_ENTRY}"
+    r"([^{}]*(?:\{[^{}]*\}[^{}]*)*)\}\s*\)"
+    r"|\S)"
+)
+_LETTERS = re.compile(rf"\s*(?:{_LETTER}|(\S))")
+_ENTRIES = re.compile(rf"\s*(?:{_ENTRY}|(\S))")
+# groups: sign, coefficient, `k`, `^2`; one match per term of a matched
+# polynomial, and an empty one at its end
+_TERMS = re.compile(r"\s*([+-]?)\s*(\d*)\s*(k?)(\s*\^\s*\d+)?")
+_SIGN = {"": 1, "+": 1, "-": -1}
+
+
+def _scan_word(text: str, env) -> SchematicWord | None:
+    """The word `_Parser` reads from `text`, built from the matches of
+    `_SEGMENT`; None when the scan meets a character no segment starts
+    with, or a constructor refuses what it read, and `_Parser` decides."""
+    segs: list = []
+    run = None  # the letters of an open bare run
+    try:
+        for (
+            block, fam, index, sign, direction, k0,
+            lit, fin, kind, s1, s2, name, a1, a0, paren, div, bare, esign,
+            more,
+        ) in _SEGMENT.findall(text):
+            if fam:
+                if run is None:
+                    run = []
+                    segs.append(run)
+                run.append(Letter(fam, int(index), _SIGN[sign]))
+                continue
+            if run is not None:
+                segs[-1] = FiniteBlock(FreeWord(tuple(run)))
+                run = None
+            if direction:
+                first = (lit, fin, kind, s1, s2, name, a1, a0, paren, div, bare, esign, "")
+                entries = [_entry(*first, env)]
+                if more:
+                    for groups in _ENTRIES.findall(more):
+                        entries.append(_entry(*groups, env))
+                schema = Schema(tuple(entries))
+                segs.append(Stream(direction == "+", int(k0) * schema.width, schema))
+            elif block:
+                # a character that starts no letter leaves the index empty,
+                # and int("") raises
+                found = _LETTERS.findall(block, 1)
+                letters = tuple([Letter(f, int(i), _SIGN[s]) for f, i, s, _ in found])
+                segs.append(FiniteBlock(FreeWord(letters)))
+            else:
+                return None
+    except ValueError:
+        return None
+    if run is not None:
+        segs[-1] = FiniteBlock(FreeWord(tuple(run)))
+    return SchematicWord(tuple(segs))
+
+
+def _entry(lit, fin, kind, s1, s2, name, a1, a0, paren, div, bare, sign, bad, env) -> Entry:
+    """The entry of one match of `_ENTRY`; ValueError when the match is a
+    character that starts no entry (`bad`), a constructor refuses it or
+    its set name is not in `env`."""
+    if bad:
+        raise ValueError(f"no entry starts at {bad!r}")
+    if lit:
+        fam = lit
+    elif kind:
+        fam = make_evp(s1, s2) if kind == "eper" else PrefixCode(s1, s2)
+    elif name:
+        if name not in env:
+            raise ValueError(f"unknown set name {name!r}")
+        fam = env[name]
+    else:  # `fin{...}`, the one alternative that may match no text
+        fam = Finite(map(int, fin.split(","))) if fin else Finite(())
+    poly = paren or bare
+    if not poly:
+        return Entry(fam, IndexFn(0, int(a1) if a1 else 1, int(a0) if a0 else 0), _SIGN[sign])
+    a2 = a1 = a0 = 0
+    for neg, coef, k, square in _TERMS.findall(poly):
+        c = int(coef) if coef else 1
+        if neg == "-":
+            c = -c
+        if square:
+            a2 += c
+        elif k:
+            a1 += c
+        elif coef:
+            a0 += c
+    return Entry(fam, IndexFn(a2, a1, a0, int(div) if div else 1), _SIGN[sign])
+
+
 def parse_word(text: str, env: dict[str, SetSpec] | None = None) -> SchematicWord:
+    w = _scan_word(text, env or {})
+    return _descent_word(text, env) if w is None else w
+
+
+def _descent_word(text: str, env=None) -> SchematicWord:
+    """`_Parser`'s reading of a whole word, or its `ParseError`."""
     p = _Parser(text, env)
     w = p.word()
     if p.peek()[0] != "eof":

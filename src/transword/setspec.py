@@ -30,11 +30,14 @@ from math import lcm
 Bits = tuple[int, ...]
 
 
+_BIT_OF = {"0": 0, "1": 1}
+
+
 def _parse_bits(s) -> Bits:
     if isinstance(s, str):
-        if not all(ch in "01" for ch in s):
+        if s.strip("01"):
             raise ValueError(f"bit string expected, got {s!r}")
-        return tuple(int(ch) for ch in s)
+        return tuple(map(_BIT_OF.__getitem__, s))
     bits = tuple(int(b) for b in s)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"bit string expected, got {s!r}")
@@ -103,7 +106,7 @@ class Finite(SetSpec):
     elems: tuple[int, ...]
 
     def __init__(self, elems):
-        object.__setattr__(self, "elems", tuple(sorted(set(int(e) for e in elems))))
+        object.__setattr__(self, "elems", tuple(sorted(set(map(int, elems)))))
         if self.elems and self.elems[0] < 0:
             raise ValueError("finite set must consist of naturals")
 

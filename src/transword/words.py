@@ -1,11 +1,16 @@
 """Schematic words: finite blocks and omega/omega*-ordered letter streams.
 
 A SchematicWord is a finite segment sequence denoting an infinitary word
-in which every concrete letter occurs finitely often.  Two presentations
-are order-isomorphic ("the same word") exactly when `canonicalize` sends
-them to the same value; `reduce` rewrites to the unique reduced word in
-the same projection class, and `heg_equal` decides equality in the group
-by comparing reduced canonical forms.
+in which every concrete letter occurs finitely often.  The target is
+that two presentations are order-isomorphic ("the same word") exactly
+when `canonicalize` sends them to the same value, and that `reduce`
+rewrites to the unique reduced word in the same projection class, so
+that `heg_equal` decides equality in the group by comparing reduced
+canonical forms.  That target is not met yet: `canonicalize` keeps apart
+presentations that split a stream head differently (ROADMAP, item 10),
+and both passes keep apart presentations that differ in which stream
+takes a block at a junction of a backward and a forward stream (item 1),
+where `heg_equal` says False on one word.
 
 `canonicalize` and `reduce` are one left-to-right stack pass, as in free
 reduction.  Each input segment is settled by the moves on one segment

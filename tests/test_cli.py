@@ -144,6 +144,13 @@ def test_parse_error_exit_code():
         assert "parse error" in err and "Traceback" not in err
 
 
+def test_setspec_error_exit_code():
+    code, out, err = run(["reduce", "-e", 'st(+,0,{sel(pcode("",""))(k)})'])
+    assert code == 2
+    assert out == ""
+    assert "column 13: period must be nonempty" in err and "Traceback" not in err
+
+
 def test_domain_error_exit_code():
     for argv in (["decompose", "-e", "[a0]"], ["apply-ff", "-e", "[a0]", "-f", "f{S1->T}"]):
         code, out, err = run(argv)  # missing --family

@@ -245,6 +245,21 @@ def test_embedding_check_doubling():
     assert rep.levels == [6 * n + 1 for n in range(4)]
 
 
+# a40 lies in the image of every letter, so the map is not admissible; the
+# audit below rank 121 sees it, the one `embedding_check` runs does not
+CONSTANT_A40 = SubstitutionMap(AffineRule((("a", 2, 0, 1), ("a", 0, 40, -1))))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+def test_embedding_check_rejects_a_constant_letter_above_the_audit():
+    assert not embedding_check(CONSTANT_A40, 2, 3).ok
+
+
+def test_constant_letter_is_inadmissible_at_its_rank():
+    assert not check_admissible(CONSTANT_A40, 121)
+    assert not admissible_by_scan(CONSTANT_A40, 121)
+
+
 def test_embedding_check_identity():
     rep = embedding_check(identity_map(), 2, 3)
     assert rep.ok
