@@ -38,12 +38,26 @@ FAMILIES = ("a", "b", "c")
 _FAM_OFFSET = {"a": 0, "b": 1, "c": 2}
 
 
+class _Interned:
+    """Base of the hash-consed classes (`Letter` here, the schema values
+    in `schema.py`): an instance is shared by every caller that builds its
+    value, so it is frozen, and `==` and `hash` stay object identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 # every letter built so far, by (fam, index, sign); see `Letter`
 _LETTERS: dict[tuple[str, int, int], Letter] = {}
 
 
 @total_ordering
-class Letter:
+class Letter(_Interned):
     """A signed letter fam_index^sign, interned: `Letter(fam, index, sign)`
     returns the one object built for that triple, so equal letters are
     identical, `==` and `hash` are object identity (both run in C), and
@@ -75,12 +89,6 @@ class Letter:
             _LETTERS.setdefault((fam, index, -1), pos.inverse)
             self = pos if sign == 1 else pos.inverse
         return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (Letter, (self.fam, self.index, self.sign))

@@ -103,8 +103,6 @@ def min_rank_of(w: SchematicWord) -> int | None:
         if isinstance(seg, FiniteBlock):
             ranks.extend(l.rank for l in seg.word)
         else:
-            m = seg.schema.width
-            ranks.extend(
-                seg.schema.letter_at(p).rank for p in range(seg.pos, seg.pos + m)
-            )
+            period = seg.schema.letters(seg.pos, seg.pos + seg.schema.width)
+            ranks.extend(l.rank for l in period)
     return min(ranks) if ranks else None

@@ -9,6 +9,9 @@ affine).  A famspec is a concrete family 'a'/'b'/'c' or a SetSpec S
 meaning "b at steps in S, c elsewhere".
 
 Positions are linear: position p maps to (step p // m, entry p % m).
+Every run of letters the rewrite engine reads (a head cut, a step, a
+tail) is read by `Schema.letters(p0, p1)`, and each letter of a walk that
+stops at the first mismatch by `Schema.letter_at(p)`.
 
 `pair_cancellation` classifies, for two entries at shifted steps, the set
 of steps where they emit mutually inverse letters; streams whose patterns
@@ -48,10 +51,9 @@ live for the whole process and hold one object per distinct value built.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from math import gcd, isqrt, lcm
 
-from .freegroup import Letter
+from .freegroup import Letter, _Interned
 from .setspec import (
     COFINITE,
     FINITE,
@@ -69,20 +71,6 @@ from .setspec import (
 )
 
 FamSpec = str | SetSpec  # 'a' | 'b' | 'c' | selector set
-
-
-class _Interned:
-    """Base of the hash-consed classes below: an instance is shared by
-    every caller that builds its value, so it is frozen, and `==` and
-    `hash` stay object identity."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # every index function built so far, by argument tuple, both as given and
@@ -232,9 +220,6 @@ class Entry(_Interned):
             return self.fam
         return "b" if self.fam.contains(k) else "c"
 
-    def letter_at(self, k: int) -> Letter:
-        return Letter(self.family_at(k), self.idx.value(k), self.sign)
-
 
 def fam_agreement(f1: FamSpec, f2: FamSpec, shift: int):
     """Classify {k >= 0 : family chosen by f1 at k == family by f2 at k+shift}."""
@@ -347,29 +332,35 @@ class Schema(_Interned):
 
     @property
     def pair_classes(self) -> tuple[tuple[int, str, object], ...]:
-        """(j, kind, data) for each of `adjacent_pairs`, in order: (kind,
-        data) is `pair_cancellation(e1, e2, shift)` of the pair whose first
-        entry is entry j.  Computed once, on first use."""
+        """(j, kind, data) for each adjacent pair of entries, in order of
+        its first entry j: (kind, data) is `pair_cancellation` of entry j
+        and the next, which for the last entry is entry 0 one step on (the
+        wrap pair).  Computed once, on first use."""
         pairs = self._pairs
         if pairs is None:
+            m, es = self.width, self.entries
             pairs = tuple(
-                (j, *pair_cancellation(e1, e2, shift))
-                for j, e1, e2, shift in self.adjacent_pairs()
+                (j, *pair_cancellation(es[j], es[(j + 1) % m], (j + 1) // m))
+                for j in range(m)
             )
             object.__setattr__(self, "_pairs", pairs)
         return pairs
 
     def letter_at(self, p: int) -> Letter:
         k, j = divmod(p, self.width)
-        return self.entries[j].letter_at(k)
+        e = self.entries[j]
+        return Letter(e.family_at(k), e.idx.value(k), e.sign)
 
-    def adjacent_pairs(self):
-        """(position-of-first-entry-kind, e1, e2, step shift) for each
-        adjacent pair, including the wrap pair across the period boundary."""
-        m = self.width
-        for j in range(m - 1):
-            yield j, self.entries[j], self.entries[j + 1], 0
-        yield m - 1, self.entries[m - 1], self.entries[0], 1
+    def letters(self, p0: int, p1: int) -> tuple[Letter, ...]:
+        """The letters at positions p0 .. p1-1; the loop repeats `letter_at`
+        rather than calling it, so that a run is read in one frame."""
+        m, entries = self.width, self.entries
+        out = []
+        for p in range(p0, p1):
+            k, j = divmod(p, m)
+            e = entries[j]
+            out.append(Letter(e.family_at(k), e.idx.value(k), e.sign))
+        return tuple(out)
 
 
 def _compute_tail_key(schema: Schema) -> tuple[tuple, int]:

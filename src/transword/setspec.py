@@ -194,8 +194,12 @@ def carry_untwin(spec: PrefixCode) -> PrefixCode | None:
 
 
 def make_evp(prefix, period) -> SetSpec:
-    """EvPeriodic, demoted to Finite when the period is all zeros."""
-    return _from_bits(_parse_bits(prefix), _parse_bits(period))
+    """EvPeriodic, demoted to Finite when the period is all zeros;
+    ValueError for an empty period, as from `EvPeriodic`."""
+    prefix, period = _parse_bits(prefix), _parse_bits(period)
+    if not period:
+        raise ValueError("period must be nonempty")
+    return _from_bits(prefix, period)
 
 
 def _from_bits(prefix: Bits, period: Bits) -> SetSpec:

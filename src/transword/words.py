@@ -16,19 +16,20 @@ where `heg_equal` says False on one word.
 reduction.  Each input segment is settled by the moves on one segment
 (folding, head splits, cursor normalisation; when cancelling, also free
 reduction of blocks and pattern reduction of streams, which is how
-telescoping products collapse), then meets the top of the output stack
-through the moves at one junction: merge, absorb and cross move; when
-cancelling, also eat, pair-junction and pair-tail (see `_binary`).
-Absorb and eat read a block outward from the junction in the stream's
-forward sequence, so one rule serves both orientations, and
-pair-junction and pair-tail find where two tails agree by one walk.  The
-pieces of a move go back to the input, so no move applies on the stack
-and the pass ends on a word no move applies to: the normal form, as far
-as the moves are confluent.  The tests compare the pass against
-`random_site_reduce` in `tests/oracles.py`, which applies cancellation
-sites in random order.  A block between a backward and a forward stream
-is offered to the backward one first, which is not yet order-independent
-(ROADMAP, item 1).
+telescoping products collapse; every head split, to a step boundary or
+to a pattern's steps, is the one cut `_split_head`).  The segment then
+meets the top of the output stack through the moves at one junction:
+merge, absorb and cross move; when cancelling, also eat, pair-junction
+and pair-tail (see `_binary`).  Absorb and eat read a block outward from
+the junction in the stream's forward sequence, so one rule serves both
+orientations, and pair-junction and pair-tail find where two tails agree
+by one walk.  The pieces of a move go back to the input, so no move
+applies on the stack and the pass ends on a word no move applies to: the
+normal form, as far as the moves are confluent.  The tests compare the
+pass against `random_site_reduce` in `tests/oracles.py`, which applies
+cancellation sites in random order.  A block between a backward and a
+forward stream is offered to the backward one first, which is not yet
+order-independent (ROADMAP, item 1).
 
 Every word the pass returns is marked as its fixpoint: "canonical" from
 `canonicalize`, "reduced" from `reduce`.  The mark lives outside the
@@ -105,10 +106,6 @@ class Stream:
     @property
     def step(self) -> int:
         return self.pos // self.schema.width
-
-    def letter(self, p: int) -> Letter:
-        """Forward-sequence letter at linear position p >= pos."""
-        return self.schema.letter_at(p)
 
 
 Segment = FiniteBlock | Stream
@@ -243,7 +240,7 @@ def _split_head(st: Stream, upto: int) -> list[Segment]:
     stream, in display order; the stream itself when nothing is cut."""
     if upto == st.pos:
         return [st]
-    head = FiniteBlock(FreeWord(tuple(st.letter(p) for p in range(st.pos, upto))))
+    head = FiniteBlock(FreeWord(st.schema.letters(st.pos, upto)))
     return _displayed(st.forward, [head, Stream(st.forward, upto, st.schema)])
 
 
@@ -254,10 +251,9 @@ def _step_hits(schema: Schema, s: int) -> bool:
     such steps; reduced words never have them."""
     if s < 0:
         return True
-    for _, e1, e2, shift in schema.adjacent_pairs():
-        if cancels(e1.letter_at(s), e2.letter_at(s + shift)):
-            return True
-    return False
+    m = schema.width
+    run = schema.letters(s * m, (s + 1) * m + 1)  # step s and the wrap letter
+    return not is_reduced_free(FreeWord(run))
 
 
 def _normalize_cursor(st: Stream) -> Stream:
@@ -280,10 +276,8 @@ def _absorb_letters(st: Stream, letters) -> Stream | None:
     letters are exactly `letters` (length = width), or None.  Selector
     entries choose the membership bit of the new step to match."""
     m = st.schema.width
-    if len(letters) != m:
-        return None
     if st.pos >= m:
-        if list(letters) != [st.letter(p) for p in range(st.pos - m, st.pos)]:
+        if tuple(letters) != st.schema.letters(st.pos - m, st.pos):
             return None
         if _step_hits(st.schema, st.pos // m - 1):
             return None
@@ -338,7 +332,7 @@ def _block_meets_stream(bw: FreeWord, st: Stream, cancel: bool):
         moved = _absorb_letters(st, [out(i) for i in reversed(range(m))])
     if moved is None and cancel:
         t = 0
-        while t < n and cancels(out(t), st.letter(st.pos + t)):
+        while t < n and cancels(out(t), st.schema.letter_at(st.pos + t)):
             t += 1
         if t:
             moved = Stream(st.forward, st.pos + t, st.schema)
@@ -357,13 +351,12 @@ def _cross_move(left: Stream, right: Stream):
     if _pattern_site(left) is not None or _pattern_site(right) is not None:
         return None
     cur = left
-    for t in range(g // mu):
+    for p in range(right.pos, right.pos + g, mu):
         # display order runs opposite to forward-sequence order, so the
         # step adjacent to the junction pairs with the earliest moved
         # letters of the right stream, reversed within the step
-        base = right.pos + (t + 1) * mu - 1
-        letters = [right.letter(base - i).inverse for i in range(mu)]
-        cur = _absorb_letters(cur, letters)
+        step = right.schema.letters(p, p + mu)
+        cur = _absorb_letters(cur, [l.inverse for l in reversed(step)])
         if cur is None:
             return None
     return [cur, Stream(True, right.pos + g, right.schema)]
@@ -382,29 +375,28 @@ def _pattern_site(st: Stream):
 
 
 def _apply_pattern(st: Stream) -> list[Segment] | None:
+    """Pattern reduction of a stream with its cursor on a step boundary:
+    cut the head through the pattern's last finite hit or up to its first
+    cofinite step (the next visit normalises the cursor), else drop the
+    cofinite pair from the stream's own step on."""
     site = _pattern_site(st)
     if site is None:
         return None
     j, kind, data = site
     m = st.schema.width
-    k0 = st.step
-    if kind == FINITE:
-        H = data[-1]
-        return _split_head(st, (H + 1) * m)
-    K = max(k0, data)
+    cut = (data[-1] + 1) * m if kind == FINITE else data * m
+    if cut > st.pos:
+        return _split_head(st, cut)
     entries = st.schema.entries
     pieces: list[Segment] = []
-    if K > k0:  # the head before step K stays
-        head = FreeWord(tuple(st.letter(p) for p in range(st.pos, K * m)))
-        pieces.append(FiniteBlock(head))
     if j < m - 1:
         kept = entries[:j] + entries[j + 2 :]
     else:
-        # wrap pair: entry 0 at step K survives once, inner entries stream on
-        pieces.append(FiniteBlock(FreeWord((entries[0].letter_at(K),))))
+        # wrap pair: entry 0 at this step survives once, inner entries stream on
+        pieces.append(FiniteBlock(FreeWord((st.schema.letter_at(st.pos),))))
         kept = entries[1 : m - 1]
     if kept:
-        pieces.append(Stream(st.forward, K * (m - 2), Schema(kept)))
+        pieces.append(Stream(st.forward, st.step * (m - 2), Schema(kept)))
     return _displayed(st.forward, pieces)
 
 
@@ -418,15 +410,16 @@ def _agreement(u: Stream, v: Stream) -> tuple[int, int] | None:
     delta, K = al
     floor = max(u.pos, v.pos - delta)
     k = max(floor, K)
-    while k > floor and u.letter(k - 1) == v.letter(k - 1 + delta):
+    while k > floor and u.schema.letter_at(k - 1) == v.schema.letter_at(k - 1 + delta):
         k -= 1
     return delta, k
 
 
 def _junction_run(u: Stream, v: Stream) -> int:
     """Length of the cancelling run at a (backward, forward) junction."""
+    at_u, at_v = u.schema.letter_at, v.schema.letter_at
     t = 0
-    while t < _REDUCE_CAP and u.letter(u.pos + t) == v.letter(v.pos + t):
+    while t < _REDUCE_CAP and at_u(u.pos + t) == at_v(v.pos + t):
         t += 1
     if t >= _REDUCE_CAP:
         raise CapError(
@@ -443,9 +436,8 @@ def _infinite_tail_cancel(u: Stream, v: Stream) -> FiniteBlock | None:
     if al is None:
         return None
     delta, k = al
-    left = [u.letter(p) for p in range(u.pos, k)]
-    right = [v.letter(p).inverse for p in range(k + delta - 1, v.pos - 1, -1)]
-    return FiniteBlock(FreeWord(tuple(left + right)))
+    right = [l.inverse for l in reversed(v.schema.letters(v.pos, k + delta))]
+    return FiniteBlock(FreeWord(u.schema.letters(u.pos, k) + tuple(right)))
 
 
 # ---------------------------------------------------------------------------

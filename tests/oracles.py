@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately use the naive algorithm in each case (repeated-scan
-cancellation, brute-force letter enumeration over a horizon) so that the
-production code paths are checked against something computed differently.
+cancellation, brute-force letter enumeration over a horizon, stream
+letters read entry by entry) so that the production code paths are
+checked against something computed differently.
 The helpers at the bottom serve only the tests: the random-site rewrite
 order, cutting a word in two, `apply_Ff` as a rewrite of the pieces of
 `decompose`, set equality and indicator classification, truncated
@@ -95,6 +96,36 @@ def stream_display_suffix(seg: Stream, count: int) -> list[Letter]:
         seg.schema.letter_at(p).inverse
         for p in range(seg.pos + count - 1, seg.pos - 1, -1)
     ]
+
+
+def _entry_letter(e: Entry, k: int) -> Letter:
+    fam = e.fam if isinstance(e.fam, str) else "b" if e.fam.contains(k) else "c"
+    return Letter(fam, e.idx.value(k), e.sign)
+
+
+def letter_by_entry(schema: Schema, p: int) -> Letter:
+    """The letter at position p from its entry's parts: the family from
+    `fam.contains`, the index from `idx.value`."""
+    k, j = divmod(p, schema.width)
+    return _entry_letter(schema.entries[j], k)
+
+
+def adjacent_pairs(schema: Schema):
+    """(j, e1, e2, step shift) for each adjacent pair of entries, the wrap
+    pair across the period boundary included."""
+    m = schema.width
+    for j in range(m - 1):
+        yield j, schema.entries[j], schema.entries[j + 1], 0
+    yield m - 1, schema.entries[m - 1], schema.entries[0], 1
+
+
+def step_hits_by_pairs(schema: Schema, s: int) -> bool:
+    """Whether some adjacent entry pair emits mutually inverse letters at
+    step s; True for s < 0."""
+    return s < 0 or any(
+        cancels(_entry_letter(e1, s), _entry_letter(e2, s + shift))
+        for _, e1, e2, shift in adjacent_pairs(schema)
+    )
 
 
 def _stream_kept(seg: Stream, keep) -> list[Letter]:

@@ -145,10 +145,11 @@ def test_parse_error_exit_code():
 
 
 def test_setspec_error_exit_code():
-    code, out, err = run(["reduce", "-e", 'st(+,0,{sel(pcode("",""))(k)})'])
-    assert code == 2
-    assert out == ""
-    assert "column 13: period must be nonempty" in err and "Traceback" not in err
+    for spec in ('pcode("","")', 'eper("01","")'):
+        code, out, err = run(["reduce", "-e", f"st(+,0,{{sel({spec})(k)}})"])
+        assert code == 2
+        assert out == ""
+        assert "column 13: period must be nonempty" in err and "Traceback" not in err
 
 
 def test_domain_error_exit_code():

@@ -114,7 +114,7 @@ def test_render_uses_member_names():
 
 
 def test_setspec_constructor_errors_are_parse_errors():
-    for text in ('pcode("","")', 'pcode("01","")'):
+    for text in ('pcode("","")', 'pcode("01","")', 'eper("","")', 'eper("01","")'):
         with pytest.raises(ParseError) as e:
             parse_setspec(text)
         assert e.value.col == 1 and "period must be nonempty" in str(e.value)
@@ -122,6 +122,8 @@ def test_setspec_constructor_errors_are_parse_errors():
     for text, col in (
         ('st(+,0,{sel(pcode("",""))(k)})', 13),
         ('[a0]  st(+,0,{a(k) sel( pcode("1",""))(k)})', 25),
+        ('st(+,0,{sel(eper("01",""))(k)})', 13),
+        ('[a0]  st(+,0,{a(k) sel( eper("1",""))(k)})', 25),
     ):
         with pytest.raises(ParseError) as e:
             parse_word(text)

@@ -53,7 +53,7 @@ def test_letters_are_interned():
     (blk,) = parse_word("[b3^-1 a0]").segments
     assert blk.word[0] is l and blk.word[1] is Letter("a", 0)
     (stream,) = parse_word("st(+,0,{b(k+3)^-1})").segments
-    assert stream.letter(0) is l
+    assert stream.schema.letter_at(0) is l
     rng = random.Random(5)
     for _ in range(50):
         x = random_letter(rng)

@@ -1,7 +1,7 @@
 """Import hygiene, checked on the syntax tree of each module: no top-level
-import goes unused, and no function imports from a module that its file
+import goes unused, no function imports from a module that its file
 already imports at top level (a local import is kept only to break an
-import cycle)."""
+import cycle), and no top-level definition of the package goes unnamed."""
 
 import ast
 from pathlib import Path
@@ -80,3 +80,35 @@ def test_no_local_import_of_a_top_level_module():
             if module in top
         ]
     assert not repeated, f"local imports of top-level modules: {repeated}"
+
+
+# ROADMAP item 9: these have callers only in tests/ and perfbench/, and
+# move out of the library with that item
+TEST_ONLY = {
+    "freegroup.a_letter_set",  # item 9
+    "randwords.random_word",  # item 9
+    "randwords.shuffle_presentation",  # item 9
+    "schema.poly_shift_match",  # item 9
+}
+
+
+def test_no_dead_top_level_definition():
+    # every top-level function or class of the package is exported by
+    # `__init__.py` or named somewhere in the package's source
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    exported = _top_imports(trees["__init__"])
+    named = {alias.name for node in exported for alias in node.names}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    dead = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, kinds) and node.name not in named
+    }
+    assert dead == TEST_ONLY

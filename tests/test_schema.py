@@ -24,9 +24,14 @@ from transword.schema import (
 )
 from transword.randwords import random_stream
 from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, decimated
-from transword.words import SchematicWord, Stream
+from transword.words import SchematicWord, Stream, _step_hits
 
-from oracles import alignment_by_search
+from oracles import (
+    adjacent_pairs,
+    alignment_by_search,
+    letter_by_entry,
+    step_hits_by_pairs,
+)
 
 idx_st = st.one_of(
     st.builds(affine, st.integers(1, 3), st.integers(0, 6)),
@@ -475,7 +480,7 @@ def test_schema_slots_match_fresh_computation():
                 failed += cached is None
             direct = tuple(
                 (j, *pair_cancellation(e1, e2, shift))
-                for j, e1, e2, shift in s.adjacent_pairs()
+                for j, e1, e2, shift in adjacent_pairs(s)
             )
             assert s.pair_classes == direct
             assert schema_valid(s) == all(kind != MIXED for _, kind, _ in direct)
@@ -485,3 +490,30 @@ def test_schema_slots_match_fresh_computation():
     invalid = Schema((Entry(p1, K, 1), Entry(p2, K, -1)))
     assert not schema_valid(invalid)
     assert MIXED in (kind for _, kind, _ in invalid.pair_classes)
+
+
+def test_reader_matches_entry_arithmetic():
+    # `letters`, `letter_at` and `_step_hits` against the entry-by-entry
+    # reads of the oracles, on random schemas with and without prefix
+    # codes, each also followed by its first entry inverted one step on
+    # (a wrap pair that cancels where the family repeats across the step)
+    codes = hits = misses = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        sch = random_stream(rng, selectors=TWINS if seed % 3 == 0 else None).schema
+        e = sch.entries[0]
+        tele = Schema((e, Entry(e.fam, e.idx.shift(1), -e.sign)))
+        for s in (sch, tele):
+            m = s.width
+            ref = [letter_by_entry(s, p) for p in range(6 * m)]
+            assert [s.letter_at(p) for p in range(6 * m)] == ref
+            for p0 in range(3 * m + 1):  # every offset within a step
+                for p1 in range(p0, p0 + 2 * m + 2):  # empty ranges included
+                    assert s.letters(p0, p1) == tuple(ref[p0:p1])
+            for k in range(-1, 7):
+                hit = _step_hits(s, k)
+                assert hit == step_hits_by_pairs(s, k)
+                if k >= 0:
+                    hits, misses = hits + hit, misses + (not hit)
+        codes += any(isinstance(e.fam, PrefixCode) for e in sch.entries)
+    assert codes >= 20 and hits >= 300 and misses >= 300

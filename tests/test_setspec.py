@@ -212,3 +212,7 @@ def test_bit_tuples_are_checked():
 def test_period_must_be_nonempty():
     with pytest.raises(ValueError):
         EvPeriodic("01", "")
+    # `make_evp` refuses it too, rather than reading the empty period as zeros
+    for prefix in ("", "01", (1,)):
+        with pytest.raises(ValueError, match="period must be nonempty"):
+            make_evp(prefix, "")

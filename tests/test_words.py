@@ -287,6 +287,40 @@ def test_ww_inverse_fold_count(monkeypatch, n):
     assert calls <= 2 * len(product.segments)
 
 
+# stream positions that `test_ww_inverse_letter_reads` reads, pinned when
+# `Schema.letters` became the one range reader (the per-letter chain it
+# replaced made 577 reads on the same words)
+LETTER_READS = 573
+
+
+def test_ww_inverse_letter_reads(monkeypatch):
+    # every stream letter the rewrite engine reads goes through
+    # `Schema.letters` or `Schema.letter_at`; count the positions read
+    reads = 0
+    letters, letter_at = Schema.letters, Schema.letter_at
+
+    def counted_letters(schema, p0, p1):
+        nonlocal reads
+        before = reads
+        run = letters(schema, p0, p1)
+        reads = before + len(run)  # once, whether or not it reads through letter_at
+        return run
+
+    def counted_letter_at(schema, p):
+        nonlocal reads
+        reads += 1
+        return letter_at(schema, p)
+
+    monkeypatch.setattr(Schema, "letters", counted_letters)
+    monkeypatch.setattr(Schema, "letter_at", counted_letter_at)
+    rng = random.Random(53)
+    for size in SIZES:
+        for _ in range(100):
+            w = random_word(rng, **size)
+            assert reduce(concat(w, invert(w))) == EMPTY_WORD
+    assert 0 < reads <= LETTER_READS
+
+
 # -- the fixpoint mark ---------------------------------------------------------
 
 def test_marked_words_skip_their_passes():
