@@ -34,6 +34,10 @@ candidates the key is the least flat tuple.  `tail_alignment` returns
 the position shift between two schemas of one class, the difference of
 their normal presentations' starts, with a position from which their
 letters agree; stream cancellation and the interval decomposition use it.
+`fold` reads the same position view (`_in_position`): a schema folds to
+the least width d at which every entry j has the sign and the position
+polynomial of entry j mod d, the families of these copies weave into
+one, and the folded index functions increase.
 
 Schemas, entries and index functions are hash-consed (Filliatre &
 Conchon, *Type-safe modular hash-consing*, 2006): `Schema(entries)`,
@@ -398,7 +402,7 @@ def _stripped(e: Entry, j: int, m: int) -> tuple[tuple, tuple]:
     """Entry j of m as its sign, prefix-code branch (empty for other
     families) and letter index as a polynomial in the position; and the
     purely periodic step pattern of families it follows from some step on."""
-    fam, f = e.fam, e.idx
+    fam = e.fam
     branch = ((), ())
     bits = _evp_bits(fam)
     if bits is not None:  # bits are _C/_B
@@ -409,9 +413,14 @@ def _stripped(e: Entry, j: int, m: int) -> tuple[tuple, tuple]:
         steps = (_A,)
     else:
         branch, steps = (fam.branch_prefix, fam.branch_period), (_CODE,)
-    # position p = m*k + j carries index f(k) = f((p - j) / m)
-    index = _poly_at(f.a2, f.a1 * m, f.a0 * m * m, f.div * m * m, 1, -j)
-    return (e.sign, *branch, *index), steps
+    return (e.sign, *branch, *_in_position(e, j, m)), steps
+
+
+def _in_position(e: Entry, j: int, m: int) -> tuple:
+    """The letter index of entry j of m as a polynomial in the position:
+    position p = m*k + j carries index f(k) = f((p - j) / m)."""
+    f = e.idx
+    return _poly_at(f.a2, f.a1 * m, f.a0 * m * m, f.div * m * m, 1, -j)
 
 
 def _poly_at(a2: int, a1: int, a0: int, div: int, t: int, s: int) -> tuple:
@@ -520,43 +529,26 @@ def fold(schema: Schema) -> Schema:
 
 
 def _compute_fold(schema: Schema) -> Schema:
-    changed = True
-    while changed:
-        changed = False
-        m = schema.width
-        for d in range(1, m):
-            if m % d:
-                continue
-            t = m // d
-            new_entries = []
-            ok = True
-            for j in range(d):
-                copies = [schema.entries[j + d * s] for s in range(t)]
-                if len({c.sign for c in copies}) != 1:
-                    ok = False
-                    break
-                base = copies[0].idx
-                try:
-                    folded_idx = IndexFn(
-                        base.a2, base.a1 * t, base.a0 * t * t, base.div * t * t
-                    )
-                except ValueError:
-                    ok = False
-                    break
-                if any(
-                    folded_idx.compose_affine(t, s) != copies[s].idx for s in range(t)
-                ):
-                    ok = False
-                    break
-                fam = _weave_fams([c.fam for c in copies], t)
-                if fam is None:
-                    ok = False
-                    break
-                new_entries.append(Entry(fam, folded_idx, copies[0].sign))
-            if ok:
-                schema = Schema(tuple(new_entries))
-                changed = True
+    """The fold at the least width that works (module docstring); it is
+    final, as folding twice is folding once at the smaller width."""
+    m, entries = schema.width, schema.entries
+    at = [(e.sign, _in_position(e, j, m)) for j, e in enumerate(entries)]
+    for d in range(1, m):
+        if m % d or any(at[j] != at[j % d] for j in range(d, m)):
+            continue
+        t = m // d
+        out = []
+        for j in range(d):
+            fam = _weave_fams([entries[j + d * s].fam for s in range(t)], t)
+            if fam is None:
                 break
+            try:
+                idx = IndexFn(*_poly_at(*at[j][1], d, j))
+            except ValueError:  # the folded index does not increase
+                break
+            out.append(Entry(fam, idx, at[j][0]))
+        else:
+            return Schema(tuple(out))
     return schema
 
 

@@ -13,23 +13,25 @@ takes a block at a junction of a backward and a forward stream (item 1),
 where `heg_equal` says False on one word.
 
 `canonicalize` and `reduce` are one left-to-right stack pass, as in free
-reduction.  Each input segment is settled by the moves on one segment
-(folding, head splits, cursor normalisation; when cancelling, also free
-reduction of blocks and pattern reduction of streams, which is how
-telescoping products collapse; every head split, to a step boundary or
-to a pattern's steps, is the one cut `_split_head`).  The segment then
-meets the top of the output stack through the moves at one junction:
-merge, absorb and cross move; when cancelling, also eat, pair-junction
-and pair-tail (see `_binary`).  Absorb and eat read a block outward from
-the junction in the stream's forward sequence, so one rule serves both
-orientations, and pair-junction and pair-tail find where two tails agree
-by one walk.  The pieces of a move go back to the input, so no move
-applies on the stack and the pass ends on a word no move applies to: the
-normal form, as far as the moves are confluent.  The tests compare the
-pass against `random_site_reduce` in `tests/oracles.py`, which applies
-cancellation sites in random order.  A block between a backward and a
-forward stream is offered to the backward one first, which is not yet
-order-independent (ROADMAP, item 1).
+reduction.  Each input segment is settled by the moves on one segment: a
+stream by the one settle move `_settle` (fold, then cut the head to a
+step boundary or shift the cursor into the schema), an empty block by
+dropping it; when cancelling, also free reduction of blocks and pattern
+reduction of streams, which is how telescoping products collapse.  Every
+head split, to a step boundary or to a pattern's steps, is the one cut
+`_split_head`.  The segment then meets the top of the output stack
+through the moves at one junction: merge, absorb and cross move; when
+cancelling, also eat, pair-junction and pair-tail (see `_binary`).
+Absorb and eat read a block outward from the junction in the stream's
+forward sequence, so one rule serves both orientations, and
+pair-junction and pair-tail find where two tails agree by one walk.  The
+pieces of a move go back to the input, so no move applies on the stack
+and the pass ends on a word no move applies to: the normal form, as far
+as the moves are confluent.  The tests compare the pass against
+`random_site_reduce` in `tests/oracles.py`, which applies cancellation
+sites in random order.  A block between a backward and a forward stream
+is offered to the backward one first, which is not yet order-independent
+(ROADMAP, item 1).
 
 Every word the pass returns is marked as its fixpoint: "canonical" from
 `canonicalize`, "reduced" from `reduce`.  The mark lives outside the
@@ -256,21 +258,6 @@ def _step_hits(schema: Schema, s: int) -> bool:
     return not is_reduced_free(FreeWord(run))
 
 
-def _normalize_cursor(st: Stream) -> Stream:
-    """Fold a boundary cursor into the schema when every entry shifts;
-    prefix-code selectors keep their cursor."""
-    m = st.schema.width
-    if st.pos == 0 or st.pos % m:
-        return st
-    sch = unroll(st.schema, 1, st.pos // m)
-    if sch is None:
-        return st
-    try:
-        return Stream(st.forward, 0, sch)
-    except ValueError:
-        return st
-
-
 def _absorb_letters(st: Stream, letters) -> Stream | None:
     """The stream extended by one earlier step whose forward-sequence
     letters are exactly `letters` (length = width), or None.  Selector
@@ -377,7 +364,7 @@ def _pattern_site(st: Stream):
 def _apply_pattern(st: Stream) -> list[Segment] | None:
     """Pattern reduction of a stream with its cursor on a step boundary:
     cut the head through the pattern's last finite hit or up to its first
-    cofinite step (the next visit normalises the cursor), else drop the
+    cofinite step (the next visit settles the cursor), else drop the
     cofinite pair from the stream's own step on."""
     site = _pattern_site(st)
     if site is None:
@@ -429,70 +416,74 @@ def _junction_run(u: Stream, v: Stream) -> int:
     return t
 
 
-def _infinite_tail_cancel(u: Stream, v: Stream) -> FiniteBlock | None:
-    """For a (forward, backward) pair: cancel the common tails, returning
-    the finite leftover, or None when the tails never match."""
-    al = _agreement(u, v)
-    if al is None:
-        return None
-    delta, k = al
-    right = [l.inverse for l in reversed(v.schema.letters(v.pos, k + delta))]
-    return FiniteBlock(FreeWord(u.schema.letters(u.pos, k) + tuple(right)))
-
-
 # ---------------------------------------------------------------------------
 # the rewrite pass
 
+def _settle(st: Stream) -> list[Segment] | None:
+    """The stream's canonical presentation in display order, or None when
+    it has it: the schema folded, then a cursor inside a step cut to the
+    next boundary, or a boundary cursor shifted into the schema and the
+    shift folded (prefix codes keep their cursor; a shift keeps pair
+    classes, so the stream stays valid)."""
+    sch = fold(st.schema)
+    pos, m = st.pos, sch.width
+    if pos % m:
+        return _split_head(Stream(st.forward, pos, sch), pos + m - pos % m)
+    if pos:
+        shifted = unroll(sch, 1, pos // m)
+        if shifted is not None:
+            return [Stream(st.forward, 0, fold(shifted))]
+    return None if sch is st.schema else [Stream(st.forward, pos, sch)]
+
+
 def _unary(seg: Segment, cancel: bool) -> list[Segment] | None:
     """The first move on one segment, as its replacement in display order,
-    or None.  Canonical moves: drop an empty block, fold the schema, split
-    the head to a period boundary, normalise the cursor; with `cancel`,
-    also free reduction of a block and pattern reduction of a stream."""
+    or None.  Canonical moves: drop an empty block, settle a stream
+    (`_settle`); with `cancel`, also free reduction of a block and pattern
+    reduction of a stream."""
     if isinstance(seg, FiniteBlock):
         if not seg.word:
             return []
         if cancel and not is_reduced_free(seg.word):
             return [FiniteBlock(reduce_free(seg.word))]
         return None
-    folded = fold(seg.schema)
-    if folded is not seg.schema:
-        return [Stream(seg.forward, seg.pos, folded)]
-    m = seg.schema.width
-    if seg.pos % m:
-        return _split_head(seg, seg.pos + m - seg.pos % m)
-    normal = _normalize_cursor(seg)
-    if normal is not seg:
-        return [normal]
-    return _apply_pattern(seg) if cancel else None
+    settled = _settle(seg)
+    return _apply_pattern(seg) if settled is None and cancel else settled
 
 
 def _binary(a: Segment, b: Segment, cancel: bool) -> list[Segment] | None:
     """The first move at the junction of two settled segments, as their
     replacement in display order, or None: merge two blocks; absorb, then
-    eat, where a block meets a stream head; where a backward stream meets
-    a forward one, pair-junction if the tails are equal, else cross move,
-    else pair-junction on the cancelling run; pair-tail where a forward
-    stream meets a backward one.  Eat and the pair moves need `cancel`."""
+    eat, where a block meets a stream head; where streams of opposite
+    orientation meet, pair-junction or pair-tail to nothing if the tails
+    agree from both cursors; else, a backward before a forward stream,
+    cross move, else pair-junction on the cancelling run, and a forward
+    before a backward one, pair-tail to the finite leftover.  Eat and the
+    pair moves need `cancel`."""
     if isinstance(a, FiniteBlock):
         if isinstance(b, FiniteBlock):
             return [FiniteBlock(FreeWord(a.word.letters + b.word.letters))]
         return _block_meets_stream(a.word, b, cancel) if b.forward else None
     if isinstance(b, FiniteBlock):
         return None if a.forward else _block_meets_stream(b.word, a, cancel)
-    if not a.forward and b.forward:
-        if _agreement(a, b) == (b.pos - a.pos, a.pos):
-            return [] if cancel else None
-        moved = _cross_move(a, b)
-        if moved is not None:
-            return moved
-        t = _junction_run(a, b) if cancel else 0
-        if not t:
+    if a.forward == b.forward or (a.forward and not cancel):
+        return None
+    al = _agreement(a, b)
+    if al == (b.pos - a.pos, a.pos):  # the tails agree from both cursors
+        return [] if cancel else None
+    if a.forward:  # pair-tail: the finite leftover of the cancelled tails
+        if al is None:
             return None
-        return [Stream(False, a.pos + t, a.schema), Stream(True, b.pos + t, b.schema)]
-    if cancel and a.forward and not b.forward:
-        leftover = _infinite_tail_cancel(a, b)
-        return None if leftover is None else [leftover]
-    return None
+        delta, k = al
+        right = [l.inverse for l in reversed(b.schema.letters(b.pos, k + delta))]
+        return [FiniteBlock(FreeWord(a.schema.letters(a.pos, k) + tuple(right)))]
+    moved = _cross_move(a, b)
+    if moved is not None:
+        return moved
+    t = _junction_run(a, b) if cancel else 0
+    if not t:
+        return None
+    return [Stream(False, a.pos + t, a.schema), Stream(True, b.pos + t, b.schema)]
 
 
 def _rewrite(segments, cancel: bool, settled: tuple[Segment, ...] = ()) -> SchematicWord:

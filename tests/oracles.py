@@ -2,8 +2,9 @@
 
 These deliberately use the naive algorithm in each case (repeated-scan
 cancellation, brute-force letter enumeration over a horizon, stream
-letters read entry by entry) so that the production code paths are
-checked against something computed differently.
+letters read entry by entry, a fold that composes and compares the index
+function of every copy) so that the production code paths are checked
+against something computed differently.
 The helpers at the bottom serve only the tests: the random-site rewrite
 order, cutting a word in two, `apply_Ff` as a rewrite of the pieces of
 `decompose`, set equality and indicator classification, truncated
@@ -33,13 +34,16 @@ from transword.randwords import random_word
 from transword.schema import (
     COFINITE,
     Entry,
+    IndexFn,
     Schema,
+    _weave_fams,
     fam_agreement,
     poly_shift_match,
     unroll,
 )
 from transword.setspec import (
     MIXED,
+    PrefixCode,
     SetSpec,
     _classify_bitstream,
     _evp_bits,
@@ -126,6 +130,55 @@ def step_hits_by_pairs(schema: Schema, s: int) -> bool:
         cancels(_entry_letter(e1, s), _entry_letter(e2, s + shift))
         for _, e1, e2, shift in adjacent_pairs(schema)
     )
+
+
+# twin branches: the codes of the first of each pair sit one below the
+# codes of the second from some depth on (setspec.carry_twin)
+TWINS = (
+    PrefixCode("", "1"),
+    PrefixCode("", "0"),
+    PrefixCode("0", "1"),
+    PrefixCode("1", "0"),
+    PrefixCode("000", "1"),
+    PrefixCode("001", "0"),
+)
+
+
+def fold_by_copies(schema: Schema) -> Schema:
+    """`schema.fold` by composing and comparing: at the least width d that
+    divides the width, each of the t = width / d copies of entry j must
+    share its sign, be the folded index function f(k/t) composed with
+    k -> t*k + s, and weave its family with the others; the result is
+    folded again until no width works."""
+    changed = True
+    while changed:
+        changed = False
+        m = schema.width
+        for d in range(1, m):
+            if m % d:
+                continue
+            t = m // d
+            new_entries = []
+            for j in range(d):
+                copies = [schema.entries[j + d * s] for s in range(t)]
+                if len({c.sign for c in copies}) != 1:
+                    break
+                base = copies[0].idx
+                try:
+                    idx = IndexFn(base.a2, base.a1 * t, base.a0 * t * t, base.div * t * t)
+                except ValueError:
+                    break
+                if any(idx.compose_affine(t, s) != copies[s].idx for s in range(t)):
+                    break
+                fam = _weave_fams([c.fam for c in copies], t)
+                if fam is None:
+                    break
+                new_entries.append(Entry(fam, idx, copies[0].sign))
+            else:
+                schema = Schema(tuple(new_entries))
+                changed = True
+                break
+    return schema
 
 
 def _stream_kept(seg: Stream, keep) -> list[Letter]:

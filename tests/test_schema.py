@@ -27,8 +27,10 @@ from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, decima
 from transword.words import SchematicWord, Stream, _step_hits
 
 from oracles import (
+    TWINS,
     adjacent_pairs,
     alignment_by_search,
+    fold_by_copies,
     letter_by_entry,
     step_hits_by_pairs,
 )
@@ -187,6 +189,34 @@ def test_fold_weaves_selectors():
     assert seq(folded, 16) == seq(sch, 16)
 
 
+def test_fold_matches_copies_oracle():
+    # the position-view fold against the compose-and-compare oracle on
+    # seeded schemas, with and without prefix codes, unrolled and shifted
+    # so that most have copies to fold
+    count = folded = codes = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        sch = random_stream(rng, selectors=TWINS if seed % 3 == 0 else None).schema
+        for t in (1, 2, 3, 4, 6):
+            for phase in range(3):
+                s = unroll(sch, t, phase)
+                if s is None:
+                    continue
+                assert fold(s) is fold_by_copies(s)
+                assert fold(fold(s)) is fold(s)
+                count += 1
+                folded += fold(s) is not s
+                codes += any(isinstance(e.fam, PrefixCode) for e in s.entries)
+    assert count >= 2000 and folded >= 1500 and codes >= 50
+    # equal position polynomials, but the folded index (k^2-k)/2 does not
+    # increase, so this word keeps width 2
+    from transword.dsl import parse_word
+
+    (seg,) = parse_word("st(+,0,{a(2k^2-k) a(2k^2+k)})").segments
+    assert fold(seg.schema) is seg.schema is fold_by_copies(seg.schema)
+    assert seg.schema.width == 2
+
+
 def test_tail_alignment_same_schema_shift():
     sch1 = Schema((Entry("a", K, 1),))
     sch2 = Schema((Entry("a", affine(1, 5), 1),))
@@ -247,18 +277,6 @@ def test_tail_alignment_random_consistency():
 
 # ---------------------------------------------------------------------------
 # tail keys: tail_alignment(su, sv) is not None implies equal keys
-
-# twin branches: the codes of the first of each pair sit one below the
-# codes of the second from some depth on (setspec.carry_twin)
-TWINS = (
-    PrefixCode("", "1"),
-    PrefixCode("", "0"),
-    PrefixCode("0", "1"),
-    PrefixCode("1", "0"),
-    PrefixCode("000", "1"),
-    PrefixCode("001", "0"),
-)
-
 
 def _rotate(sch, r):
     """The presentation starting r entries later: entries that wrap move

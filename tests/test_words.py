@@ -6,7 +6,7 @@ import transword.words
 from transword.dsl import parse_word
 from transword.freegroup import EMPTY, FreeWord, Letter, rank_letter_set, reduce_free
 from transword.hag import hag_equal
-from transword.schema import Entry, K, Schema, affine
+from transword.schema import Entry, K, Schema, affine, unroll
 from transword.setspec import EvPeriodic, PrefixCode
 from transword.words import (
     EMPTY_WORD,
@@ -29,8 +29,9 @@ from transword.words import (
     reduce,
     stream_word,
 )
-from transword.randwords import random_word, shuffle_presentation
+from transword.randwords import random_stream, random_word, shuffle_presentation
 from oracles import (
+    TWINS,
     _sites,
     cut_points,
     project_oracle,
@@ -81,6 +82,51 @@ def test_backward_absorption_mirror():
         SchematicWord((Stream(False, 5, Schema((Entry("a", K, 1),))),))
     )
     assert len(canonicalize(w).segments) == 1
+
+
+def test_settle_is_one_move(monkeypatch):
+    # seeded streams, unrolled so that fold has copies to undo, at every
+    # cursor 0 .. 3m in both orientations, every third with prefix codes,
+    # and a schema that folds only once shifted: the pieces of `_settle`
+    # spell the stream's word, only a cut leaves the stream piece one more
+    # settle to make, and canonicalize of the one-stream word makes at most
+    # two stream moves
+    settle = transword.words._settle
+    moves = 0
+
+    def counted(st):
+        nonlocal moves
+        pieces = settle(st)
+        moves += pieces is not None
+        return pieces
+
+    monkeypatch.setattr(transword.words, "_settle", counted)
+    schemas = [parse_word("st(+,0,{a(2k^2-k) a(2k^2+k)})").segments[0].schema]
+    for seed in range(45):
+        rng = random.Random(seed)
+        sch = random_stream(rng, selectors=TWINS if seed % 3 == 0 else None).schema
+        schemas += [sch, unroll(sch, 2), unroll(sch, 3, 1)]
+    settled = moved = codes = 0
+    for big in filter(None, schemas):
+        codes += any(isinstance(e.fam, PrefixCode) for e in big.entries)
+        for pos in range(3 * big.width + 1):
+            for forward in (True, False):
+                w = SchematicWord((Stream(forward, pos, big),))
+                # the stream piece ends a forward stream's pieces and
+                # starts a backward one's
+                segs, rounds = list(w.segments), []
+                while (pieces := settle(segs[-1 if forward else 0])) is not None:
+                    segs = segs[:-1] + pieces if forward else pieces + segs[1:]
+                    assert equal_up_to(SchematicWord(tuple(segs)), w, 40)
+                    rounds.append(len(pieces))
+                    assert len(rounds) <= 2
+                assert rounds in ([], [1], [2], [2, 1])
+                moves = 0
+                canonicalize(w)
+                assert moves <= 2
+                settled += 1
+                moved += bool(rounds)
+    assert settled >= 1500 and moved >= 1300 and codes >= 15
 
 
 def test_concat_examples():
@@ -291,19 +337,23 @@ def test_ww_inverse_fold_count(monkeypatch, n):
 # `Schema.letters` became the one range reader (the per-letter chain it
 # replaced made 577 reads on the same words)
 LETTER_READS = 573
+# `Schema.letters` calls on the same words, pinned when pair-tail stopped
+# reading two empty ranges for tails that agree from both cursors
+LETTER_CALLS = 217
 
 
 def test_ww_inverse_letter_reads(monkeypatch):
     # every stream letter the rewrite engine reads goes through
     # `Schema.letters` or `Schema.letter_at`; count the positions read
-    reads = 0
+    reads = calls = 0
     letters, letter_at = Schema.letters, Schema.letter_at
 
     def counted_letters(schema, p0, p1):
-        nonlocal reads
+        nonlocal reads, calls
         before = reads
         run = letters(schema, p0, p1)
         reads = before + len(run)  # once, whether or not it reads through letter_at
+        calls += 1
         return run
 
     def counted_letter_at(schema, p):
@@ -319,6 +369,7 @@ def test_ww_inverse_letter_reads(monkeypatch):
             w = random_word(rng, **size)
             assert reduce(concat(w, invert(w))) == EMPTY_WORD
     assert 0 < reads <= LETTER_READS
+    assert 0 < calls <= LETTER_CALLS
 
 
 # -- the fixpoint mark ---------------------------------------------------------
