@@ -6,6 +6,8 @@ in the textual DSL; `--family k=K` regenerates the deterministic family
 of size K so member names S1..SK may appear in expressions.  Exit status:
 0 on success, 1 on domain errors, 2 on parse errors, 3 when a rewrite or
 cancellation scan reaches its cap (the message names the cap).
+`demo-abelian` builds and prints all 2^K evaluation rows, so it refuses
+K above ABELIAN_K_MAX = 16 with exit status 1 before building any.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import json
 import sys
 
 from . import abelian, dsl, endo, hag, sigma, words
+
+ABELIAN_K_MAX = 16  # demo-abelian prints 2^K rows
 
 
 def _family_arg(text: str):
@@ -173,6 +177,8 @@ def _run(args) -> dict:
             "characteristic": "all match" if ok else "MISMATCH",
         }
     if args.cmd == "demo-abelian":
+        if args.k > ABELIAN_K_MAX:
+            raise ValueError(f"k must be at most {ABELIAN_K_MAX}, got {args.k}")
         count = abelian.distinct_homs_demo(args.k, args.p)
         matrix = [
             "".join(str(b) for b in row)

@@ -13,25 +13,31 @@ takes a block at a junction of a backward and a forward stream (item 1),
 where `heg_equal` says False on one word.
 
 `canonicalize` and `reduce` are one left-to-right stack pass, as in free
-reduction.  Each input segment is settled by the moves on one segment: a
-stream by the one settle move `_settle` (fold, then cut the head to a
-step boundary or shift the cursor into the schema), an empty block by
-dropping it; when cancelling, also free reduction of blocks and pattern
-reduction of streams, which is how telescoping products collapse.  Every
-head split, to a step boundary or to a pattern's steps, is the one cut
-`_split_head`.  The segment then meets the top of the output stack
-through the moves at one junction: merge, absorb and cross move; when
-cancelling, also eat, pair-junction and pair-tail (see `_binary`).
-Absorb and eat read a block outward from the junction in the stream's
-forward sequence, so one rule serves both orientations, and
-pair-junction and pair-tail find where two tails agree by one walk.  The
-pieces of a move go back to the input, so no move applies on the stack
-and the pass ends on a word no move applies to: the normal form, as far
-as the moves are confluent.  The tests compare the pass against
-`random_site_reduce` in `tests/oracles.py`, which applies cancellation
-sites in random order.  A block between a backward and a forward stream
-is offered to the backward one first, which is not yet order-independent
-(ROADMAP, item 1).
+reduction.  The pass keeps one invariant: every block it holds, on the
+stack or among the pieces of moves, is non-empty, and when cancelling
+also freely reduced, as in the reduced-word calculus of Cannon & Conner,
+where two reduced words cancel only where they meet.  An input block
+enters through normalisation when it is read: dropped when empty, and
+when cancelling freely reduced, and dropped when that empties it.  An
+input stream, and every stream a move builds, is settled by the one
+settle move `_settle` (fold, then cut the head to a step boundary or
+shift the cursor into the schema), and when cancelling also by pattern
+reduction, which is how telescoping products collapse.  Every head split,
+to a step boundary or to a pattern's steps, is the one cut `_split_head`,
+which when cancelling reduces the head it cuts.  The segment then meets
+the top of the output stack through the moves at one junction: merge,
+which when cancelling cancels at the junction of the two reduced blocks,
+absorb and cross move; when cancelling, also eat, pair-junction and
+pair-tail (see `_binary`).  Absorb and eat read a block outward from the
+junction in the stream's forward sequence, so one rule serves both
+orientations, and pair-junction and pair-tail find where two tails agree
+by one walk.  The pieces of a move go back in front of the input, so no
+move applies on the stack and the pass ends on a word no move applies
+to: the normal form, as far as the moves are confluent.  The tests
+compare the pass against `random_site_reduce` in `tests/oracles.py`,
+which applies cancellation sites in random order.  A block between a
+backward and a forward stream is offered to the backward one first,
+which is not yet order-independent (ROADMAP, item 1).
 
 Every word the pass returns is marked as its fixpoint: "canonical" from
 `canonicalize`, "reduced" from `reduce`.  The mark lives outside the
@@ -41,10 +47,12 @@ exact, whether or not the moves are confluent:
 - the pass reads only the current segment and the top of the stack and
   puts pieces back in front of the rest of the input, so its state after
   a prefix of the input depends only on that prefix;
-- every adjacent pair on the output stack passed `_unary` and `_binary`
-  when it was pushed, so a second pass over a marked word makes no move,
-  and a marked first word of `concat` is the stack that a pass over the
-  whole input reaches at the end of that word;
+- every adjacent pair on the output stack passed `_binary` when it was
+  pushed, and every segment on it passed `_unary`, or is a block a move
+  built, on which the invariant makes `_unary` return None; so a second
+  pass over a marked word makes no move, and a marked first word of
+  `concat` is the stack that a pass over the whole input reaches at the
+  end of that word;
 - `_unary(., False)` and `_binary(., ., False)` return None whenever
   their cancelling forms do, so a "reduced" word is also canonical.
 `invert` drops the mark: the pass is not mirror-symmetric (a block
@@ -60,7 +68,6 @@ from math import lcm
 from .freegroup import (
     FreeWord,
     Letter,
-    cancels,
     is_reduced_free,
     rank_letter_set,
     reduce_free,
@@ -237,13 +244,19 @@ def _displayed(forward: bool, pieces: list[Segment]) -> list[Segment]:
     ]
 
 
-def _split_head(st: Stream, upto: int) -> list[Segment]:
+def _split_head(st: Stream, upto: int, cancel: bool = False) -> list[Segment]:
     """Positions [pos, upto) cut off as a finite block, and the rest of the
-    stream, in display order; the stream itself when nothing is cut."""
+    stream, in display order; the stream itself when nothing is cut.  With
+    `cancel` the block is freely reduced, and left out when that empties
+    it, so the cancelling pass gets the block reduced as its invariant
+    needs (module docstring)."""
     if upto == st.pos:
         return [st]
-    head = FiniteBlock(FreeWord(st.schema.letters(st.pos, upto)))
-    return _displayed(st.forward, [head, Stream(st.forward, upto, st.schema)])
+    head = FreeWord(st.schema.letters(st.pos, upto))
+    if cancel and not is_reduced_free(head):
+        head = reduce_free(head)
+    rest = Stream(st.forward, upto, st.schema)
+    return _displayed(st.forward, [FiniteBlock(head), rest] if head else [rest])
 
 
 def _step_hits(schema: Schema, s: int) -> bool:
@@ -307,27 +320,30 @@ def _block_meets_stream(bw: FreeWord, st: Stream, cancel: bool):
     else, with `cancel`, eat the letters that cancel the head.  The block's
     i-th letter out from the junction, in the stream's forward sequence, is
     bw[n-1-i] before a forward stream and bw[i].inverse after a backward
-    one; the block is read in place."""
-    n = len(bw)
-
-    def out(i: int) -> Letter:
-        return bw[n - 1 - i] if st.forward else bw[i].inverse
-
+    one; the block is read in place, and what is left of it is a slice,
+    left out when empty."""
+    ls, n = bw.letters, len(bw)
     m = st.schema.width
     t, moved = m, None
     if n >= m:
-        moved = _absorb_letters(st, [out(i) for i in reversed(range(m))])
+        run = ls[n - m :] if st.forward else tuple(l.inverse for l in reversed(ls[:m]))
+        moved = _absorb_letters(st, run)
     if moved is None and cancel:
+        at, p = st.schema.letter_at, st.pos
         t = 0
-        while t < n and cancels(out(t), st.schema.letter_at(st.pos + t)):
-            t += 1
+        if st.forward:
+            while t < n and ls[n - 1 - t].inverse is at(p + t):
+                t += 1
+        else:
+            while t < n and ls[t] is at(p + t):
+                t += 1
         if t:
-            moved = Stream(st.forward, st.pos + t, st.schema)
+            moved = Stream(st.forward, p + t, st.schema)
     if moved is None:
         return None
     if st.forward:
-        return [FiniteBlock(FreeWord(bw.letters[: n - t])), moved]
-    return [moved, FiniteBlock(FreeWord(bw.letters[t:]))]
+        return [FiniteBlock(FreeWord(ls[: n - t])), moved] if t < n else [moved]
+    return [moved, FiniteBlock(FreeWord(ls[t:]))] if t < n else [moved]
 
 
 def _cross_move(left: Stream, right: Stream):
@@ -373,7 +389,7 @@ def _apply_pattern(st: Stream) -> list[Segment] | None:
     m = st.schema.width
     cut = (data[-1] + 1) * m if kind == FINITE else data * m
     if cut > st.pos:
-        return _split_head(st, cut)
+        return _split_head(st, cut, True)
     entries = st.schema.entries
     pieces: list[Segment] = []
     if j < m - 1:
@@ -419,16 +435,17 @@ def _junction_run(u: Stream, v: Stream) -> int:
 # ---------------------------------------------------------------------------
 # the rewrite pass
 
-def _settle(st: Stream) -> list[Segment] | None:
+def _settle(st: Stream, cancel: bool = False) -> list[Segment] | None:
     """The stream's canonical presentation in display order, or None when
     it has it: the schema folded, then a cursor inside a step cut to the
-    next boundary, or a boundary cursor shifted into the schema and the
-    shift folded (prefix codes keep their cursor; a shift keeps pair
-    classes, so the stream stays valid)."""
+    next boundary (with `cancel`, the cut head freely reduced), or a
+    boundary cursor shifted into the schema and the shift folded (prefix
+    codes keep their cursor; a shift keeps pair classes, so the stream
+    stays valid)."""
     sch = fold(st.schema)
     pos, m = st.pos, sch.width
     if pos % m:
-        return _split_head(Stream(st.forward, pos, sch), pos + m - pos % m)
+        return _split_head(Stream(st.forward, pos, sch), pos + m - pos % m, cancel)
     if pos:
         shifted = unroll(sch, 1, pos // m)
         if shifted is not None:
@@ -438,30 +455,49 @@ def _settle(st: Stream) -> list[Segment] | None:
 
 def _unary(seg: Segment, cancel: bool) -> list[Segment] | None:
     """The first move on one segment, as its replacement in display order,
-    or None.  Canonical moves: drop an empty block, settle a stream
-    (`_settle`); with `cancel`, also free reduction of a block and pattern
-    reduction of a stream."""
+    or None.  A block is normalised: dropped when empty, and with `cancel`
+    freely reduced, and dropped when that empties it.  A stream is settled
+    (`_settle`), and with `cancel` pattern-reduced.  The pass runs this on
+    input segments and on the streams that moves build; a block a move
+    builds keeps the pass's invariant, on which this returns None."""
     if isinstance(seg, FiniteBlock):
         if not seg.word:
             return []
-        if cancel and not is_reduced_free(seg.word):
-            return [FiniteBlock(reduce_free(seg.word))]
-        return None
-    settled = _settle(seg)
+        if not cancel or is_reduced_free(seg.word):
+            return None
+        w = reduce_free(seg.word)
+        return [FiniteBlock(w)] if w else []
+    settled = _settle(seg, cancel)
     return _apply_pattern(seg) if settled is None and cancel else settled
+
+
+def _merge(x: tuple[Letter, ...], y: tuple[Letter, ...]) -> list[Segment]:
+    """Two freely reduced blocks as one, cancelling where they meet: the
+    reduced form of x·y, as no letter cancels inside either; [] when
+    nothing is left."""
+    i, n = 0, min(len(x), len(y))
+    while i < n and x[-1 - i].inverse is y[i]:
+        i += 1
+    w = x[: len(x) - i] + y[i:]
+    return [FiniteBlock(FreeWord(w))] if w else []
 
 
 def _binary(a: Segment, b: Segment, cancel: bool) -> list[Segment] | None:
     """The first move at the junction of two settled segments, as their
-    replacement in display order, or None: merge two blocks; absorb, then
-    eat, where a block meets a stream head; where streams of opposite
-    orientation meet, pair-junction or pair-tail to nothing if the tails
-    agree from both cursors; else, a backward before a forward stream,
-    cross move, else pair-junction on the cancelling run, and a forward
-    before a backward one, pair-tail to the finite leftover.  Eat and the
-    pair moves need `cancel`."""
+    replacement in display order, or None: merge two blocks (with
+    `cancel`, cancelling at the junction); absorb, then eat, where a block
+    meets a stream head; where streams of opposite orientation meet,
+    pair-junction or pair-tail to nothing if the tails agree from both
+    cursors; else, a backward before a forward stream, cross move, else
+    pair-junction on the cancelling run, and a forward before a backward
+    one, pair-tail to the finite leftover, which is reduced because its
+    cut is the least.  Eat and the pair moves need `cancel`.  Every block
+    piece is non-empty, and with `cancel` freely reduced when the blocks
+    met are."""
     if isinstance(a, FiniteBlock):
         if isinstance(b, FiniteBlock):
+            if cancel:
+                return _merge(a.word.letters, b.word.letters)
             return [FiniteBlock(FreeWord(a.word.letters + b.word.letters))]
         return _block_meets_stream(a.word, b, cancel) if b.forward else None
     if isinstance(b, FiniteBlock):
@@ -488,14 +524,21 @@ def _binary(a: Segment, b: Segment, cancel: bool) -> list[Segment] | None:
 
 def _rewrite(segments, cancel: bool, settled: tuple[Segment, ...] = ()) -> SchematicWord:
     """The stack pass over `segments`, starting from the stack `settled`:
-    canonical moves only, or with `cancel` all moves.  The result is marked
-    as the pass's fixpoint."""
+    canonical moves only, or with `cancel` all moves.  The pieces of moves
+    wait on their own stack in front of the rest of the input; a block
+    among them skips `_unary`, which the invariant makes return None.  The
+    result is marked as the pass's fixpoint."""
     todo = list(reversed(segments))
+    ahead: list[Segment] = []
     out = list(settled)
     moves = 0
-    while todo:
-        seg = todo.pop()
-        pieces = _unary(seg, cancel)
+    while ahead or todo:
+        if ahead:
+            seg = ahead.pop()
+            pieces = None if isinstance(seg, FiniteBlock) else _unary(seg, cancel)
+        else:
+            seg = todo.pop()
+            pieces = _unary(seg, cancel)
         if pieces is None and out:
             pieces = _binary(out[-1], seg, cancel)
             if pieces is not None:
@@ -509,7 +552,7 @@ def _rewrite(segments, cancel: bool, settled: tuple[Segment, ...] = ()) -> Schem
                 "rewriting reached the cap "
                 f"_REDUCE_CAP = {_REDUCE_CAP} moves in one pass"
             )
-        todo.extend(reversed(pieces))
+        ahead.extend(reversed(pieces))
     return _marked(SchematicWord(tuple(out)), _REDUCED if cancel else _CANONICAL)
 
 

@@ -2,7 +2,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from transword.cli import main
+import transword.abelian
+from transword.cli import ABELIAN_K_MAX, main
 from transword.freegroup import reduced_word_count
 
 
@@ -46,6 +47,17 @@ def test_demo_abelian_json():
     assert code == 0
     data = json.loads(out)
     assert data["distinct"] == 16 == data["expected"]
+
+
+def test_demo_abelian_refuses_large_k(monkeypatch):
+    def refuse(k, p):
+        raise AssertionError("evaluation_matrix was called")
+
+    monkeypatch.setattr(transword.abelian, "evaluation_matrix", refuse)
+    code, out, err = run(["demo-abelian", "-k", str(ABELIAN_K_MAX + 1)])
+    assert code == 1
+    assert out == ""
+    assert f"k must be at most {ABELIAN_K_MAX}" in err and "Traceback" not in err
 
 
 def test_decompose_report():

@@ -4,10 +4,17 @@ import pytest
 
 import transword.words
 from transword.dsl import parse_word
-from transword.freegroup import EMPTY, FreeWord, Letter, rank_letter_set, reduce_free
+from transword.freegroup import (
+    EMPTY,
+    FreeWord,
+    Letter,
+    is_reduced_free,
+    rank_letter_set,
+    reduce_free,
+)
 from transword.hag import hag_equal
 from transword.schema import Entry, K, Schema, affine, unroll
-from transword.setspec import EvPeriodic, PrefixCode
+from transword.setspec import EvPeriodic, Finite, PrefixCode
 from transword.words import (
     EMPTY_WORD,
     CapError,
@@ -94,9 +101,9 @@ def test_settle_is_one_move(monkeypatch):
     settle = transword.words._settle
     moves = 0
 
-    def counted(st):
+    def counted(st, cancel=False):
         nonlocal moves
-        pieces = settle(st)
+        pieces = settle(st, cancel)
         moves += pieces is not None
         return pieces
 
@@ -370,6 +377,143 @@ def test_ww_inverse_letter_reads(monkeypatch):
             assert reduce(concat(w, invert(w))) == EMPTY_WORD
     assert 0 < reads <= LETTER_READS
     assert 0 < calls <= LETTER_CALLS
+
+
+# `_unary`, `_binary` and `reduce_free` calls that `test_ww_inverse_move_counts`
+# makes, pinned when merges began to cancel at the junction and blocks built
+# by moves stopped passing through `_unary` (before: 4 166, 2 661 and 274)
+UNARY_CALLS, BINARY_CALLS, REDUCE_FREE_CALLS = 3266, 2661, 125
+
+
+def test_ww_inverse_move_counts(monkeypatch):
+    # the same words as `test_ww_inverse_letter_reads`
+    calls = dict.fromkeys(("_unary", "_binary", "reduce_free"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(transword.words, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(transword.words, name, counted)
+    rng = random.Random(53)
+    for size in SIZES:
+        for _ in range(100):
+            w = random_word(rng, **size)
+            assert reduce(concat(w, invert(w))) == EMPTY_WORD
+    assert 0 < calls["_unary"] <= UNARY_CALLS
+    assert 0 < calls["_binary"] <= BINARY_CALLS
+    assert 0 < calls["reduce_free"] <= REDUCE_FREE_CALLS
+
+
+def _blocks(pieces):
+    return [seg.word for seg in pieces if isinstance(seg, FiniteBlock)]
+
+
+def test_pass_keeps_every_block_reduced(monkeypatch):
+    # every block a move builds is non-empty, and freely reduced when
+    # cancelling; so is every block of the result
+    unary, binary = transword.words._unary, transword.words._binary
+
+    def check(pieces, cancel):
+        for b in _blocks(pieces or ()):
+            assert b and (is_reduced_free(b) or not cancel)
+
+    def checked_unary(seg, cancel):
+        pieces = unary(seg, cancel)
+        check(pieces, cancel)
+        return pieces
+
+    def checked_binary(a, b, cancel):
+        pieces = binary(a, b, cancel)
+        check(pieces, cancel)
+        return pieces
+
+    monkeypatch.setattr(transword.words, "_unary", checked_unary)
+    monkeypatch.setattr(transword.words, "_binary", checked_binary)
+    rng = random.Random(54)
+    for size in SIZES:
+        for _ in range(150):
+            w = random_word(rng, **size)
+            for v in (w, shuffle_presentation(w, rng)):
+                assert all(b and is_reduced_free(b) for b in _blocks(reduce(v).segments))
+                assert all(_blocks(canonicalize(v).segments))
+                check(reduce(concat(v, invert(w))).segments, True)
+
+
+def test_pair_tail_leftover_is_reduced():
+    # a forward stream of c-letters before a backward one whose entries are
+    # finite selectors, so the tails agree only from some step: the leftover
+    # is the free reduction of the product cut well past that step, and so
+    # reduced, and it takes letters from both heads
+    rng = random.Random(56)
+    both = 0
+    for _ in range(300):
+        m = rng.randrange(1, 3)
+        idx = [affine(rng.randrange(1, 3), rng.randrange(4)) for _ in range(m)]
+        signs = [rng.choice((1, -1)) for _ in range(m)]
+        u = Stream(True, 0, Schema(tuple(Entry("c", i, s) for i, s in zip(idx, signs))))
+        sel = [Finite(rng.sample(range(5), rng.randrange(3))) for _ in range(m)]
+        v = Stream(False, 0, Schema(tuple(map(Entry, sel, idx, signs))))
+        if any(transword.words._unary(st, True) is not None for st in (u, v)):
+            continue  # not a pair the pass meets
+        pieces = transword.words._binary(u, v, True)
+        cut = 6 * m
+        right = tuple(l.inverse for l in reversed(v.schema.letters(0, cut)))
+        expect = reduce_free(FreeWord(u.schema.letters(0, cut) + right))
+        assert pieces == ([FiniteBlock(expect)] if expect else [])
+        both += bool(expect) and expect[0].fam == "c" and expect[-1].fam == "b"
+    assert both >= 40
+
+
+def _reduced_letters(rng, n):
+    out = []
+    while len(out) < n:
+        l = Letter(rng.choice("abc"), rng.randrange(3), rng.choice((1, -1)))
+        if not out or out[-1].inverse is not l:
+            out.append(l)
+    return tuple(out)
+
+
+def test_merge_cancels_at_the_junction():
+    # the merge of two reduced blocks is reduce_free of their product, [] when
+    # they cancel fully; the canonical merge concatenates
+    rng = random.Random(55)
+    full = partial = 0
+    for _ in range(600):
+        x = _reduced_letters(rng, rng.randrange(1, 7))
+        # y starts by undoing j letters of x's end, then goes on at random
+        j = rng.randrange(len(x) + 1)
+        y = tuple(l.inverse for l in reversed(x[len(x) - j :]))
+        y = reduce_free(FreeWord(y + _reduced_letters(rng, rng.randrange(3)))).letters
+        if not y:
+            continue
+        a, b = FiniteBlock(FreeWord(x)), FiniteBlock(FreeWord(y))
+        expect = reduce_free(FreeWord(x + y))
+        assert transword.words._binary(a, b, True) == (
+            [FiniteBlock(expect)] if expect else []
+        )
+        assert transword.words._binary(a, b, False) == [FiniteBlock(FreeWord(x + y))]
+        full += not expect
+        partial += 0 < len(expect) < len(x) + len(y)
+    assert full >= 20 and partial >= 100
+
+
+# seeds of `test_long_products_cancel`
+LONG_PRODUCT_SEEDS = (61, 62, 63)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_long_products_cancel(n):
+    # the shape of the cancel benchmark: n concatenated random words times the
+    # inverse of the same words, or of a shuffled presentation of each
+    for seed in LONG_PRODUCT_SEEDS:
+        rng = random.Random(seed)
+        parts = [random_word(rng) for _ in range(n)]
+        shuffled = [shuffle_presentation(p, rng) for p in parts]
+        w = SchematicWord(tuple(s for p in parts for s in p.segments))
+        for v_parts in (parts, shuffled):
+            v = SchematicWord(tuple(s for p in v_parts for s in p.segments))
+            assert reduce(SchematicWord(w.segments + invert(v).segments)) == EMPTY_WORD
 
 
 # -- the fixpoint mark ---------------------------------------------------------
