@@ -66,7 +66,6 @@ from .freegroup import (
     reduce_free,
     reduced_word_count,
 )
-from .hag import min_rank_of
 from .schema import Entry, IndexFn, Schema
 from .words import (
     EMPTY_WORD,
@@ -79,6 +78,7 @@ from .words import (
     from_free,
     invert,
     kept_letters,
+    min_rank_of,
     occurrences,
     project_finite,
     reduce,

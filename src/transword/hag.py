@@ -6,10 +6,36 @@ orientation sign; a HagClass is a cancelled sequence of germs and is the
 normal form for quotient equality on the fragment.  Germs compare and hash
 by the schema's exact tail key (`Schema.tail_key`) and the sign, so `==`
 on germs is tail-class equality and `==` on classes is equality in the
-quotient; the schema a germ keeps is only for rendering.  Every rewrite
-used by `hag_normal` either deletes a finite subword or cancels a word
-against its inverse, so equal verdicts are sound; distinct normal forms
-are a fragment-level verdict.
+quotient; the schema a germ keeps is only for rendering.
+
+`hag_normal` reads each stream's germ off its schema alone: the pattern
+tail (`words.pattern_tail`), which the pass leaves of a stream over the
+schema, is computed once per distinct schema and kept in a slot.  The
+blocks drop, and adjacent inverse germs cancel (`_cancelled`).  This is
+the class that reducing the whole word and reading its streams gives,
+because every move of the rewrite pass does one of three things to the
+germ sequence:
+- it keeps each stream's tail class: settle, absorb, eat, cross move,
+  junction run and head cut move letters between a stream's head and
+  its neighbours, or re-present the stream, and never change which
+  letters it carries from some position on;
+- it pattern-reduces one stream, which the slot does for each stream;
+- it deletes two adjacent streams whose tails are inverse
+  (pair-junction, pair-tail), a free cancellation that `_cancelled` also
+  makes, and free cancellation in the free group on germs ends in one
+  reduced sequence whatever the order.
+The slot ignores the cursor and orientation.  A pair that cancels
+cofinitely is dropped from every step on, whatever the cursor; a pair
+that cancels at finitely many steps only cuts a head; and a shift of the
+cursor into the schema keeps the pair classes.  An orientation only
+reverses the display order of what the pass cuts off.  The pass keeps
+every projection and the quotient deletes only finite subwords, so equal
+verdicts are sound; distinct normal forms are a fragment-level verdict.
+
+A germ renders the stream's own schema, pattern-reduced, with its cursor
+erased, so two presentations of one class can still render differently
+(`[a0] st(+,0,{a(k+1)})` and `st(+,0,{a(k)})`).  Rendering each class
+from its `tail_key` is the open half of ROADMAP item 14.
 """
 
 from __future__ import annotations
@@ -17,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .schema import Schema
-from .words import FiniteBlock, SchematicWord, Stream, reduce
+from .words import SchematicWord, Stream, pattern_tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +98,16 @@ def _cancelled(germs) -> HagClass:
 
 
 def hag_normal(w: SchematicWord) -> HagClass:
-    """Reduce, delete finite blocks, erase stream cursors, cancel adjacent
-    inverse germ pairs."""
-    germs = [
-        Germ(seg.schema, 1 if seg.forward else -1)
-        for seg in reduce(w).segments
-        if isinstance(seg, Stream)
-    ]
+    """The quotient class of w, without a pass over w: each stream's
+    pattern tail (`words.pattern_tail`) as a germ, signed by the
+    stream's orientation, the blocks and vanished streams dropped, and
+    adjacent inverse germs cancelled (module docstring)."""
+    germs = []
+    for seg in w.segments:
+        if isinstance(seg, Stream):
+            tail = pattern_tail(seg.schema)
+            if tail is not None:
+                germs.append(Germ(tail, 1 if seg.forward else -1))
     return _cancelled(germs)
 
 
@@ -94,15 +123,3 @@ def hag_equal(w1: SchematicWord, w2: SchematicWord) -> bool:
 
 def hag_product(h1: HagClass, h2: HagClass) -> HagClass:
     return _cancelled(h1.germs + h2.germs)
-
-
-def min_rank_of(w: SchematicWord) -> int | None:
-    """Smallest letter rank occurring in w, None for the empty word."""
-    ranks = []
-    for seg in w.segments:
-        if isinstance(seg, FiniteBlock):
-            ranks.extend(l.rank for l in seg.word)
-        else:
-            period = seg.schema.letters(seg.pos, seg.pos + seg.schema.width)
-            ranks.extend(l.rank for l in period)
-    return min(ranks) if ranks else None

@@ -46,8 +46,11 @@ object for their value, so equality is identity and each constructor
 validates a value once.  Every value derived from a schema alone is
 computed once per distinct schema, however often callers rebuild it, and
 kept in its slots: the hash, `fold`, validity (`schema_valid`),
-`tail_key`, the adjacent-pair classes (`Schema.pair_classes`) and the
-shifts `unroll(schema, 1, d)`, None included.  The rewrite pass visits a
+`tail_key`, the adjacent-pair classes (`Schema.pair_classes`), the
+shifts `unroll(schema, 1, d)`, None included, and the pattern tail
+(`words.pattern_tail`): the schema of the stream that pattern reduction
+leaves of a stream over this one, None when it vanishes, from which the
+archipelago quotient reads each stream's germ.  The rewrite pass visits a
 stream several times per pass and asks each time for its shift and its
 pattern sites, so these are the lookups it repeats.  The intern tables
 live for the whole process and hold one object per distinct value built.
@@ -289,12 +292,14 @@ class Schema(_Interned):
     identical and `==` is `is`.  `width`, the number of entries, is set
     with them.  Each value derived from the schema alone is computed on
     first use and kept in a slot, once per distinct schema: the hash,
-    `fold`, validity (`schema_valid`), `tail_key`, `pair_classes`, and in
+    `fold`, validity (`schema_valid`), `tail_key`, `pair_classes`, in
     `_shifts` a dict d -> `unroll(schema, 1, d)`, failed shifts (None)
-    included."""
+    included, and in `_tail` the pattern tail (`words.pattern_tail`),
+    False when the stream vanishes."""
 
     __slots__ = (
-        "entries", "width", "_hash", "_folded", "_valid", "_key", "_pairs", "_shifts"
+        "entries", "width", "_hash", "_folded", "_valid", "_key", "_pairs", "_shifts",
+        "_tail",
     )
 
     def __new__(cls, entries: tuple[Entry, ...]):

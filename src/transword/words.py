@@ -40,8 +40,9 @@ backward and a forward stream is offered to the backward one first,
 which is not yet order-independent (ROADMAP, item 1).
 
 Every word the pass returns is marked as its fixpoint: "canonical" from
-`canonicalize`, "reduced" from `reduce`.  The mark lives outside the
-dataclass fields, so `==`, `hash` and `repr` ignore it, and `reduce`,
+`canonicalize`, "reduced" from `reduce`; `EMPTY_WORD`, on which no move
+applies, is marked "reduced".  The mark lives outside the dataclass
+fields, so `==`, `hash` and `repr` ignore it, and `reduce`,
 `canonicalize` and `concat` skip the passes it vouches for.  This is
 exact, whether or not the moves are confluent:
 - the pass reads only the current segment and the top of the stack and
@@ -140,14 +141,15 @@ class SchematicWord:
         return f"SchematicWord<{self}>"
 
 
-EMPTY_WORD = SchematicWord(())
-
 _CANONICAL, _REDUCED = 1, 2
 
 
 def _marked(w: SchematicWord, level: int) -> SchematicWord:
     object.__setattr__(w, "_mark", level)
     return w
+
+
+EMPTY_WORD = _marked(SchematicWord(()), _REDUCED)
 
 
 def block(*letters: Letter) -> SchematicWord:
@@ -223,6 +225,18 @@ def project_finite(w: SchematicWord, letters) -> FreeWord:
 def proj_rank(w: SchematicWord, n: int) -> FreeWord:
     """The projection keeping letters of rank < n; ValueError for n < 0."""
     return project_finite(w, rank_letter_set(n))
+
+
+def min_rank_of(w: SchematicWord) -> int | None:
+    """Smallest letter rank occurring in w, None for the empty word."""
+    ranks = []
+    for seg in w.segments:
+        if isinstance(seg, FiniteBlock):
+            ranks.extend(l.rank for l in seg.word)
+        else:
+            period = seg.schema.letters(seg.pos, seg.pos + seg.schema.width)
+            ranks.extend(l.rank for l in period)
+    return min(ranks) if ranks else None
 
 
 def equal_up_to(w1: SchematicWord, w2: SchematicWord, N: int) -> bool:
@@ -607,6 +621,25 @@ def heg_equal(w1: SchematicWord, w2: SchematicWord) -> bool:
     return reduce(w1) == reduce(w2)
 
 
+def pattern_tail(schema: Schema) -> Schema | None:
+    """The schema of the stream that the pass leaves of a stream over
+    `schema` from position 0, or None when nothing of it stays a stream:
+    the stream settled and pattern-reduced, its head cut off.  Computed
+    once per distinct schema and kept in its `_tail` slot; the `hag`
+    module docstring says why every stream over the schema, whatever its
+    cursor and orientation, leaves a tail of this class."""
+    tail = schema._tail
+    if tail is None:
+        tail = _compute_tail(schema)
+        object.__setattr__(schema, "_tail", tail)
+    return tail or None
+
+
+def _compute_tail(schema: Schema) -> Schema | bool:
+    segments = _rewrite((Stream(True, 0, schema),), True).segments
+    return next((seg.schema for seg in segments if isinstance(seg, Stream)), False)
+
+
 # ---------------------------------------------------------------------------
 # recoding and retraction
 
@@ -680,7 +713,8 @@ def ra_retract(w: SchematicWord) -> SchematicWord:
     for seg in c.segments:
         if isinstance(seg, FiniteBlock):
             kept = tuple(l for l in seg.word if l.fam == "a")
-            out.append(FiniteBlock(FreeWord(kept)))
+            if kept:
+                out.append(FiniteBlock(FreeWord(kept)))
             continue
         m = seg.schema.width
         kept_entries = tuple(e for e in seg.schema.entries if e.fam == "a")
@@ -694,4 +728,4 @@ def ra_retract(w: SchematicWord) -> SchematicWord:
         out.append(Stream(seg.forward, new_pos, Schema(kept_entries)))
     if tuple(out) == c.segments:  # nothing dropped: c keeps its mark
         return c
-    return canonicalize(SchematicWord(tuple(out)))
+    return canonicalize(SchematicWord(tuple(out))) if out else EMPTY_WORD

@@ -5,6 +5,8 @@ cancellation, brute-force letter enumeration over a horizon, stream
 letters read entry by entry, a fold that composes and compares the index
 function of every copy) so that the production code paths are checked
 against something computed differently.
+The quotient class is also computed through the whole-word pass, apart
+from the library's per-schema pattern tails.
 The helpers at the bottom serve only the tests: the random-site rewrite
 order, cutting a word in two, `apply_Ff` as a rewrite of the pieces of
 `decompose`, set equality and indicator classification, truncated
@@ -29,7 +31,7 @@ from transword.freegroup import (
     cancels,
     rank_letter_set,
 )
-from transword.hag import Germ, HagClass
+from transword.hag import Germ, HagClass, _cancelled
 from transword.randwords import random_word
 from transword.schema import (
     COFINITE,
@@ -336,6 +338,17 @@ def alignment_by_search(su: Schema, sv: Schema) -> tuple[int, int] | None:
         return None
     matches.sort(key=lambda t: abs(t[0]))
     return matches[0]
+
+
+def hag_normal_by_reduce(w: SchematicWord) -> HagClass:
+    """The quotient class through the whole-word pass: reduce w, keep the
+    streams it leaves as germs, cancel adjacent inverse germs."""
+    germs = [
+        Germ(seg.schema, 1 if seg.forward else -1)
+        for seg in reduce(w).segments
+        if isinstance(seg, Stream)
+    ]
+    return _cancelled(germs)
 
 
 def hag_inverse(h: HagClass) -> HagClass:

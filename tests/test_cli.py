@@ -121,6 +121,14 @@ def test_hag_germs():
     assert "germ-seq" in result and "sel(S2)" in result
 
 
+def test_hag_erases_the_cursor():
+    # a germ renders the stream's schema, not the shift its cursor makes
+    for expr in ("st(+,2,{a(k)})", "st(+,0,{a(k)})"):
+        code, out, _ = run(["hag", "-e", expr])
+        assert code == 0
+        assert "result: germ-seq: [{a(k)}+]" in out
+
+
 def test_embedding_check_cli():
     code, out, _ = run(["embedding-check", "-s", "doubling", "--nmax", "2", "--lenmax", "3"])
     assert code == 0
