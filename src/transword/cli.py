@@ -8,6 +8,9 @@ of size K so member names S1..SK may appear in expressions.  Exit status:
 cancellation scan reaches its cap (the message names the cap).
 `demo-abelian` builds and prints all 2^K evaluation rows, so it refuses
 K above ABELIAN_K_MAX = 16 with exit status 1 before building any.
+`demo-separation` evaluates K member words for each of the 2^K subsets,
+so it refuses K above SEPARATION_K_MAX = 16 with exit status 1 before
+building the family.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 from . import abelian, dsl, endo, hag, sigma, words
 
 ABELIAN_K_MAX = 16  # demo-abelian prints 2^K rows
+SEPARATION_K_MAX = 16  # demo-separation evaluates K words per subset, 2^K subsets
 
 
 def _family_arg(text: str):
@@ -158,6 +162,8 @@ def _run(args) -> dict:
         h = hag.hag_normal(w)
         return {"input": args.expr, "result": hag.render_class(h, names)}
     if args.cmd == "demo-separation":
+        if args.k > SEPARATION_K_MAX:
+            raise ValueError(f"k must be at most {SEPARATION_K_MAX}, got {args.k}")
         fam = sigma.make_family(args.k)
         patterns = set()
         total = 0

@@ -17,6 +17,11 @@ member interval according to a table f and keeps the plain ones verbatim.
 homomorphism; permutations of the family act by automorphisms, and
 `separation_pattern` exhibits one distinguishable kernel pattern per
 subset of the family.
+
+A family keeps what no map changes, each built once on first use: the
+member schemas, the index from tail key to member, and the decomposition
+of each member word.  The separation sweep rewrites the member words
+under 2^k maps from these decompositions, without decomposing again.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ T = "T"  # the distinguished non-member symbol
 
 @dataclass(frozen=True)
 class SigmaFamily:
+    """Named pairwise almost disjoint infinite sets, with their pairwise
+    intersection bounds.  Per-family data, filled on first use: the member
+    schemas (`schema`), the tail-key index (`tail_member`) and the member
+    decompositions (`_member_parts`)."""
+
     names: tuple[str, ...]
     members: tuple[SetSpec, ...]
     bounds: tuple[tuple[str, str, int], ...]  # pairwise intersection bounds
@@ -112,6 +122,13 @@ class SigmaFamily:
     def tail_member(self, schema: Schema) -> str | None:
         """The member whose word shares a tail with the schema, or None."""
         return self._by_key.get(schema.tail_key)
+
+    @cached_property
+    def _member_parts(self) -> dict[str, tuple]:
+        # no map changes a member word or its intervals
+        return {
+            name: tuple(_intervals(u_word(name, 0, self), self)) for name in self.names
+        }
 
 
 def make_family(k: int) -> SigmaFamily:
@@ -263,16 +280,24 @@ def _validate_map(fam: SigmaFamily, f: dict[str, str]):
             raise ValueError(f"map sends {name} outside the family: {f[name]}")
 
 
+def _image(parts, fam: SigmaFamily, f: dict[str, str]) -> SchematicWord:
+    """The word of the intervals `parts` once each member interval for S is
+    replaced by the same-position word for f(S), which must be defined;
+    plain intervals pass through verbatim.  Builds only the images, not the
+    words of the member intervals they replace."""
+    images = [
+        _tag_word(part, f[part.name], fam) if isinstance(part, Maximal) else part
+        for part in parts
+    ]
+    return concat(*images) if images else EMPTY_WORD
+
+
 def apply_Ff(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> SchematicWord:
     """Replace every maximal member interval for S by the same-position
-    word for f(S); plain intervals pass through verbatim.  Builds only the
-    images, not the words of the member intervals they replace."""
+    word for f(S); plain intervals pass through verbatim.  Validates f,
+    then builds the image of the word's intervals with `_image`."""
     _validate_map(fam, f)
-    parts = [
-        _tag_word(part, f[part.name], fam) if isinstance(part, Maximal) else part
-        for part in _intervals(w, fam)
-    ]
-    return concat(*parts) if parts else EMPTY_WORD
+    return _image(_intervals(w, fam), fam, f)
 
 
 def psi_f(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> HagClass:
@@ -297,14 +322,18 @@ def separation_pattern(fam: SigmaFamily, Scal) -> tuple[int, ...]:
     """One bit per member: whether the member's word survives the
     composite that rewrites chosen members onto the a-letters and then
     retracts away everything else.  Equals the characteristic vector of
-    Scal, so distinct subsets give distinct homomorphisms."""
+    Scal, so distinct subsets give distinct homomorphisms.
+
+    For each subset it builds the map f (S to T for S in Scal, else S to
+    itself) and, for each member, the image of the family's stored member
+    decomposition under f, then `ra_retract` and `hag_normal` of it; f is
+    total by construction, so it is not validated again."""
     Scal = set(Scal)
     unknown = Scal - set(fam.names)
     if unknown:
         raise ValueError(f"not family members: {sorted(unknown)}")
     f = {name: (T if name in Scal else name) for name in fam.names}
-    bits = []
-    for name in fam.names:
-        image = apply_Ff(u_word(name, 0, fam), fam, f)
-        bits.append(1 if hag_normal(ra_retract(image)) else 0)
-    return tuple(bits)
+    return tuple(
+        1 if hag_normal(ra_retract(_image(fam._member_parts[name], fam, f))) else 0
+        for name in fam.names
+    )

@@ -3,7 +3,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import transword.abelian
-from transword.cli import ABELIAN_K_MAX, main
+import transword.sigma
+from transword.cli import ABELIAN_K_MAX, SEPARATION_K_MAX, main
 from transword.freegroup import reduced_word_count
 
 
@@ -40,6 +41,17 @@ def test_demo_separation_verdict():
     assert code == 0
     assert "16/16 patterns distinct" in out
     assert "all match" in out
+
+
+def test_demo_separation_refuses_large_k(monkeypatch):
+    def refuse(k):
+        raise AssertionError("make_family was called")
+
+    monkeypatch.setattr(transword.sigma, "make_family", refuse)
+    code, out, err = run(["demo-separation", "-k", str(SEPARATION_K_MAX + 1)])
+    assert code == 1
+    assert out == ""
+    assert f"k must be at most {SEPARATION_K_MAX}" in err and "Traceback" not in err
 
 
 def test_demo_abelian_json():

@@ -11,6 +11,7 @@ from transword.sigma import (
     Maximal,
     SigmaFamily,
     T,
+    _intervals,
     apply_Ff,
     decompose,
     make_family,
@@ -25,6 +26,7 @@ from transword.words import (
     heg_equal,
     invert,
     proj_rank,
+    ra_retract,
     reduce,
 )
 from transword.randwords import random_letter, random_word, shuffle_presentation
@@ -329,9 +331,10 @@ def test_separation_sweep_computes_once_per_schema(monkeypatch):
 
 
 def test_separation_sweep_words_per_member_word(monkeypatch):
-    # apply_Ff maps each tag straight to its image, so the sweep builds two
-    # words per member word: the input and its image (building the member
-    # interval's word as well, three: 30 720)
+    # the family decomposes each member word once and every subset maps the
+    # stored tags straight to their images, so the sweep builds one image
+    # per member and subset plus the k member words (rebuilding and
+    # decomposing each member word for every subset, 2 * k * 2^k = 20 480)
     from transword import sigma
 
     real = sigma.u_word
@@ -347,7 +350,61 @@ def test_separation_sweep_words_per_member_word(monkeypatch):
     for mask in range(1 << len(fam)):
         chosen = {n for i, n in enumerate(fam.names) if mask >> i & 1}
         separation_pattern(fam, chosen)
-    assert built <= 2 * len(fam) * 2 ** len(fam)
+    assert built <= len(fam) * 2 ** len(fam) + len(fam)
+
+
+def _subsets(fam):
+    for mask in range(1 << len(fam)):
+        yield {n for i, n in enumerate(fam.names) if mask >> i & 1}
+
+
+def test_separation_sweep_decomposes_once_per_member_word(monkeypatch):
+    # the member decompositions are family data, and separation_pattern
+    # builds its total map itself, so it neither decomposes nor validates
+    # per subset (decomposing per subset, 10 240 intervals runs and as many
+    # map checks)
+    from transword import sigma
+
+    counts = {"_intervals": 0, "_validate_map": 0}
+
+    def record(name):
+        real = getattr(sigma, name)
+
+        def counting(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sigma, name, counting)
+
+    for name in counts:
+        record(name)
+    fam = make_family(10)
+    for chosen in _subsets(fam):
+        separation_pattern(fam, chosen)
+    assert counts == {"_intervals": len(fam), "_validate_map": 0}
+
+
+def _uncached_pattern(fam, chosen):
+    f = {name: (T if name in chosen else name) for name in fam.names}
+    return tuple(
+        1 if hag_normal(ra_retract(apply_Ff(u_word(name, 0, fam), fam, f))) else 0
+        for name in fam.names
+    )
+
+
+def test_separation_matches_uncached_composite():
+    # every subset for k = 1..5, then 200 seeded subsets of a 10-member family
+    small = [make_family(k) for k in range(1, 6)]
+    cases = [(fam, chosen) for fam in small for chosen in _subsets(fam)]
+    fam10 = make_family(10)
+    rng = random.Random(2701)
+    cases += [(fam10, {n for n in fam10.names if rng.random() < 0.5}) for _ in range(200)]
+    for fam, chosen in cases:
+        assert separation_pattern(fam, chosen) == _uncached_pattern(fam, chosen)
+    for fam in small + [fam10]:
+        for name in fam.names:
+            fresh = tuple(_intervals(u_word(name, 0, fam), fam))
+            assert fam._member_parts[name] == fresh
 
 
 def test_separation_sweep_passes_per_member_word(monkeypatch):
