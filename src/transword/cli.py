@@ -10,7 +10,8 @@ cancellation scan reaches its cap (the message names the cap).
 K above ABELIAN_K_MAX = 16 with exit status 1 before building any.
 `demo-separation` evaluates K member words for each of the 2^K subsets,
 so it refuses K above SEPARATION_K_MAX = 16 with exit status 1 before
-building the family.
+building the family.  `--family k=K` builds K(K-1)/2 intersection
+bounds, so it refuses K above FAMILY_K_MAX = 256 the same way.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import abelian, dsl, endo, hag, sigma, words
 
 ABELIAN_K_MAX = 16  # demo-abelian prints 2^K rows
 SEPARATION_K_MAX = 16  # demo-separation evaluates K words per subset, 2^K subsets
+FAMILY_K_MAX = 256  # --family k=K builds K(K-1)/2 intersection bounds
 
 
 def _family_arg(text: str):
@@ -32,6 +34,8 @@ def _family_arg(text: str):
         size = int(text[2:])
     except ValueError:
         raise dsl.ParseError("expected an integer size after k=", text, 2) from None
+    if size > FAMILY_K_MAX:
+        raise ValueError(f"family size must be at most {FAMILY_K_MAX}, got {size}")
     return sigma.make_family(size)
 
 

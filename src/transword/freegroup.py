@@ -122,11 +122,6 @@ def rank_letter_set(n: int) -> frozenset[tuple[str, int]]:
     )
 
 
-def a_letter_set(n: int) -> frozenset[tuple[str, int]]:
-    """The classic projection alphabet {a_0 .. a_{n-1}}."""
-    return frozenset(("a", m) for m in range(n))
-
-
 @dataclass(frozen=True)
 class FreeWord:
     letters: tuple[Letter, ...] = ()

@@ -13,15 +13,17 @@ interval the letters after it, as long as they continue the member word
 one position earlier.  What is left forms the maximal plain intervals.
 `decompose` returns all the intervals as pieces; `apply_Ff` replaces each
 member interval according to a table f and keeps the plain ones verbatim.
-`psi_f` pushes the result into the archipelago quotient, where it is a
-homomorphism; permutations of the family act by automorphisms, and
-`separation_pattern` exhibits one distinguishable kernel pattern per
-subset of the family.
 
-A family keeps what no map changes, each built once on first use: the
-member schemas, the index from tail key to member, and the decomposition
-of each member word.  The separation sweep rewrites the member words
-under 2^k maps from these decompositions, without decomposing again.
+A member word u_S is one maximal interval, from position 0 forward, so
+apply_Ff(u_S) = u_{f(S)}, the word `separation_pattern` builds.  In the
+archipelago quotient apply_Ff needs no walk either: it replaces only
+streams whose tail is a member's, blocks die there, and free
+cancellation of germs commutes with a germwise map.  So `psi_f` maps
+each germ of hag_normal(w) of a member S to the germ of f(S), keeps the
+others and cancels: a homomorphism that factors through the quotient
+map.  `phi_sigma` is that germ map for a permutation of the family, an
+automorphism, and `separation_pattern` exhibits one distinguishable
+kernel pattern per subset of the family.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ T = "T"  # the distinguished non-member symbol
 class SigmaFamily:
     """Named pairwise almost disjoint infinite sets, with their pairwise
     intersection bounds.  Per-family data, filled on first use: the member
-    schemas (`schema`), the tail-key index (`tail_member`) and the member
-    decompositions (`_member_parts`)."""
+    schemas (`schema`) and the tail-key index (`tail_member`).  Member
+    words need no more: apply_Ff(u_S) = u_{f(S)} (module docstring)."""
 
     names: tuple[str, ...]
     members: tuple[SetSpec, ...]
@@ -122,13 +124,6 @@ class SigmaFamily:
     def tail_member(self, schema: Schema) -> str | None:
         """The member whose word shares a tail with the schema, or None."""
         return self._by_key.get(schema.tail_key)
-
-    @cached_property
-    def _member_parts(self) -> dict[str, tuple]:
-        # no map changes a member word or its intervals
-        return {
-            name: tuple(_intervals(u_word(name, 0, self), self)) for name in self.names
-        }
 
 
 def make_family(k: int) -> SigmaFamily:
@@ -280,42 +275,44 @@ def _validate_map(fam: SigmaFamily, f: dict[str, str]):
             raise ValueError(f"map sends {name} outside the family: {f[name]}")
 
 
-def _image(parts, fam: SigmaFamily, f: dict[str, str]) -> SchematicWord:
-    """The word of the intervals `parts` once each member interval for S is
-    replaced by the same-position word for f(S), which must be defined;
-    plain intervals pass through verbatim.  Builds only the images, not the
-    words of the member intervals they replace."""
+def apply_Ff(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> SchematicWord:
+    """Replace every maximal member interval for S by the same-position
+    word for f(S); plain intervals pass through verbatim.  Validates f,
+    and builds only the images, not the words of the member intervals
+    they replace."""
+    _validate_map(fam, f)
     images = [
         _tag_word(part, f[part.name], fam) if isinstance(part, Maximal) else part
-        for part in parts
+        for part in _intervals(w, fam)
     ]
     return concat(*images) if images else EMPTY_WORD
 
 
-def apply_Ff(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> SchematicWord:
-    """Replace every maximal member interval for S by the same-position
-    word for f(S); plain intervals pass through verbatim.  Validates f,
-    then builds the image of the word's intervals with `_image`."""
-    _validate_map(fam, f)
-    return _image(_intervals(w, fam), fam, f)
+def _map_germs(h: HagClass, fam: SigmaFamily, f: dict[str, str]) -> HagClass:
+    """Each germ of a member S replaced by the germ of f(S), every other
+    germ kept, then cancelled."""
+    germs = []
+    for g in h.germs:
+        name = fam.tail_member(g.schema)
+        germs.append(g if name is None else Germ(fam.schema(f[name]), g.sign))
+    return _cancelled(germs)
 
 
 def psi_f(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> HagClass:
-    return hag_normal(apply_Ff(reduce(w), fam, f))
-
-
-def _map_germ(g: Germ, fam: SigmaFamily, f: dict[str, str]) -> Germ:
-    name = fam.tail_member(g.schema)
-    return g if name is None else Germ(fam.schema(f[name]), g.sign)
+    """The class of apply_Ff(reduce(w)) in the quotient, read off the germs
+    of w (module docstring), so psi_f factors through the quotient map; it
+    runs no pass over w and decomposes nothing."""
+    _validate_map(fam, f)
+    return _map_germs(hag_normal(w), fam, f)
 
 
 def phi_sigma(h: HagClass, fam: SigmaFamily, perm: dict[str, str]) -> HagClass:
     """The automorphism of the quotient induced by a permutation of the
-    family."""
+    family: the germ map of `psi_f`, applied to a class."""
     _validate_map(fam, perm)
     if sorted(perm.values()) != sorted(fam.names):
         raise ValueError("phi_sigma needs a permutation of the family")
-    return _cancelled(_map_germ(g, fam, perm) for g in h.germs)
+    return _map_germs(h, fam, perm)
 
 
 def separation_pattern(fam: SigmaFamily, Scal) -> tuple[int, ...]:
@@ -325,15 +322,15 @@ def separation_pattern(fam: SigmaFamily, Scal) -> tuple[int, ...]:
     Scal, so distinct subsets give distinct homomorphisms.
 
     For each subset it builds the map f (S to T for S in Scal, else S to
-    itself) and, for each member, the image of the family's stored member
-    decomposition under f, then `ra_retract` and `hag_normal` of it; f is
-    total by construction, so it is not validated again."""
+    itself) and, for each member, the image apply_Ff(u_S) = u_{f(S)}
+    (module docstring), then `ra_retract` and `hag_normal` of it; f is
+    total by construction, so it is not validated."""
     Scal = set(Scal)
     unknown = Scal - set(fam.names)
     if unknown:
         raise ValueError(f"not family members: {sorted(unknown)}")
     f = {name: (T if name in Scal else name) for name in fam.names}
     return tuple(
-        1 if hag_normal(ra_retract(_image(fam._member_parts[name], fam, f))) else 0
+        1 if hag_normal(ra_retract(u_word(f[name], 0, fam))) else 0
         for name in fam.names
     )

@@ -9,12 +9,14 @@ The quotient class is also computed through the whole-word pass, apart
 from the library's per-schema pattern tails.
 The helpers at the bottom serve only the tests: the random-site rewrite
 order, cutting a word in two, `apply_Ff` as a rewrite of the pieces of
-`decompose`, set equality and indicator classification, truncated
+`decompose`, `psi_f` as the composite of reduce, `apply_Ff` and the
+quotient map, set equality and indicator classification, truncated
 sequences, pairing-row words, reduced-word enumeration, a free-basis
 test by Nielsen reduction (apart from the library's Stallings folding)
 and random reduced schematic words.  The embedding ladder's retraction
-identity is checked on sampled words, apart from the library's exact
-check on the projector's pieces.
+identity is checked on sampled words over the a-letters
+(`a_letter_set`), apart from the library's exact check on the
+projector's pieces.
 """
 
 import itertools
@@ -27,11 +29,10 @@ from transword.freegroup import (
     EMPTY,
     FreeWord,
     Letter,
-    a_letter_set,
     cancels,
     rank_letter_set,
 )
-from transword.hag import Germ, HagClass, _cancelled
+from transword.hag import Germ, HagClass, _cancelled, hag_normal
 from transword.randwords import random_word
 from transword.schema import (
     COFINITE,
@@ -52,7 +53,7 @@ from transword.setspec import (
     _shift_bits,
     pair_agreement,
 )
-from transword.sigma import SigmaFamily, decompose, u_word
+from transword.sigma import SigmaFamily, apply_Ff, decompose, u_word
 from transword.words import (
     EMPTY_WORD,
     CapError,
@@ -270,6 +271,11 @@ def injectivity_by_projection(s, levels, len_max: int):
     return True, checked, []
 
 
+def a_letter_set(n: int) -> frozenset[tuple[str, int]]:
+    """The classic projection alphabet {a_0 .. a_{n-1}}."""
+    return frozenset(("a", m) for m in range(n))
+
+
 def retraction_by_samples(s, n_max: int, samples: int, rng):
     """The retraction identity of the embedding ladder on random words over
     the a-letters: for n = 1..n_max, up to `samples` words are projected
@@ -449,6 +455,12 @@ def apply_Ff_by_pieces(
             img = u_word(f[piece.tag.name], piece.tag.n, fam)
             parts.append(img if piece.tag.sign > 0 else invert(img))
     return concat(*parts) if parts else EMPTY_WORD
+
+
+def psi_f_by_composite(w: SchematicWord, fam: SigmaFamily, f: dict[str, str]) -> HagClass:
+    """`psi_f` as the composite of its definition: reduce the whole word,
+    rewrite its member intervals with `apply_Ff`, take the quotient class."""
+    return hag_normal(apply_Ff(reduce(w), fam, f))
 
 
 def members_below(spec: SetSpec, bound: int) -> list[int]:

@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import transword.abelian
 import transword.sigma
-from transword.cli import ABELIAN_K_MAX, SEPARATION_K_MAX, main
+from transword.cli import ABELIAN_K_MAX, FAMILY_K_MAX, SEPARATION_K_MAX, main
 from transword.freegroup import reduced_word_count
 
 
@@ -52,6 +52,27 @@ def test_demo_separation_refuses_large_k(monkeypatch):
     assert code == 1
     assert out == ""
     assert f"k must be at most {SEPARATION_K_MAX}" in err and "Traceback" not in err
+
+
+def test_family_arg_refuses_large_k(monkeypatch):
+    real = transword.sigma.make_family
+    built = []
+
+    def refuse(k):
+        if k > FAMILY_K_MAX:
+            raise AssertionError("make_family was called")
+        built.append(k)
+        return real(2)
+
+    monkeypatch.setattr(transword.sigma, "make_family", refuse)
+    expr = "st(+,0,{sel(S1)(k)})"
+    for size in (FAMILY_K_MAX + 1, 99999):
+        code, out, err = run(["decompose", "-e", expr, "--family", f"k={size}"])
+        assert code == 1
+        assert out == ""
+        assert f"at most {FAMILY_K_MAX}" in err and "Traceback" not in err
+    code, out, _ = run(["decompose", "-e", expr, "--family", f"k={FAMILY_K_MAX}"])
+    assert code == 0 and built == [FAMILY_K_MAX]
 
 
 def test_demo_abelian_json():

@@ -26,7 +26,6 @@ from transword.endo import (
 from transword.freegroup import (
     FreeWord,
     Letter,
-    a_letter_set,
     rank_letter_set,
     reduced_word_count,
 )
@@ -47,6 +46,7 @@ from transword.randwords import random_word
 
 from corpus import random_affine_maps
 from oracles import (
+    a_letter_set,
     admissible_by_scan,
     injectivity_by_projection,
     retraction_by_samples,

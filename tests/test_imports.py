@@ -85,7 +85,6 @@ def test_no_local_import_of_a_top_level_module():
 # ROADMAP item 9: these have callers only in tests/ and perfbench/, and
 # move out of the library with that item
 TEST_ONLY = {
-    "freegroup.a_letter_set",  # item 9
     "randwords.random_word",  # item 9
     "randwords.shuffle_presentation",  # item 9
     "schema.poly_shift_match",  # item 9

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -11,7 +12,6 @@ from transword.sigma import (
     Maximal,
     SigmaFamily,
     T,
-    _intervals,
     apply_Ff,
     decompose,
     make_family,
@@ -22,6 +22,7 @@ from transword.sigma import (
 )
 from transword.words import (
     block,
+    canonicalize,
     concat,
     heg_equal,
     invert,
@@ -32,7 +33,13 @@ from transword.words import (
 from transword.randwords import random_letter, random_word, shuffle_presentation
 
 from corpus import family_word
-from oracles import apply_Ff_by_pieces, cut_points, members_below, split_word
+from oracles import (
+    apply_Ff_by_pieces,
+    cut_points,
+    members_below,
+    psi_f_by_composite,
+    split_word,
+)
 
 FAM2 = make_family(2)
 FAM8 = make_family(8)
@@ -222,6 +229,29 @@ def test_apply_Ff_matches_piece_rewrite():
             assert apply_Ff(w, fam, f) == apply_Ff_by_pieces(w, fam, f)
 
 
+def test_apply_Ff_sends_member_word_to_image_word():
+    # apply_Ff(u_S) = u_{f(S)}: a member word is one member interval, and
+    # T's word is none, so it stays.  The images are canonical words, and
+    # u_word(T, n) is not from n = 1 on (st(+,1,{a(k)}) canonicalizes to
+    # st(+,0,{a(k+1)})), so they are compared with canonical forms; at
+    # n = 0, the words separation_pattern builds, they are the same words
+    for k in (1, 2, 3, 4, 5, 10):
+        fam = make_family(k)
+        rng = random.Random(2800 + k)
+        maps = [{n: n for n in fam.names}]
+        maps += [random_sigma_map(rng, fam) for _ in range(6)]
+        for f in maps:
+            image = {**f, T: T}
+            for name in fam.names + (T,):
+                for n in range(4):
+                    u, v = u_word(name, n, fam), u_word(image[name], n, fam)
+                    assert apply_Ff(u, fam, f) == canonicalize(v)
+                    assert apply_Ff(invert(u), fam, f) == canonicalize(invert(v))
+                    if n == 0:
+                        assert apply_Ff(u, fam, f) == v
+                        assert apply_Ff(invert(u), fam, f) == invert(v)
+
+
 def test_psi_examples():
     f = {"S1": T, "S2": T}
     w = concat(u_word("S1", 0, FAM2), invert(u_word("S2", 0, FAM2)))
@@ -244,6 +274,67 @@ def test_psi_homomorphism_with_interior_splits():
         assert whole == pieces
 
 
+@functools.cache
+def _psi_cases(count=6000):
+    """(word, family, map) triples: family words, random words and
+    concatenations of shuffled presentations of both, over families of
+    2, 3, 8 and 10 members, each with a seeded map into the family and T."""
+    fams = [make_family(k) for k in (2, 3, 8, 10)]
+    cases = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        fam = fams[seed % len(fams)]
+        kind = seed % 3
+        if kind == 0:
+            w = family_word(rng, fam)
+        elif kind == 1:
+            w = random_word(rng)
+        else:
+            w = concat(
+                shuffle_presentation(family_word(rng, fam), rng),
+                shuffle_presentation(random_word(rng, max_segments=2), rng),
+            )
+        cases.append((w, fam, random_sigma_map(rng, fam)))
+    return tuple(cases)
+
+
+def test_psi_f_matches_composite():
+    # the germ map against reduce, apply_Ff and the quotient map
+    for w, fam, f in _psi_cases():
+        assert psi_f(w, fam, f) == psi_f_by_composite(w, fam, f)
+
+
+def test_psi_f_ignores_presentation():
+    rng = random.Random(2801)
+    for w, fam, f in _psi_cases():
+        assert psi_f(shuffle_presentation(w, rng), fam, f) == psi_f(w, fam, f)
+
+
+def test_psi_f_of_permutation_is_phi_sigma():
+    rng = random.Random(2802)
+    for w, fam, _ in _psi_cases()[:2000]:
+        images = list(fam.names)
+        rng.shuffle(images)
+        perm = dict(zip(fam.names, images))
+        assert psi_f(w, fam, perm) == phi_sigma(hag_normal(w), fam, perm)
+
+
+def test_psi_f_runs_no_pass_and_no_walk(monkeypatch):
+    # psi_f reads the germs of w: it neither reduces w nor walks it for
+    # member intervals
+    from transword import sigma
+
+    cases = _psi_cases()[:1500]
+    expected = [psi_f_by_composite(w, fam, f) for w, fam, f in cases]
+
+    def refuse(*args):
+        raise AssertionError("psi_f reduced or decomposed its word")
+
+    for name in ("reduce", "apply_Ff", "_intervals"):
+        monkeypatch.setattr(sigma, name, refuse)
+    assert [psi_f(w, fam, f) for w, fam, f in cases] == expected
+
+
 def test_separation_patterns():
     with pytest.raises(ValueError, match="S3"):
         separation_pattern(FAM2, {"S1", "S3"})
@@ -264,11 +355,12 @@ def test_separation_injective_k4():
 
 
 def test_separation_tests_one_candidate_per_stream(monkeypatch):
-    # tail keys leave one candidate member per stream: one alignment per
-    # member word, not one per (stream, member) pair; the twin branches
-    # S2/S3, S4/S5, S6/S7 and S8/S9 still get distinct keys on member words.
-    # Exact keys make alignment a lookup: a sweep over every subset runs
-    # no shift search (a search-based alignment runs 10 240)
+    # tail keys leave one candidate member per stream: decomposing the ten
+    # member words runs one alignment per member word, not one per
+    # (stream, member) pair; the twin branches S2/S3, S4/S5, S6/S7 and
+    # S8/S9 still get distinct keys on member words.  Exact keys make
+    # alignment a lookup: no shift search, and a sweep over every subset
+    # aligns nothing more (it builds the image words, not decompositions)
     from transword import schema, sigma, words
 
     real = schema.tail_alignment
@@ -280,21 +372,23 @@ def test_separation_tests_one_candidate_per_stream(monkeypatch):
 
     for mod in (schema, sigma, words):
         monkeypatch.setattr(mod, "tail_alignment", counting)
-    fam = make_family(10)
-    assert separation_pattern(fam, {"S2", "S3", "S7"}) == (0, 1, 1, 0, 0, 0, 1, 0, 0, 0)
-    assert len(calls) == 10
-    assert all(real(su, sv) is not None for su, sv in calls)
-
     searches = []
     real_match = schema.poly_shift_match
     monkeypatch.setattr(
         schema, "poly_shift_match", lambda f, g: searches.append(f) or real_match(f, g)
     )
+    fam = make_family(10)
+    for name in fam.names:
+        assert decompose(u_word(name, 0, fam), fam).tags() == (Maximal(name, 0, 1),)
+    assert len(calls) == 10
+    assert all(real(su, sv) is not None for su, sv in calls)
+
     for mask in range(1 << len(fam)):
         chosen = {n for i, n in enumerate(fam.names) if mask >> i & 1}
         assert separation_pattern(fam, chosen) == tuple(
             1 if n in chosen else 0 for n in fam.names
         )
+    assert len(calls) == 10
     assert searches == []
 
 
@@ -331,10 +425,10 @@ def test_separation_sweep_computes_once_per_schema(monkeypatch):
 
 
 def test_separation_sweep_words_per_member_word(monkeypatch):
-    # the family decomposes each member word once and every subset maps the
-    # stored tags straight to their images, so the sweep builds one image
-    # per member and subset plus the k member words (rebuilding and
-    # decomposing each member word for every subset, 2 * k * 2^k = 20 480)
+    # every subset builds each member's image u_{f(S)} directly, one word
+    # per member and subset, within the bound of k * 2^k plus the k member
+    # words (rebuilding and decomposing each member word for every subset,
+    # 2 * k * 2^k = 20 480)
     from transword import sigma
 
     real = sigma.u_word
@@ -358,11 +452,10 @@ def _subsets(fam):
         yield {n for i, n in enumerate(fam.names) if mask >> i & 1}
 
 
-def test_separation_sweep_decomposes_once_per_member_word(monkeypatch):
-    # the member decompositions are family data, and separation_pattern
-    # builds its total map itself, so it neither decomposes nor validates
-    # per subset (decomposing per subset, 10 240 intervals runs and as many
-    # map checks)
+def test_separation_sweep_decomposes_nothing(monkeypatch):
+    # apply_Ff(u_S) = u_{f(S)}, and separation_pattern builds its total map
+    # itself, so a sweep neither decomposes nor validates (decomposing per
+    # subset, 10 240 intervals runs and as many map checks)
     from transword import sigma
 
     counts = {"_intervals": 0, "_validate_map": 0}
@@ -381,7 +474,7 @@ def test_separation_sweep_decomposes_once_per_member_word(monkeypatch):
     fam = make_family(10)
     for chosen in _subsets(fam):
         separation_pattern(fam, chosen)
-    assert counts == {"_intervals": len(fam), "_validate_map": 0}
+    assert counts == {"_intervals": 0, "_validate_map": 0}
 
 
 def _uncached_pattern(fam, chosen):
@@ -401,10 +494,6 @@ def test_separation_matches_uncached_composite():
     cases += [(fam10, {n for n in fam10.names if rng.random() < 0.5}) for _ in range(200)]
     for fam, chosen in cases:
         assert separation_pattern(fam, chosen) == _uncached_pattern(fam, chosen)
-    for fam in small + [fam10]:
-        for name in fam.names:
-            fresh = tuple(_intervals(u_word(name, 0, fam), fam))
-            assert fam._member_parts[name] == fresh
 
 
 def test_separation_sweep_passes_per_member_word(monkeypatch):
