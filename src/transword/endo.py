@@ -439,13 +439,19 @@ def embedding_check(
     if any(ranks[n + 1] <= ranks[n] for n in range(len(ranks) - 1)):
         rep.fail("image ranks do not strictly increase")
 
-    # the least m below the search bound with proj_rank(img, m) nonempty;
-    # the projection changes only at m = r + 1 for the ranks r of the
-    # image's letters, so only those m are probed
-    below = rank_letter_set(3 * (max(ranks) + len_max + 4) - 1)
+    # the least m with proj_rank(img, m) nonempty; the projection changes
+    # only at m = r + 1 for the ranks r of the image's letters, so only
+    # those m are probed.  A finite image is searched over all of its
+    # letters; an image with streams over the letters below a search
+    # bound that covers every letter of its blocks
+    bound = 3 * (max(ranks) + len_max + 4) - 1
     levels = []
     for n, img in enumerate(images[: n_max + 1]):
-        kept = kept_letters(img, below)
+        blocks = [seg for seg in img.segments if isinstance(seg, FiniteBlock)]
+        kept = [l for seg in blocks for l in seg.word]
+        if len(blocks) < len(img.segments):
+            top = max([bound] + [l.rank + 1 for l in kept])
+            kept = kept_letters(img, rank_letter_set(top))
         found = None
         for r in sorted({l.rank for l in kept}):
             if reduce_free(FreeWord(tuple(l for l in kept if l.rank <= r))):

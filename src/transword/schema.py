@@ -43,21 +43,27 @@ Schemas, entries and index functions are hash-consed (Filliatre &
 Conchon, *Type-safe modular hash-consing*, 2006): `Schema(entries)`,
 `Entry(fam, idx, sign)` and `IndexFn(a2, a1, a0, div)` return the one
 object for their value, so equality is identity and each constructor
-validates a value once.  Every value derived from a schema alone is
-computed once per distinct schema, however often callers rebuild it, and
-kept in its slots: the hash, `fold`, validity (`schema_valid`),
-`tail_key`, the adjacent-pair classes (`Schema.pair_classes`), the
-shifts `unroll(schema, 1, d)`, None included, and the pattern tail
-(`words.pattern_tail`): the schema of the stream that pattern reduction
-leaves of a stream over this one, None when it vanishes, from which the
-archipelago quotient reads each stream's germ.  The rewrite pass visits a
-stream several times per pass and asks each time for its shift and its
-pattern sites, so these are the lookups it repeats.  The intern tables
-live for the whole process and hold one object per distinct value built.
+validates a value once; all three hash by identity.  Every value derived
+from a schema alone is computed once per distinct schema, however often
+callers rebuild it, and kept in its slots.  Which are set when a schema
+is first built and which on first use follows their traffic on the
+benchmark workloads.  Every stream reads its schema's adjacent-pair
+classes (`Schema.pair_classes`: validity when built, pattern sites in
+the rewrite pass) and its validity (`Schema.valid`), so both are set at
+interning; every interned schema of the `equality`, `cancel` and
+`separation` runs read them.  Only some schemas are asked for the rest,
+which are set on first use: `fold` (98–100% of schemas), `tail_key`
+(0–80%), the shifts `unroll(schema, 1, d)`, None included (0–51%), and
+the pattern tail (`words.pattern_tail`, 0–82%): the schema of the stream
+that pattern reduction leaves of a stream over this one, None when it
+vanishes, from which the archipelago quotient reads each stream's germ.
+The intern tables live for the whole process and hold one object per
+distinct value built.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd, isqrt, lcm
 
 from .freegroup import Letter, _Interned
@@ -289,16 +295,21 @@ _SCHEMAS: dict[tuple[Entry, ...], Schema] = {}
 class Schema(_Interned):
     """A nonempty tuple of entries, interned: `Schema(entries)` returns the
     one object built for an equal entries tuple, so equal schemas are
-    identical and `==` is `is`.  `width`, the number of entries, is set
-    with them.  Each value derived from the schema alone is computed on
-    first use and kept in a slot, once per distinct schema: the hash,
-    `fold`, validity (`schema_valid`), `tail_key`, `pair_classes`, in
+    identical, and `==` and `hash` are object identity.  Set with the
+    entries, once per distinct schema: `width`, the number of entries;
+    `pair_classes`, (j, kind, data) for each adjacent pair of entries in
+    order of its first entry j, (kind, data) being `pair_cancellation` of
+    entry j and the next, which for the last entry is entry 0 one step on
+    (the wrap pair); and `valid`, False when some pair cancels on a step
+    set that is infinite and co-infinite (a stream over the schema then
+    has no schematic reduced form).  Every stream reads these two.  Set on
+    first use, as only some schemas are asked: `fold`, `tail_key`, in
     `_shifts` a dict d -> `unroll(schema, 1, d)`, failed shifts (None)
     included, and in `_tail` the pattern tail (`words.pattern_tail`),
     False when the stream vanishes."""
 
     __slots__ = (
-        "entries", "width", "_hash", "_folded", "_valid", "_key", "_pairs", "_shifts",
+        "entries", "width", "pair_classes", "valid", "_folded", "_key", "_shifts",
         "_tail",
     )
 
@@ -308,24 +319,20 @@ class Schema(_Interned):
         if self is None:
             if not entries:
                 raise ValueError("schema needs at least one entry")
+            m = len(entries)
+            pairs = tuple(
+                (j, *pair_cancellation(entries[j], entries[(j + 1) % m], (j + 1) // m))
+                for j in range(m)
+            )
+            valid = all(kind != MIXED for _, kind, _ in pairs)
             self = object.__new__(cls)
-            object.__setattr__(self, "entries", entries)
-            object.__setattr__(self, "width", len(entries))
-            for slot in cls.__slots__[2:]:
-                object.__setattr__(self, slot, None)
+            for slot, value in zip_longest(cls.__slots__, (entries, m, pairs, valid)):
+                object.__setattr__(self, slot, value)
             self = _SCHEMAS.setdefault(entries, self)
         return self
 
     def __reduce__(self):
         return (Schema, (self.entries,))
-
-    # `==` is object identity, which interning makes value equality
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.entries,))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self) -> str:
         return f"Schema(entries={self.entries!r})"
@@ -338,22 +345,6 @@ class Schema(_Interned):
         if self._key is None:
             object.__setattr__(self, "_key", _compute_tail_key(self))
         return self._key[0]
-
-    @property
-    def pair_classes(self) -> tuple[tuple[int, str, object], ...]:
-        """(j, kind, data) for each adjacent pair of entries, in order of
-        its first entry j: (kind, data) is `pair_cancellation` of entry j
-        and the next, which for the last entry is entry 0 one step on (the
-        wrap pair).  Computed once, on first use."""
-        pairs = self._pairs
-        if pairs is None:
-            m, es = self.width, self.entries
-            pairs = tuple(
-                (j, *pair_cancellation(es[j], es[(j + 1) % m], (j + 1) // m))
-                for j in range(m)
-            )
-            object.__setattr__(self, "_pairs", pairs)
-        return pairs
 
     def letter_at(self, p: int) -> Letter:
         k, j = divmod(p, self.width)
@@ -453,21 +444,6 @@ def _presentation(entries, fams: tuple, p: int) -> tuple | None:
             x, y = code.branch_prefix, code.branch_period
         out += (sign, x, y, *_poly_at(*index, 1, p))
     return tuple(out)
-
-
-def schema_valid(schema: Schema) -> bool:
-    """False when some adjacent pair cancels on a step set that is both
-    infinite and co-infinite (the word then has no schematic reduced form).
-    Computed once per distinct schema."""
-    valid = schema._valid
-    if valid is None:
-        valid = _compute_valid(schema)
-        object.__setattr__(schema, "_valid", valid)
-    return valid
-
-
-def _compute_valid(schema: Schema) -> bool:
-    return all(kind != MIXED for _, kind, _ in schema.pair_classes)
 
 
 def unroll(schema: Schema, t: int, phase: int = 0) -> Schema | None:

@@ -148,7 +148,12 @@ _T_SCHEMA = Schema((Entry("a", K, 1),))
 
 def u_word(target, n: int = 0, fam: SigmaFamily | None = None) -> SchematicWord:
     """The selector word from position n on: the word whose letter at each
-    step m >= n is b_m or c_m by membership (or a_m for the symbol T)."""
+    step m >= n is b_m or c_m by membership (or a_m for the symbol T).
+    The stream keeps cursor n, and the word is marked reduced when no move
+    applies to it.  A member of a family is a prefix code, whose stream
+    keeps its cursor, so its word is marked at every n.  The word of T is
+    not for n >= 1: `u_word(T, n)` is st(+,n,{a(k)}), which `canonicalize`
+    re-presents as st(+,0,{a(k+n)}), the same word."""
     if target == T:
         sch = _T_SCHEMA
     elif isinstance(target, str):

@@ -42,18 +42,13 @@ which is not yet order-independent (ROADMAP, item 1).
 Every word the pass returns is marked as its fixpoint: "canonical" from
 `canonicalize`, "reduced" from `reduce`; `EMPTY_WORD`, on which no move
 applies, is marked "reduced".  The mark lives outside the dataclass
-fields, so `==`, `hash` and `repr` ignore it, and `reduce`,
-`canonicalize` and `concat` skip the passes it vouches for.  This is
-exact, whether or not the moves are confluent:
-- the pass reads only the current segment and the top of the stack and
-  puts pieces back in front of the rest of the input, so its state after
-  a prefix of the input depends only on that prefix;
+fields, so `==`, `hash` and `repr` ignore it, and `reduce` and
+`canonicalize` skip the passes it vouches for.  This is exact, whether
+or not the moves are confluent:
 - every adjacent pair on the output stack passed `_binary` when it was
   pushed, and every segment on it passed `_unary`, or is a block a move
   built, on which the invariant makes `_unary` return None; so a second
-  pass over a marked word makes no move, and a marked first word of
-  `concat` is the stack that a pass over the whole input reaches at the
-  end of that word;
+  pass over a marked word makes no move;
 - `_unary(., False)` and `_binary(., ., False)` return None whenever
   their cancelling forms do, so a "reduced" word is also canonical.
 `invert` drops the mark: the pass is not mirror-symmetric (a block
@@ -80,7 +75,6 @@ from .schema import (
     IndexFn,
     Schema,
     fold,
-    schema_valid,
     tail_alignment,
     unroll,
 )
@@ -107,7 +101,7 @@ class Stream:
     def __post_init__(self):
         if self.pos < 0:
             raise ValueError("stream position must be a natural number")
-        if not schema_valid(self.schema):
+        if not self.schema.valid:
             raise ValueError(
                 "stream pattern cancels on a step set that is infinite and "
                 "co-infinite; the word has no schematic reduced form"
@@ -536,15 +530,15 @@ def _binary(a: Segment, b: Segment, cancel: bool) -> list[Segment] | None:
     return [Stream(False, a.pos + t, a.schema), Stream(True, b.pos + t, b.schema)]
 
 
-def _rewrite(segments, cancel: bool, settled: tuple[Segment, ...] = ()) -> SchematicWord:
-    """The stack pass over `segments`, starting from the stack `settled`:
-    canonical moves only, or with `cancel` all moves.  The pieces of moves
-    wait on their own stack in front of the rest of the input; a block
-    among them skips `_unary`, which the invariant makes return None.  The
-    result is marked as the pass's fixpoint."""
+def _rewrite(segments, cancel: bool) -> SchematicWord:
+    """The stack pass over `segments`: canonical moves only, or with
+    `cancel` all moves.  The pieces of moves wait on their own stack in
+    front of the rest of the input; a block among them skips `_unary`,
+    which the invariant makes return None.  The result is marked as the
+    pass's fixpoint."""
     todo = list(reversed(segments))
     ahead: list[Segment] = []
-    out = list(settled)
+    out: list[Segment] = []
     moves = 0
     while ahead or todo:
         if ahead:
@@ -582,14 +576,8 @@ def canonicalize(w: SchematicWord) -> SchematicWord:
 
 
 def concat(*words: SchematicWord) -> SchematicWord:
-    """The words one after another, canonicalized.  A marked first word is
-    the stack that a pass over all the segments holds once it has read
-    that word's, so only the segments after it go through the pass."""
-    first = words[0] if words else EMPTY_WORD
-    rest = tuple(seg for w in words[1:] for seg in w.segments)
-    if not first._mark:
-        return canonicalize(SchematicWord(first.segments + rest))
-    return _rewrite(rest, False, first.segments) if rest else first
+    """The words one after another, canonicalized."""
+    return canonicalize(SchematicWord(tuple(seg for w in words for seg in w.segments)))
 
 
 def invert(w: SchematicWord) -> SchematicWord:

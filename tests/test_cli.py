@@ -178,6 +178,24 @@ def test_embedding_check_cli_long_words():
     assert f"injectivity ({words} reduced words): yes" in out
 
 
+def test_embedding_check_cli_high_level():
+    spec = "sub{tail: a(n) -> [a(n)], except: 2 -> [a2 a500 a2^-1]}"
+    code, out, _ = run(["embedding-check", "-s", spec, "--nmax", "2", "--lenmax", "3"])
+    assert code == 0
+    assert "levels m_n: [1, 4, 1501]" in out
+    assert "injectivity (60 reduced words): yes" in out
+    assert "verdict: PASS" in out
+
+
+def test_embedding_check_cli_inadmissible():
+    spec = "sub{tail: a(n) -> [a(n) a(1)]}"
+    code, out, _ = run(["embedding-check", "-s", spec, "--nmax", "2", "--lenmax", "3"])
+    assert code == 0
+    assert "admissible: NO" in out
+    assert "verdict: FAIL" in out
+    assert "failure: support audit failed" in out
+
+
 def test_embedding_check_cli_rejects_malformed_input():
     for flags in (["--nmax", "0"], ["--lenmax", "-1"]):
         code, out, err = run(["embedding-check", "-s", "doubling", *flags])

@@ -12,11 +12,19 @@ from transword.dsl import (
     render_word,
 )
 from transword.endo import AffineRule, RowDifferenceRule
-from transword.freegroup import Letter
-from transword.randwords import random_word
+from transword.freegroup import FreeWord, Letter
+from transword.randwords import random_entry, random_word
+from transword.schema import K, Entry, Schema
 from transword.setspec import Finite, PrefixCode
 from transword.sigma import make_family
-from transword.words import block, canonicalize, equal_up_to
+from transword.words import (
+    FiniteBlock,
+    SchematicWord,
+    Stream,
+    block,
+    canonicalize,
+    equal_up_to,
+)
 
 from test_words import SIZES
 
@@ -100,6 +108,35 @@ def test_roundtrip_quadratic_and_selectors():
     ):
         w = parse_word(text)
         assert canonicalize(parse_word(render_word(w))) == canonicalize(w)
+
+
+def test_render_cuts_a_cursor_inside_a_step():
+    # a stream whose cursor is inside a step renders canonicalized: the
+    # rest of the step as a block, the stream from the next boundary
+    ab = Schema((Entry("a", K, 1), Entry("b", K, 1)))
+    ac = Schema((Entry("a", K, 1), Entry("c", K, -1)))
+    assert render_word(SchematicWord((Stream(True, 1, ab),))) == (
+        "[b0] st(+,0,{a(k+1) b(k+1)})"
+    )
+    assert render_word(SchematicWord((Stream(False, 3, ac),))) == (
+        "st(-,0,{a(k+2) c(k+2)^-1}) [c1]"
+    )
+    rng = random.Random(53)
+    cases = 0
+    while cases < 600:
+        width = rng.choice((2, 3))
+        sch = Schema(tuple(random_entry(rng) for _ in range(width)))
+        if not sch.valid:
+            continue
+        blk = FiniteBlock(FreeWord((Letter(rng.choice("abc"), rng.randrange(6)),)))
+        for pos in range(3 * width):
+            if not pos % width:
+                continue
+            for forward in (True, False):
+                stream = Stream(forward, pos, sch)
+                for w in (SchematicWord((blk, stream)), SchematicWord((stream, blk))):
+                    assert parse_word(render_word(w)) == canonicalize(w)
+                    cases += 1
 
 
 def test_render_empty():

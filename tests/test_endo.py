@@ -23,6 +23,7 @@ from transword.endo import (
     telescope_map,
     telescope_product,
 )
+from transword.dsl import parse_substitution
 from transword.freegroup import (
     FreeWord,
     Letter,
@@ -347,6 +348,29 @@ def _collapse_map():
 def test_embedding_check_failure_reported():
     rep = embedding_check(_collapse_map(), 2, 3)
     assert not rep.ok and rep.failures
+
+
+# a500 sits in the image of a2 between two letters that cancel, so a2's
+# least non-vanishing level is 1501, far above the ranks of the images
+HIGH_LEVEL = "sub{tail: a(n) -> [a(n)], except: 2 -> [a2 a500 a2^-1]}"
+
+
+def test_embedding_check_finds_a_level_above_the_image_ranks():
+    rep = embedding_check(parse_substitution(HIGH_LEVEL), 2, 3)
+    assert rep.ok and rep.failures == []
+    assert rep.levels == [1, 4, 1501]
+    assert rep.injective and rep.words_checked == 60
+    # with a stream after it, the search bound still covers the block
+    with_stream = HIGH_LEVEL[:-1] + " st(+,0,{a(k+600)})}"
+    rep = embedding_check(parse_substitution(with_stream), 2, 3)
+    assert rep.ok and rep.levels == [1, 4, 1501]
+
+
+def test_embedding_check_reports_an_inadmissible_map():
+    # a1 lies in every image
+    rep = embedding_check(parse_substitution("sub{tail: a(n) -> [a(n) a(1)]}"), 2, 3)
+    assert not rep.admissible and not rep.ok
+    assert rep.failures == ["support audit failed"]
 
 
 def test_embedding_check_matches_projection_oracle():

@@ -18,7 +18,6 @@ from transword.schema import (
     fold,
     pair_cancellation,
     poly_shift_match,
-    schema_valid,
     tail_alignment,
     unroll,
 )
@@ -128,9 +127,9 @@ def test_pair_cancellation_selector_cases():
 
 
 def test_schema_validity():
-    assert schema_valid(Schema((Entry("a", K, 1), Entry("a", affine(1, 1), -1))))
+    assert Schema((Entry("a", K, 1), Entry("a", affine(1, 1), -1))).valid
     p1, p2 = PrefixCode("", "0"), PrefixCode("", "1")
-    assert not schema_valid(Schema((Entry(p1, K, 1), Entry(p2, K, -1))))
+    assert not Schema((Entry(p1, K, 1), Entry(p2, K, -1))).valid
 
 
 @given(idx_st, st.integers(1, 3))
@@ -309,7 +308,7 @@ def _presentations(sch):
     cands = [unroll(sch, 2), unroll(sch, 3), _twinned(sch)]
     cands += [_rotate(sch, r) for r in range(1, sch.width)]
     cands += [unroll(sch, 1, d) for d in (1, 2, 3)]
-    return [c for c in cands if c is not None and schema_valid(c)]
+    return [c for c in cands if c is not None and c.valid]
 
 
 @st.composite
@@ -319,7 +318,7 @@ def schema_st(draw):
     sch = random_stream(rng, selectors=selectors).schema
     if draw(st.booleans()):
         twin = _twinned(sch)
-        if twin is not None and schema_valid(twin):
+        if twin is not None and twin.valid:
             sch = twin
     return sch
 
@@ -398,7 +397,6 @@ def test_schemas_are_interned(sch):
     for s in family:
         copied = tuple(Entry(e.fam, e.idx, e.sign) for e in s.entries)
         assert Schema(copied) is s
-        assert hash(s) == hash((s.entries,))
         assert fold(fold(s)) is fold(s)
         w = SchematicWord((Stream(False, 0, s), Stream(True, 2 * s.width, s)))
         again = parse_word(render_word(w))
@@ -501,12 +499,12 @@ def test_schema_slots_match_fresh_computation():
                 for j, e1, e2, shift in adjacent_pairs(s)
             )
             assert s.pair_classes == direct
-            assert schema_valid(s) == all(kind != MIXED for _, kind, _ in direct)
+            assert s.valid == all(kind != MIXED for _, kind, _ in direct)
         codes += any(isinstance(e.fam, PrefixCode) for e in sch.entries)
     assert codes >= 20 and failed >= 20
     p1, p2 = EvPeriodic("", "01"), EvPeriodic("", "0011")
     invalid = Schema((Entry(p1, K, 1), Entry(p2, K, -1)))
-    assert not schema_valid(invalid)
+    assert not invalid.valid
     assert MIXED in (kind for _, kind, _ in invalid.pair_classes)
 
 

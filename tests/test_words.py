@@ -534,8 +534,8 @@ def test_marked_words_skip_their_passes():
 
 
 def test_concat_with_marked_prefix_matches_fresh_pass():
-    # a marked first word seeds the stack of concat's pass; an unmarked copy
-    # of the same segments goes through the whole pass
+    # concat canonicalizes the joined segments, whether or not the first
+    # word is marked
     for seed in range(600):
         rng = random.Random(seed)
         w, v = random_word(rng, **SIZES[1]), random_word(rng, **SIZES[1])
