@@ -8,10 +8,11 @@ of size K so member names S1..SK may appear in expressions.  Exit status:
 cancellation scan reaches its cap (the message names the cap).
 `demo-abelian` builds and prints all 2^K evaluation rows, so it refuses
 K above ABELIAN_K_MAX = 16 with exit status 1 before building any.
-`demo-separation` evaluates K member words for each of the 2^K subsets,
-so it refuses K above SEPARATION_K_MAX = 16 with exit status 1 before
-building the family.  `--family k=K` builds K(K-1)/2 intersection
-bounds, so it refuses K above FAMILY_K_MAX = 256 the same way.
+`demo-separation` builds and keeps one K-bit pattern for each of the 2^K
+subsets, evaluating at most K image words for each, so it refuses K above
+SEPARATION_K_MAX = 16 with exit status 1 before building the family.
+`--family k=K` builds K(K-1)/2 intersection bounds, so it refuses K above
+FAMILY_K_MAX = 256 the same way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from . import abelian, dsl, endo, hag, sigma, words
 
 ABELIAN_K_MAX = 16  # demo-abelian prints 2^K rows
-SEPARATION_K_MAX = 16  # demo-separation evaluates K words per subset, 2^K subsets
+SEPARATION_K_MAX = 16  # demo-separation keeps 2^K patterns, at most K words each
 FAMILY_K_MAX = 256  # --family k=K builds K(K-1)/2 intersection bounds
 
 

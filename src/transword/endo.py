@@ -397,6 +397,12 @@ def embedding_check(
     and injectivity of the level-(m_{n-1}) projection of the image on
     reduced words of the first n letters.
 
+    The level m_n is searched over all letters of a finite image.  For an
+    image with streams it is searched below a bound that covers the
+    letters of its blocks and of each stream's first period from its
+    cursor; a first period that cancels can still hide the level, a gap
+    that only a witness bound closes (ROADMAP item 11).
+
     The level-(m_{n-1}) projector is w -> h(p_S(w)): p_S keeps its source
     letters S and h sends a_j to its piece.  The retraction identity
     h(p_S(w)) = h(p_{S∩A}(w)), A = {a_0 .. a_{n-1}}, compares two
@@ -441,16 +447,20 @@ def embedding_check(
 
     # the least m with proj_rank(img, m) nonempty; the projection changes
     # only at m = r + 1 for the ranks r of the image's letters, so only
-    # those m are probed.  A finite image is searched over all of its
-    # letters; an image with streams over the letters below a search
-    # bound that covers every letter of its blocks
+    # those m are probed, over the letters the docstring names
     bound = 3 * (max(ranks) + len_max + 4) - 1
     levels = []
     for n, img in enumerate(images[: n_max + 1]):
         blocks = [seg for seg in img.segments if isinstance(seg, FiniteBlock)]
         kept = [l for seg in blocks for l in seg.word]
         if len(blocks) < len(img.segments):
-            top = max([bound] + [l.rank + 1 for l in kept])
+            heads = [
+                l
+                for seg in img.segments
+                if isinstance(seg, Stream)
+                for l in seg.schema.letters(seg.pos, seg.pos + seg.schema.width)
+            ]
+            top = max([bound] + [l.rank + 1 for l in kept + heads])
             kept = kept_letters(img, rank_letter_set(top))
         found = None
         for r in sorted({l.rank for l in kept}):

@@ -24,6 +24,12 @@ others and cancels: a homomorphism that factors through the quotient
 map.  `phi_sigma` is that germ map for a permutation of the family, an
 automorphism, and `separation_pattern` exhibits one distinguishable
 kernel pattern per subset of the family.
+
+For a subset, `separation_pattern` asks whether each member word survives
+h_f = π∘r_a∘F_f.  As F_f(u_X) = u_{f(X)}, h_f(u_X) = (π∘r_a)(u_{f(X)})
+depends on f(X) alone, a member or T: each pattern evaluates π∘r_a once
+per distinct image word of its f, so the chosen members share the one
+evaluation of u_T.
 """
 
 from __future__ import annotations
@@ -322,20 +328,23 @@ def phi_sigma(h: HagClass, fam: SigmaFamily, perm: dict[str, str]) -> HagClass:
 
 def separation_pattern(fam: SigmaFamily, Scal) -> tuple[int, ...]:
     """One bit per member: whether the member's word survives the
-    composite that rewrites chosen members onto the a-letters and then
-    retracts away everything else.  Equals the characteristic vector of
-    Scal, so distinct subsets give distinct homomorphisms.
+    composite h_f = π∘r_a∘F_f that rewrites chosen members onto the
+    a-letters and then retracts away everything else.  Equals the
+    characteristic vector of Scal, so distinct subsets give distinct
+    homomorphisms.
 
-    For each subset it builds the map f (S to T for S in Scal, else S to
-    itself) and, for each member, the image apply_Ff(u_S) = u_{f(S)}
-    (module docstring), then `ra_retract` and `hag_normal` of it; f is
-    total by construction, so it is not validated."""
+    For each subset the map f sends S to T for S in Scal, else S to
+    itself, and h_f(u_S) = (π∘r_a)(u_{f(S)}) (module docstring).  So
+    π∘r_a is evaluated once per distinct image word of f: once on u_T
+    for all chosen members, and once on u_S for each other member S.  f
+    is total by construction, so it is not validated."""
     Scal = set(Scal)
     unknown = Scal - set(fam.names)
     if unknown:
         raise ValueError(f"not family members: {sorted(unknown)}")
     f = {name: (T if name in Scal else name) for name in fam.names}
-    return tuple(
-        1 if hag_normal(ra_retract(u_word(f[name], 0, fam))) else 0
-        for name in fam.names
-    )
+    bits = {
+        target: 1 if hag_normal(ra_retract(u_word(target, 0, fam))) else 0
+        for target in dict.fromkeys(f.values())
+    }
+    return tuple(bits[f[name]] for name in fam.names)

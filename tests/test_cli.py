@@ -37,10 +37,16 @@ def test_project_rejects_negative_level():
 
 
 def test_demo_separation_verdict():
-    code, out, _ = run(["demo-separation", "-k", "4"])
-    assert code == 0
-    assert "16/16 patterns distinct" in out
-    assert "all match" in out
+    # both formats emit one report; a sweep at the largest k takes seconds
+    for k, fmt in [(4, "text"), (SEPARATION_K_MAX, "json")]:
+        code, out, _ = run(["demo-separation", "-k", str(k), "--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            report = json.loads(out)
+        else:
+            report = dict(line.split(": ", 1) for line in out.splitlines())
+        assert report["verdict"] == f"{2**k}/{2**k} patterns distinct"
+        assert report["characteristic"] == "all match"
 
 
 def test_demo_separation_refuses_large_k(monkeypatch):
@@ -179,12 +185,15 @@ def test_embedding_check_cli_long_words():
 
 
 def test_embedding_check_cli_high_level():
-    spec = "sub{tail: a(n) -> [a(n)], except: 2 -> [a2 a500 a2^-1]}"
-    code, out, _ = run(["embedding-check", "-s", spec, "--nmax", "2", "--lenmax", "3"])
-    assert code == 0
-    assert "levels m_n: [1, 4, 1501]" in out
-    assert "injectivity (60 reduced words): yes" in out
-    assert "verdict: PASS" in out
+    # a500 in a block, then as the first letter of a stream
+    for image in ("[a2 a500 a2^-1]", "[a2] st(+,0,{a(k+500)}) [a2^-1]"):
+        spec = f"sub{{tail: a(n) -> [a(n)], except: 2 -> {image}}}"
+        code, out, _ = run(["embedding-check", "-s", spec, "--nmax", "2", "--lenmax", "3"])
+        assert code == 0
+        assert "levels m_n: [1, 4, 1501]" in out
+        assert "injectivity (60 reduced words): yes" in out
+        assert "verdict: PASS" in out
+        assert "failure" not in out
 
 
 def test_embedding_check_cli_inadmissible():

@@ -364,6 +364,19 @@ def test_embedding_check_finds_a_level_above_the_image_ranks():
     with_stream = HIGH_LEVEL[:-1] + " st(+,0,{a(k+600)})}"
     rep = embedding_check(parse_substitution(with_stream), 2, 3)
     assert rep.ok and rep.levels == [1, 4, 1501]
+    # a stream's letters between the cancelling a2s: the search bound
+    # covers each stream's first period from its cursor (a500, or a503
+    # from cursor 3, in either orientation)
+    for stream, level in [
+        ("st(+,0,{a(k+500)})", 1501),
+        ("st(+,3,{a(k+500)})", 1510),
+        ("st(-,3,{a(k+500)})", 1510),
+    ]:
+        spec = HIGH_LEVEL.replace("[a2 a500 a2^-1]", f"[a2] {stream} [a2^-1]")
+        rep = embedding_check(parse_substitution(spec), 2, 3)
+        assert rep.ok and rep.failures == []
+        assert rep.levels == [1, 4, level]
+        assert rep.injective and rep.words_checked == 60
 
 
 def test_embedding_check_reports_an_inadmissible_map():

@@ -425,26 +425,33 @@ def test_separation_sweep_computes_once_per_schema(monkeypatch):
 
 
 def test_separation_sweep_words_per_member_word(monkeypatch):
-    # every subset builds each member's image u_{f(S)} directly, one word
-    # per member and subset, within the bound of k * 2^k plus the k member
-    # words (rebuilding and decomposing each member word for every subset,
-    # 2 * k * 2^k = 20 480)
+    # h_f(u_S) = (π∘r_a)(u_{f(S)}) depends on f(S) alone, so a subset
+    # evaluates each distinct image word once: u_T if it chooses any
+    # member, and u_S for each member S it leaves, k * 2^(k-1) + 2^k - 1 =
+    # 6 143 words per sweep (one word per member and subset, k * 2^k =
+    # 10 240)
     from transword import sigma
 
-    real = sigma.u_word
-    built = 0
+    counts = {"u_word": 0, "ra_retract": 0, "hag_normal": 0}
 
-    def counting(*args):
-        nonlocal built
-        built += 1
-        return real(*args)
+    def record(name):
+        real = getattr(sigma, name)
 
-    monkeypatch.setattr(sigma, "u_word", counting)
+        def counting(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sigma, name, counting)
+
+    for name in counts:
+        record(name)
     fam = make_family(10)
-    for mask in range(1 << len(fam)):
-        chosen = {n for i, n in enumerate(fam.names) if mask >> i & 1}
-        separation_pattern(fam, chosen)
-    assert built <= len(fam) * 2 ** len(fam) + len(fam)
+    for chosen in _subsets(fam):
+        assert separation_pattern(fam, chosen) == tuple(
+            1 if n in chosen else 0 for n in fam.names
+        )
+    k = len(fam)
+    assert counts == dict.fromkeys(counts, k * 2 ** (k - 1) + 2**k - 1)
 
 
 def _subsets(fam):
