@@ -12,7 +12,9 @@ K above ABELIAN_K_MAX = 16 with exit status 1 before building any.
 subsets, evaluating at most K image words for each, so it refuses K above
 SEPARATION_K_MAX = 16 with exit status 1 before building the family.
 `--family k=K` builds K(K-1)/2 intersection bounds, so it refuses K above
-FAMILY_K_MAX = 256 the same way.
+FAMILY_K_MAX = 256 the same way.  `project` builds every letter of rank
+below N, so it refuses N above PROJECT_N_MAX = 10**6 with exit status 1
+before building any.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from . import abelian, dsl, endo, hag, sigma, words
 ABELIAN_K_MAX = 16  # demo-abelian prints 2^K rows
 SEPARATION_K_MAX = 16  # demo-separation keeps 2^K patterns, at most K words each
 FAMILY_K_MAX = 256  # --family k=K builds K(K-1)/2 intersection bounds
+PROJECT_N_MAX = 10**6  # project -N N builds every letter of rank < N
 
 
 def _family_arg(text: str):
@@ -121,6 +124,8 @@ def _run(args) -> dict:
             "result": dsl.render_word(words.reduce(w), names),
         }
     if args.cmd == "project":
+        if args.N > PROJECT_N_MAX:
+            raise ValueError(f"N must be at most {PROJECT_N_MAX}, got {args.N}")
         w = dsl.parse_word(args.expr, env)
         return {
             "input": args.expr,

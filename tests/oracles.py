@@ -90,21 +90,6 @@ def scan_reduce(w: FreeWord) -> FreeWord:
     return FreeWord(tuple(out))
 
 
-def stream_display_prefix(seg: Stream, count: int) -> list[Letter]:
-    """First `count` displayed letters of a forward stream."""
-    assert seg.forward
-    return [seg.schema.letter_at(p) for p in range(seg.pos, seg.pos + count)]
-
-
-def stream_display_suffix(seg: Stream, count: int) -> list[Letter]:
-    """Last `count` displayed letters of a backward stream."""
-    assert not seg.forward
-    return [
-        seg.schema.letter_at(p).inverse
-        for p in range(seg.pos + count - 1, seg.pos - 1, -1)
-    ]
-
-
 def _entry_letter(e: Entry, k: int) -> Letter:
     fam = e.fam if isinstance(e.fam, str) else "b" if e.fam.contains(k) else "c"
     return Letter(fam, e.idx.value(k), e.sign)
@@ -216,21 +201,6 @@ def project_oracle(w: SchematicWord, keep) -> FreeWord:
         else:
             letters.extend(_stream_kept(seg, keep))
     return scan_reduce(FreeWord(tuple(letters)))
-
-
-def display_prefixes_equal(w1: SchematicWord, w2: SchematicWord, depth: int) -> bool:
-    """Letterwise comparison of leading display letters of all-forward words."""
-    def prefix(w):
-        out = []
-        for seg in w.segments:
-            if isinstance(seg, FiniteBlock):
-                out.extend(seg.word)
-            else:
-                out.extend(stream_display_prefix(seg, depth))
-                break
-        return out[:depth]
-
-    return prefix(w1) == prefix(w2)
 
 
 def admissible_by_scan(s, bound: int) -> bool:

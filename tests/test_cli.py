@@ -4,7 +4,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import transword.abelian
 import transword.sigma
-from transword.cli import ABELIAN_K_MAX, FAMILY_K_MAX, SEPARATION_K_MAX, main
+import transword.words
+from transword.cli import ABELIAN_K_MAX, FAMILY_K_MAX, PROJECT_N_MAX, SEPARATION_K_MAX, main
 from transword.freegroup import reduced_word_count
 
 
@@ -34,6 +35,18 @@ def test_project_rejects_negative_level():
     assert code == 1
     assert out == ""
     assert "rank level" in err and "-5" in err
+
+
+def test_project_refuses_large_level(monkeypatch):
+    def refuse(w, n):
+        raise AssertionError("proj_rank was called")
+
+    monkeypatch.setattr(transword.words, "proj_rank", refuse)
+    for level in (PROJECT_N_MAX + 1, 10**22):
+        code, out, err = run(["project", "-e", "[a5]", "-N", str(level)])
+        assert code == 1
+        assert out == ""
+        assert f"N must be at most {PROJECT_N_MAX}" in err and "Traceback" not in err
 
 
 def test_demo_separation_verdict():
@@ -245,8 +258,6 @@ def test_domain_error_exit_code():
 
 
 def test_cap_exit_code(monkeypatch):
-    import transword.words
-
     monkeypatch.setattr(transword.words, "_REDUCE_CAP", 2)
     code, out, err = run(["reduce", "-e", "[a0] [a1] [a2] [a3]"])
     assert code == 3

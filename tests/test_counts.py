@@ -1,0 +1,348 @@
+"""Every count gate of the suite, one row each.
+
+Tests gate only on deterministic operation counts, and they all live
+here.  A row is an input, the library callables it counts and a bound on
+the counts, with the reason in a comment; a change that moves a count
+edits its row.  A tally names one or more callables (paths under
+`transword`, space-separated), counted together.  An input is a function.
+If it is a generator, each value it yields closes one run and the tallies
+start again from zero, so an input can warm up before it counts or run
+two cases to compare; every run, the last too, ends with a `yield`.  The
+bound gets one `Run` per run.  Row ids are the names of the tests the rows
+replaced, so `pytest -k <name>` selects each.
+"""
+
+import functools
+import inspect
+import random
+
+import pytest
+
+from transword.dsl import ParseError, parse_word
+from transword.endo import doubling_map, embedding_check, tau_map, telescope_map
+from transword.freegroup import reduced_word_count
+from transword.hag import hag_normal
+from transword.randwords import random_word
+from transword.sigma import Maximal, decompose, make_family, psi_f, separation_pattern, u_word
+from transword.words import EMPTY_WORD, SchematicWord, Stream, canonicalize, concat, invert, reduce
+
+from oracles import psi_f_by_composite
+from test_dsl import VALID_TEXTS
+from test_endo import _collapse_map, _ladder_maps
+from test_hag import _fuzz_words
+from test_sigma import _psi_cases, _subsets
+from test_words import SIZES, one_stream_schemas
+
+
+class Run(dict):
+    """One run's number of calls by tally name, with the calls themselves,
+    (args, result) pairs, as `calls` and the input's output as `out`."""
+
+    def __init__(self, calls, out):
+        super().__init__({name: len(c) for name, c in calls.items()})
+        self.calls, self.out = calls, out
+
+
+def moves(calls):
+    """Calls that returned something other than None: a rewrite that moved,
+    an alignment that was found."""
+    return sum(result is not None for _, result in calls)
+
+
+def _ww_inverse(n):
+    """n seeded words' segments as one word w, and w.w^-1 reduced to []."""
+    rng = random.Random(0)
+    w = SchematicWord(tuple(s for _ in range(n) for s in random_word(rng).segments))
+    product = SchematicWord(w.segments + invert(w).segments)
+    assert reduce(product) == EMPTY_WORD
+    return product
+
+
+def _ww_inverse_fuzz():
+    """100 seeded words at each size, each reduced against its inverse."""
+    rng = random.Random(53)
+    for size in SIZES:
+        for _ in range(100):
+            w = random_word(rng, **size)
+            assert reduce(concat(w, invert(w))) == EMPTY_WORD
+
+
+# stream positions the fuzz words read, pinned when `Schema.letters` became
+# the one range reader (the per-letter chain it replaced made 577 reads)
+LETTER_READS = 573
+# `Schema.letters` calls on the same words, pinned when pair-tail stopped
+# reading two empty ranges for tails that agree from both cursors
+LETTER_CALLS = 217
+# `_unary`, `_binary` and `reduce_free` calls on the same words, pinned when
+# merges began to cancel at the junction and blocks built by moves stopped
+# passing through `_unary` (before: 4 166, 2 661 and 274)
+UNARY_CALLS, BINARY_CALLS, REDUCE_FREE_CALLS = 3266, 2661, 125
+
+
+def _letter_reads(r):
+    # one read per position `letters` returns and per `letter_at` call
+    reads = sum(len(run) for _, run in r.calls["letters"]) + r["letter_at"]
+    return 0 < reads <= LETTER_READS and 0 < r["letters"] <= LETTER_CALLS
+
+
+def _canonical_one_stream_words():
+    for sch in one_stream_schemas():
+        for pos in range(3 * sch.width + 1):
+            for forward in (True, False):
+                yield canonicalize(SchematicWord((Stream(forward, pos, sch),)))
+
+
+def _psi_f_both_ways():
+    cases = _psi_cases()[:1500]
+    yield [psi_f_by_composite(w, fam, f) for w, fam, f in cases]
+    yield [psi_f(w, fam, f) for w, fam, f in cases]
+
+
+def _sweep(fam=None):
+    """separation_pattern of every subset, against its characteristic vector."""
+    fam = make_family(10) if fam is None else fam
+    for chosen in _subsets(fam):
+        assert separation_pattern(fam, chosen) == tuple(int(n in chosen) for n in fam.names)
+    return fam
+
+
+def _members_then_sweep():
+    fam = make_family(10)
+    for name in fam.names:
+        assert decompose(u_word(name, 0, fam), fam).tags() == (Maximal(name, 0, 1),)
+    yield fam
+    yield _sweep(fam)
+
+
+def _warm_sweep():
+    fam = make_family(10)
+    yield separation_pattern(fam, fam.names)
+    yield _sweep(fam)
+
+
+def _schemas_once(r):
+    # without interning, 10 250 tail keys and 61 440 folds
+    once = all(
+        r[body] == len({args for args, _ in r.calls[body]}) <= len(r.out) + 1
+        for body in ("tail_key", "fold")
+    )
+    built = sorted((spec for (spec,), _ in r.calls["built"]), key=r.out.members.index)
+    return once and built == list(r.out.members)
+
+
+# k * 2^(k-1) + 2^k - 1 image words per sweep of k = 10 members (one word
+# per member and subset: k * 2^k = 10 240)
+SWEEP_WORDS = 10 * 2**9 + 2**10 - 1
+
+
+def _hag_normal_twice():
+    words = [x for ws in _fuzz_words(SIZES[1], range(60)) for x in ws]
+    yield [hag_normal(w) for w in words]
+    yield [hag_normal(w) for w in words]
+
+
+def _parse_valid_then_damaged():
+    for text, env in VALID_TEXTS:
+        parse_word(text, env)
+    yield
+    with pytest.raises(ParseError):
+        parse_word("[a0 5]")
+    yield
+
+
+def _doubling_checks(*len_maxes):
+    for len_max in len_maxes:
+        rep = embedding_check(doubling_map(), 3, len_max)
+        assert rep.ok
+        yield rep
+
+
+def _same_per_level(short, long):
+    # the checks before the injectivity sweep do not depend on len_max:
+    # two lengths make the same count, and the longer checks more words
+    return short == long and short.out.words_checked < long.out.words_checked
+
+
+def _sweep_builds_few(short, long):
+    # at len_max 0 the sweep sees only the empty word, so the difference
+    # between the runs is the sweep's count
+    swept = long.out.words_checked - short.out.words_checked
+    return swept > 5000 and long["built"] - short["built"] < swept / 100
+
+
+def _basis_levels_then_collapse():
+    words = sum(reduced_word_count(n, 8) for n in (1, 2, 3))
+    assert words == 599_075
+    for s in (doubling_map(), tau_map(), telescope_map()):
+        rep = embedding_check(s, 3, 8)
+        assert rep.ok and rep.injective and rep.words_checked == words
+    yield
+    rep = embedding_check(_collapse_map(), 2, 3)
+    assert rep.words_checked == 10
+    assert rep.failures[-1] == "collision at level m_1=1: [a0^-1] and [a1^-1]"
+    yield
+
+
+def _ladder_checks():
+    for s in _ladder_maps()[:5]:
+        for rng in (None, random.Random(4)):
+            embedding_check(s, 3, 3, rng=rng)
+
+
+# id: (input, {tally: paths}, bound)
+ROWS = {
+    # the stack pass settles each segment a bounded number of times, so
+    # w.w^-1 costs O(segments) folds however long w is
+    **{
+        f"test_ww_inverse_fold_count[{n}]": (
+            functools.partial(_ww_inverse, n),
+            {"fold": "words.fold"},
+            lambda r: r["fold"] <= 2 * len(r.out.segments),
+        )
+        for n in (10, 20, 40, 80)
+    },
+    # every stream letter the rewrite engine reads goes through
+    # `Schema.letters` or `Schema.letter_at`
+    "test_ww_inverse_letter_reads": (
+        _ww_inverse_fuzz,
+        {"letters": "schema.Schema.letters", "letter_at": "schema.Schema.letter_at"},
+        _letter_reads,
+    ),
+    "test_ww_inverse_move_counts": (
+        _ww_inverse_fuzz,
+        {"unary": "words._unary", "binary": "words._binary", "free": "words.reduce_free"},
+        lambda r: 0 < r["unary"] <= UNARY_CALLS
+        and 0 < r["binary"] <= BINARY_CALLS
+        and 0 < r["free"] <= REDUCE_FREE_CALLS,
+    ),
+    # canonicalize of a one-stream word (every cursor and orientation of
+    # seeded, unrolled and prefix-code streams) makes at most two stream
+    # moves: only a cut leaves the stream piece one more settle to make
+    "test_settle_is_one_move": (
+        _canonical_one_stream_words,
+        {"settle": "words._settle"},
+        lambda *runs: len(runs) >= 1500 and all(moves(r.calls["settle"]) <= 2 for r in runs),
+    ),
+    # psi_f reads the germs of w: it neither reduces w nor walks it for
+    # member intervals
+    "test_psi_f_runs_no_pass_and_no_walk": (
+        _psi_f_both_ways,
+        {"passes": "sigma.reduce", "walks": "sigma.apply_Ff sigma._intervals"},
+        lambda composite, r: r.out == composite.out and r["passes"] == r["walks"] == 0,
+    ),
+    # tail keys leave one candidate member per stream: decomposing the ten
+    # member words runs one alignment per member word, not one per
+    # (stream, member) pair; the twin branches S2/S3, S4/S5, S6/S7 and
+    # S8/S9 still get distinct keys on member words.  Exact keys make
+    # alignment a lookup: no shift search, and a sweep over every subset
+    # aligns nothing more (it builds the image words, not decompositions)
+    "test_separation_tests_one_candidate_per_stream": (
+        _members_then_sweep,
+        {
+            "align": "schema.tail_alignment sigma.tail_alignment words.tail_alignment",
+            "search": "schema.poly_shift_match",
+        },
+        lambda members, sweep: members["align"] == moves(members.calls["align"]) == 10
+        and sweep["align"] == members["search"] == sweep["search"] == 0,
+    ),
+    # interned schemas carry their tail key and fold: a sweep runs each body
+    # at most once per distinct schema, and the family builds each member
+    # schema once
+    "test_separation_sweep_computes_once_per_schema": (
+        _sweep,
+        {
+            "tail_key": "schema._compute_tail_key",
+            "fold": "schema._compute_fold",
+            "built": "sigma.member_schema",
+        },
+        _schemas_once,
+    ),
+    # h_f(u_S) = (π∘r_a)(u_{f(S)}) depends on f(S) alone, so a subset
+    # evaluates each distinct image word once: u_T if it chooses any
+    # member, and u_S for each member S it leaves
+    "test_separation_sweep_words_per_member_word": (
+        _sweep,
+        {"u_word": "sigma.u_word", "ra_retract": "sigma.ra_retract", "hag": "sigma.hag_normal"},
+        lambda r: r["u_word"] == r["ra_retract"] == r["hag"] == SWEEP_WORDS,
+    ),
+    # apply_Ff(u_S) = u_{f(S)}, and separation_pattern builds its total map
+    # itself, so a sweep neither decomposes nor validates (decomposing per
+    # subset, 10 240 intervals runs and as many map checks)
+    "test_separation_sweep_decomposes_nothing": (
+        _sweep,
+        {"intervals": "sigma._intervals", "validate": "sigma._validate_map"},
+        lambda r: r["intervals"] == r["validate"] == 0,
+    ),
+    # member words are marked as fixpoints of the rewrite pass, ra_retract
+    # returns the marked empty word when the member's stream drops, and
+    # hag_normal reads each stream's germ from its schema's pattern tail
+    # slot, so once the slots are filled the sweep makes no pass.  Passes
+    # skipped on marked words do not reach `_rewrite`
+    "test_separation_sweep_passes_per_member_word": (
+        _warm_sweep,
+        {"passes": "words._rewrite"},
+        lambda warm, r: r["passes"] == 0,
+    ),
+    # hag_normal reads each stream's germ from its schema's pattern tail
+    # slot, filled on first use, so a second hag_normal of the same words
+    # makes no pass
+    "test_second_hag_normal_makes_no_pass": (
+        _hag_normal_twice,
+        {"passes": "words._rewrite"},
+        lambda first, r: r.out == first.out and r["passes"] == 0,
+    ),
+    # the scanner reads every valid word; the descent parser runs only on
+    # a damaged one, to place its error
+    "test_scanner_never_falls_back_on_valid_words": (
+        _parse_valid_then_damaged,
+        {"parsers": "dsl._Parser"},
+        lambda valid, damaged: valid["parsers"] == 0
+        and [args[0] for args, _ in damaged.calls["parsers"]] == ["[a0 5]"],
+    ),
+    # support is looked up once per projection level, not once per word
+    "test_embedding_check_support_queries_per_level": (
+        functools.partial(_doubling_checks, 3, 5),
+        {"queries": "endo.SubstitutionMap.support_query"},
+        _same_per_level,
+    ),
+    # the injectivity sweep extends each word's image from its prefix's; it
+    # keeps no letters of, and reduces no image of, a checked word
+    "test_embedding_check_projection_calls_per_level": (
+        functools.partial(_doubling_checks, 3, 5),
+        {"projections": "endo.kept_letters endo.reduce_free words.kept_letters words.reduce_free"},
+        _same_per_level,
+    ),
+    # the injectivity sweep hashes letter tuples; it builds a FreeWord only
+    # to report a collision
+    "test_embedding_check_sweep_builds_no_words": (
+        functools.partial(_doubling_checks, 0, 5),
+        {"built": "freegroup.FreeWord.__init__"},
+        _sweep_builds_few,
+    ),
+    # each level's pieces are a free basis, so the verdict covers every
+    # word up to len_max without walking one; pieces that are no basis
+    # still go to the sweep for a witness
+    "test_embedding_check_free_levels_walk_no_words": (
+        _basis_levels_then_collapse,
+        {"walks": "endo.enumerate_images"},
+        lambda bases, collapse: bases["walks"] == 0 < collapse["walks"],
+    ),
+    # embedding_check is exhaustive: it draws no word, given an rng or not
+    "test_embedding_check_draws_no_words": (
+        _ladder_checks,
+        {"draws": "randwords.random_word"},
+        lambda r: r["draws"] == 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case, tallies, bound", ROWS.values(), ids=ROWS.keys())
+def test_count_gate(counting, case, tallies, bound):
+    calls = {name: counting(*paths.split()) for name, paths in tallies.items()}
+    result = case()
+    runs = []
+    for out in result if inspect.isgenerator(result) else [result]:
+        runs.append(Run({name: list(c) for name, c in calls.items()}, out))
+        for c in calls.values():
+            c.clear()
+    assert bound(*runs), f"calls per run: {[dict(r) for r in runs[:4]]}"

@@ -224,24 +224,6 @@ def test_scanner_reads_what_the_descent_parser_reads():
         assert w == dsl._descent_word(text, env), text
 
 
-def test_scanner_never_falls_back_on_valid_words(monkeypatch):
-    # the gate is this count, not a time
-    built = []
-
-    class CountingParser(dsl._Parser):
-        def __init__(self, *args):
-            built.append(args[0])
-            super().__init__(*args)
-
-    monkeypatch.setattr(dsl, "_Parser", CountingParser)
-    for text, env in VALID_TEXTS:
-        parse_word(text, env)
-    assert built == []
-    with pytest.raises(ParseError):
-        parse_word("[a0 5]")
-    assert built == ["[a0 5]"]
-
-
 # texts one token away from the grammar, each with its set names
 NEAR_MISSES = [
     ("[a0a1]", None),

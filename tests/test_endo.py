@@ -28,7 +28,6 @@ from transword.freegroup import (
     FreeWord,
     Letter,
     rank_letter_set,
-    reduced_word_count,
 )
 from transword.hag import EMPTY_CLASS, hag_normal
 from transword.schema import affine
@@ -42,7 +41,6 @@ from transword.words import (
     proj_rank,
     project_finite,
 )
-from transword import endo, randwords, words
 from transword.randwords import random_word
 
 from corpus import random_affine_maps
@@ -267,77 +265,6 @@ def test_embedding_check_identity():
     assert rep.levels == [3 * n + 1 for n in range(3)]
 
 
-def test_embedding_check_support_queries_per_level(monkeypatch):
-    # support is looked up once per projection level, not once per word
-    calls = 0
-    real = SubstitutionMap.support_query
-
-    def counted(self, fam, index):
-        nonlocal calls
-        calls += 1
-        return real(self, fam, index)
-
-    monkeypatch.setattr(SubstitutionMap, "support_query", counted)
-    counts = {}
-    for len_max in (3, 5):
-        calls = 0
-        rep = embedding_check(doubling_map(), 3, len_max)
-        assert rep.ok
-        counts[len_max] = (calls, rep.words_checked)
-    assert counts[3][0] == counts[5][0]
-    assert counts[3][1] < counts[5][1]
-
-
-def test_embedding_check_projection_calls_per_level(monkeypatch):
-    # the injectivity sweep extends each word's image from its prefix's;
-    # it keeps no letters of, and reduces no image of, a checked word
-    calls = 0
-
-    def counted(real):
-        def wrapper(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        return wrapper
-
-    for module in (endo, words):
-        for name in ("kept_letters", "reduce_free"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    counts = {}
-    for len_max in (3, 5):
-        calls = 0
-        rep = embedding_check(doubling_map(), 3, len_max, rng=random.Random(4))
-        assert rep.ok
-        counts[len_max] = (calls, rep.words_checked)
-    assert counts[3][0] == counts[5][0]
-    assert counts[3][1] < counts[5][1]
-
-
-def test_embedding_check_sweep_builds_no_words(monkeypatch):
-    # the injectivity sweep hashes letter tuples; it builds a FreeWord only
-    # to report a collision.  The checks before the sweep do not depend on
-    # len_max, so the difference between two lengths is the sweep's count.
-    built = 0
-    real = FreeWord.__init__
-
-    def counted(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(FreeWord, "__init__", counted)
-    counts = {}
-    for len_max in (0, 5):
-        built = 0
-        rep = embedding_check(doubling_map(), 3, len_max, rng=random.Random(4))
-        assert rep.ok
-        counts[len_max] = (built, rep.words_checked)
-    swept = counts[5][1] - counts[0][1]
-    assert swept > 5000
-    assert counts[5][0] - counts[0][0] < swept / 100
-
-
 def _collapse_map():
     # a1 -> a0: the projections of a0 and a1 collide
     return SubstitutionMap(
@@ -415,27 +342,6 @@ def test_embedding_check_matches_projection_oracle():
     assert failures == ["collision at level m_1=1: [a0^-1] and [a1^-1]"]
 
 
-def test_embedding_check_free_levels_walk_no_words(monkeypatch):
-    # each level's pieces are a free basis, so the verdict covers every
-    # word up to len_max without walking one
-    def refuse(*args):
-        raise AssertionError("embedding_check walked the words")
-
-    monkeypatch.setattr(endo, "enumerate_images", refuse)
-    words = sum(reduced_word_count(n, 8) for n in (1, 2, 3))
-    assert words == 599_075
-    for s in (doubling_map(), tau_map(), telescope_map()):
-        rep = embedding_check(s, 3, 8)
-        assert rep.ok and rep.injective and rep.words_checked == words
-    # pieces that are no basis still go to the sweep for a witness
-    with pytest.raises(AssertionError, match="walked"):
-        embedding_check(_collapse_map(), 2, 3)
-    monkeypatch.undo()
-    rep = embedding_check(_collapse_map(), 2, 3)
-    assert rep.words_checked == 10
-    assert rep.failures[-1] == "collision at level m_1=1: [a0^-1] and [a1^-1]"
-
-
 @pytest.mark.parametrize("n_max, len_max", [(0, 3), (-1, 3), (2, -1)])
 def test_embedding_check_rejects_malformed_input(n_max, len_max):
     with pytest.raises(ValueError, match="embedding_check needs n_max >= 1"):
@@ -487,16 +393,6 @@ def test_collapse_retraction_witness():
     assert _retraction_failures(rep) == [(1, 1)]
     assert "retraction identity fails at n=1 on a1" in rep.failures
     assert "retraction identity (all words): NO" in rep.lines()
-
-
-def test_embedding_check_draws_no_words(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("embedding_check drew a random word")
-
-    monkeypatch.setattr(randwords, "random_word", refuse)
-    for s in _ladder_maps()[:5]:
-        for rng in (None, random.Random(4)):
-            embedding_check(s, 3, 3, rng=rng)
 
 
 def test_check_admissible_matches_letter_scan_on_ladder_maps():

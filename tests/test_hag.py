@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import transword.words
 from transword.dsl import parse_word
 from transword.freegroup import FreeWord, Letter
 from transword.hag import (
@@ -195,22 +194,6 @@ def test_pattern_tail_slot_matches_fresh_computation():
     assert codes >= 20
     telescope = Schema((Entry("a", K, 1), Entry("a", affine(1, 1), -1)))
     assert pattern_tail(telescope) is None and telescope._tail is False
-
-
-def test_second_hag_normal_makes_no_pass(monkeypatch):
-    words = [x for ws in _fuzz_words(SIZES[1], range(60)) for x in ws]
-    first = [hag_normal(w) for w in words]
-    real = transword.words._rewrite
-    passes = 0
-
-    def counting(*args):
-        nonlocal passes
-        passes += 1
-        return real(*args)
-
-    monkeypatch.setattr(transword.words, "_rewrite", counting)
-    assert [hag_normal(w) for w in words] == first
-    assert passes == 0
 
 
 # seeds whose shuffle rendered differently while germs were read off the

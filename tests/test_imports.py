@@ -1,7 +1,9 @@
 """Import hygiene, checked on the syntax tree of each module: no top-level
 import goes unused, no function imports from a module that its file
 already imports at top level (a local import is kept only to break an
-import cycle), and no top-level definition of the package goes unnamed."""
+import cycle), and no top-level definition of the package goes unnamed.
+Count gates go through the `counting` fixture: no other test replaces a
+library name by hand unless it is named below with its reason."""
 
 import ast
 from pathlib import Path
@@ -111,3 +113,29 @@ def test_no_dead_top_level_definition():
         if isinstance(node, kinds) and node.name not in named
     }
     assert dead == TEST_ONLY
+
+
+# tests that replace a library name with `monkeypatch.setattr` outside
+# `tests/conftest.py` and `tests/test_counts.py`, none to count calls
+SETATTR_ALLOWED = {
+    "tests/test_cli.py::test_demo_separation_refuses_large_k": "a refused K builds no family",
+    "tests/test_cli.py::test_family_arg_refuses_large_k": "a refused K builds no family",
+    "tests/test_cli.py::test_demo_abelian_refuses_large_k": "a refused K builds no matrix",
+    "tests/test_cli.py::test_project_refuses_large_level": "a refused N builds no letter set",
+    "tests/test_cli.py::test_cap_exit_code": "a small rewrite cap, to reach it",
+    "tests/test_words.py::test_cap_sites_raise_cap_error": "a small rewrite cap, to reach it",
+    "tests/test_words.py::test_pass_keeps_every_block_reduced": "checks each block a move builds",
+}
+
+
+def test_count_gates_use_the_counting_fixture():
+    # a hand-built counting wrapper is a row of tests/test_counts.py instead
+    found = {
+        f"{_name(path)}::{getattr(node, 'name', '<module>')}"
+        for path in TESTS.glob("*.py")
+        if path.name not in ("conftest.py", "test_counts.py")
+        for node in ast.parse(path.read_text()).body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "monkeypatch.setattr"
+    }
+    assert found == set(SETATTR_ALLOWED)

@@ -319,22 +319,6 @@ def test_psi_f_of_permutation_is_phi_sigma():
         assert psi_f(w, fam, perm) == phi_sigma(hag_normal(w), fam, perm)
 
 
-def test_psi_f_runs_no_pass_and_no_walk(monkeypatch):
-    # psi_f reads the germs of w: it neither reduces w nor walks it for
-    # member intervals
-    from transword import sigma
-
-    cases = _psi_cases()[:1500]
-    expected = [psi_f_by_composite(w, fam, f) for w, fam, f in cases]
-
-    def refuse(*args):
-        raise AssertionError("psi_f reduced or decomposed its word")
-
-    for name in ("reduce", "apply_Ff", "_intervals"):
-        monkeypatch.setattr(sigma, name, refuse)
-    assert [psi_f(w, fam, f) for w, fam, f in cases] == expected
-
-
 def test_separation_patterns():
     with pytest.raises(ValueError, match="S3"):
         separation_pattern(FAM2, {"S1", "S3"})
@@ -354,134 +338,9 @@ def test_separation_injective_k4():
         seen[pat] = mask
 
 
-def test_separation_tests_one_candidate_per_stream(monkeypatch):
-    # tail keys leave one candidate member per stream: decomposing the ten
-    # member words runs one alignment per member word, not one per
-    # (stream, member) pair; the twin branches S2/S3, S4/S5, S6/S7 and
-    # S8/S9 still get distinct keys on member words.  Exact keys make
-    # alignment a lookup: no shift search, and a sweep over every subset
-    # aligns nothing more (it builds the image words, not decompositions)
-    from transword import schema, sigma, words
-
-    real = schema.tail_alignment
-    calls = []
-
-    def counting(su, sv):
-        calls.append((su, sv))
-        return real(su, sv)
-
-    for mod in (schema, sigma, words):
-        monkeypatch.setattr(mod, "tail_alignment", counting)
-    searches = []
-    real_match = schema.poly_shift_match
-    monkeypatch.setattr(
-        schema, "poly_shift_match", lambda f, g: searches.append(f) or real_match(f, g)
-    )
-    fam = make_family(10)
-    for name in fam.names:
-        assert decompose(u_word(name, 0, fam), fam).tags() == (Maximal(name, 0, 1),)
-    assert len(calls) == 10
-    assert all(real(su, sv) is not None for su, sv in calls)
-
-    for mask in range(1 << len(fam)):
-        chosen = {n for i, n in enumerate(fam.names) if mask >> i & 1}
-        assert separation_pattern(fam, chosen) == tuple(
-            1 if n in chosen else 0 for n in fam.names
-        )
-    assert len(calls) == 10
-    assert searches == []
-
-
-def test_separation_sweep_computes_once_per_schema(monkeypatch):
-    # interned schemas carry their tail key and fold: a sweep over every
-    # subset runs each body at most once per distinct schema (without
-    # interning, 10 250 tail keys and 61 440 folds), and the family builds
-    # each member schema once
-    from transword import schema, sigma
-
-    def record(mod, name, calls):
-        real = getattr(mod, name)
-
-        def counting(arg):
-            calls.append(arg)
-            return real(arg)
-
-        monkeypatch.setattr(mod, name, counting)
-
-    bodies = {"tail_key": [], "fold": []}
-    for name, calls in bodies.items():
-        record(schema, f"_compute_{name}", calls)
-    built = []
-    record(sigma, "member_schema", built)
-    fam = make_family(10)
-    for r in range(len(fam) + 1):
-        for chosen in itertools.combinations(fam.names, r):
-            assert separation_pattern(fam, chosen) == tuple(
-                1 if n in chosen else 0 for n in fam.names
-            )
-    for calls in bodies.values():
-        assert len(calls) == len(set(calls)) <= len(fam) + 1
-    assert sorted(built, key=fam.members.index) == list(fam.members)
-
-
-def test_separation_sweep_words_per_member_word(monkeypatch):
-    # h_f(u_S) = (π∘r_a)(u_{f(S)}) depends on f(S) alone, so a subset
-    # evaluates each distinct image word once: u_T if it chooses any
-    # member, and u_S for each member S it leaves, k * 2^(k-1) + 2^k - 1 =
-    # 6 143 words per sweep (one word per member and subset, k * 2^k =
-    # 10 240)
-    from transword import sigma
-
-    counts = {"u_word": 0, "ra_retract": 0, "hag_normal": 0}
-
-    def record(name):
-        real = getattr(sigma, name)
-
-        def counting(*args):
-            counts[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(sigma, name, counting)
-
-    for name in counts:
-        record(name)
-    fam = make_family(10)
-    for chosen in _subsets(fam):
-        assert separation_pattern(fam, chosen) == tuple(
-            1 if n in chosen else 0 for n in fam.names
-        )
-    k = len(fam)
-    assert counts == dict.fromkeys(counts, k * 2 ** (k - 1) + 2**k - 1)
-
-
 def _subsets(fam):
     for mask in range(1 << len(fam)):
         yield {n for i, n in enumerate(fam.names) if mask >> i & 1}
-
-
-def test_separation_sweep_decomposes_nothing(monkeypatch):
-    # apply_Ff(u_S) = u_{f(S)}, and separation_pattern builds its total map
-    # itself, so a sweep neither decomposes nor validates (decomposing per
-    # subset, 10 240 intervals runs and as many map checks)
-    from transword import sigma
-
-    counts = {"_intervals": 0, "_validate_map": 0}
-
-    def record(name):
-        real = getattr(sigma, name)
-
-        def counting(*args):
-            counts[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(sigma, name, counting)
-
-    for name in counts:
-        record(name)
-    fam = make_family(10)
-    for chosen in _subsets(fam):
-        separation_pattern(fam, chosen)
-    assert counts == {"_intervals": 0, "_validate_map": 0}
 
 
 def _uncached_pattern(fam, chosen):
@@ -501,31 +360,6 @@ def test_separation_matches_uncached_composite():
     cases += [(fam10, {n for n in fam10.names if rng.random() < 0.5}) for _ in range(200)]
     for fam, chosen in cases:
         assert separation_pattern(fam, chosen) == _uncached_pattern(fam, chosen)
-
-
-def test_separation_sweep_passes_per_member_word(monkeypatch):
-    # member words are marked as fixpoints of the rewrite pass, ra_retract
-    # returns the marked empty word when the member's stream drops, and
-    # hag_normal reads each stream's germ from its schema's pattern tail
-    # slot, so once the slots are filled the sweep makes no pass.  Passes
-    # skipped on marked words do not reach `_rewrite`
-    from transword import words
-
-    fam = make_family(10)
-    separation_pattern(fam, fam.names)
-    real = words._rewrite
-    passes = 0
-
-    def counting(*args):
-        nonlocal passes
-        passes += 1
-        return real(*args)
-
-    monkeypatch.setattr(words, "_rewrite", counting)
-    for r in range(len(fam) + 1):
-        for chosen in itertools.combinations(fam.names, r):
-            separation_pattern(fam, chosen)
-            assert passes == 0
 
 
 # -- the permutation action ------------------------------------------------------

@@ -91,30 +91,24 @@ def test_backward_absorption_mirror():
     assert len(canonicalize(w).segments) == 1
 
 
-def test_settle_is_one_move(monkeypatch):
-    # seeded streams, unrolled so that fold has copies to undo, at every
-    # cursor 0 .. 3m in both orientations, every third with prefix codes,
-    # and a schema that folds only once shifted: the pieces of `_settle`
-    # spell the stream's word, only a cut leaves the stream piece one more
-    # settle to make, and canonicalize of the one-stream word makes at most
-    # two stream moves
-    settle = transword.words._settle
-    moves = 0
-
-    def counted(st, cancel=False):
-        nonlocal moves
-        pieces = settle(st, cancel)
-        moves += pieces is not None
-        return pieces
-
-    monkeypatch.setattr(transword.words, "_settle", counted)
+def one_stream_schemas():
+    """Seeded streams, unrolled so that fold has copies to undo, every third
+    with prefix codes, and a schema that folds only once shifted."""
     schemas = [parse_word("st(+,0,{a(2k^2-k) a(2k^2+k)})").segments[0].schema]
     for seed in range(45):
         rng = random.Random(seed)
         sch = random_stream(rng, selectors=TWINS if seed % 3 == 0 else None).schema
         schemas += [sch, unroll(sch, 2), unroll(sch, 3, 1)]
+    return list(filter(None, schemas))
+
+
+def test_settle_is_one_move():
+    # at every cursor 0 .. 3m in both orientations, the pieces of `_settle`
+    # spell the stream's word, and only a cut leaves the stream piece one
+    # more settle to make
+    settle = transword.words._settle
     settled = moved = codes = 0
-    for big in filter(None, schemas):
+    for big in one_stream_schemas():
         codes += any(isinstance(e.fam, PrefixCode) for e in big.entries)
         for pos in range(3 * big.width + 1):
             for forward in (True, False):
@@ -128,9 +122,6 @@ def test_settle_is_one_move(monkeypatch):
                     rounds.append(len(pieces))
                     assert len(rounds) <= 2
                 assert rounds in ([], [1], [2], [2, 1])
-                moves = 0
-                canonicalize(w)
-                assert moves <= 2
                 settled += 1
                 moved += bool(rounds)
     assert settled >= 1500 and moved >= 1300 and codes >= 15
@@ -318,91 +309,6 @@ def test_is_reduced_matches_sites_at_fuzz_size():
     for seed in range(600):
         w = random_word(random.Random(seed), **SIZES[1])
         assert is_reduced(w) == (not _sites(canonicalize(w)))
-
-
-@pytest.mark.parametrize("n", [10, 20, 40, 80])
-def test_ww_inverse_fold_count(monkeypatch, n):
-    # the stack pass settles each segment a bounded number of times, so
-    # w.w^-1 costs O(segments) folds however long w is
-    calls = 0
-    real_fold = transword.words.fold
-
-    def counted(schema):
-        nonlocal calls
-        calls += 1
-        return real_fold(schema)
-
-    monkeypatch.setattr(transword.words, "fold", counted)
-    rng = random.Random(0)
-    w = SchematicWord(tuple(s for _ in range(n) for s in random_word(rng).segments))
-    product = SchematicWord(w.segments + invert(w).segments)
-    assert reduce(product) == EMPTY_WORD
-    assert calls <= 2 * len(product.segments)
-
-
-# stream positions that `test_ww_inverse_letter_reads` reads, pinned when
-# `Schema.letters` became the one range reader (the per-letter chain it
-# replaced made 577 reads on the same words)
-LETTER_READS = 573
-# `Schema.letters` calls on the same words, pinned when pair-tail stopped
-# reading two empty ranges for tails that agree from both cursors
-LETTER_CALLS = 217
-
-
-def test_ww_inverse_letter_reads(monkeypatch):
-    # every stream letter the rewrite engine reads goes through
-    # `Schema.letters` or `Schema.letter_at`; count the positions read
-    reads = calls = 0
-    letters, letter_at = Schema.letters, Schema.letter_at
-
-    def counted_letters(schema, p0, p1):
-        nonlocal reads, calls
-        before = reads
-        run = letters(schema, p0, p1)
-        reads = before + len(run)  # once, whether or not it reads through letter_at
-        calls += 1
-        return run
-
-    def counted_letter_at(schema, p):
-        nonlocal reads
-        reads += 1
-        return letter_at(schema, p)
-
-    monkeypatch.setattr(Schema, "letters", counted_letters)
-    monkeypatch.setattr(Schema, "letter_at", counted_letter_at)
-    rng = random.Random(53)
-    for size in SIZES:
-        for _ in range(100):
-            w = random_word(rng, **size)
-            assert reduce(concat(w, invert(w))) == EMPTY_WORD
-    assert 0 < reads <= LETTER_READS
-    assert 0 < calls <= LETTER_CALLS
-
-
-# `_unary`, `_binary` and `reduce_free` calls that `test_ww_inverse_move_counts`
-# makes, pinned when merges began to cancel at the junction and blocks built
-# by moves stopped passing through `_unary` (before: 4 166, 2 661 and 274)
-UNARY_CALLS, BINARY_CALLS, REDUCE_FREE_CALLS = 3266, 2661, 125
-
-
-def test_ww_inverse_move_counts(monkeypatch):
-    # the same words as `test_ww_inverse_letter_reads`
-    calls = dict.fromkeys(("_unary", "_binary", "reduce_free"), 0)
-    for name in calls:
-
-        def counted(*args, _name=name, _real=getattr(transword.words, name)):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(transword.words, name, counted)
-    rng = random.Random(53)
-    for size in SIZES:
-        for _ in range(100):
-            w = random_word(rng, **size)
-            assert reduce(concat(w, invert(w))) == EMPTY_WORD
-    assert 0 < calls["_unary"] <= UNARY_CALLS
-    assert 0 < calls["_binary"] <= BINARY_CALLS
-    assert 0 < calls["reduce_free"] <= REDUCE_FREE_CALLS
 
 
 def _blocks(pieces):
