@@ -1,12 +1,12 @@
 """The archipelago quotient: finite subwords die, so only the tail classes
 of the infinite streams survive.
 
-A germ is a stream schema with its cursor erased (tail class) plus an
-orientation sign; a HagClass is a cancelled sequence of germs and is the
-normal form for quotient equality on the fragment.  Germs compare and hash
-by the schema's exact tail key (`Schema.tail_key`) and the sign, so `==`
-on germs is tail-class equality and `==` on classes is equality in the
-quotient; the schema a germ keeps is only for rendering.
+A germ is its tail class's normal presentation (`Schema.tail_key`) plus
+an orientation sign, whichever schema of the class it is built from; a
+HagClass is a cancelled sequence of germs and is the normal form for
+quotient equality on the fragment.  One value gives a germ's `==`,
+`hash` and rendering, so `==` on classes is equality in the quotient,
+and equal classes render alike.
 
 `hag_normal` reads each stream's germ off its schema alone: the pattern
 tail (`words.pattern_tail`), which the pass leaves of a stream over the
@@ -31,11 +31,6 @@ cursor into the schema keeps the pair classes.  An orientation only
 reverses the display order of what the pass cuts off.  The pass keeps
 every projection and the quotient deletes only finite subwords, so equal
 verdicts are sound; distinct normal forms are a fragment-level verdict.
-
-A germ renders the stream's own schema, pattern-reduced, with its cursor
-erased, so two presentations of one class can still render differently
-(`[a0] st(+,0,{a(k+1)})` and `st(+,0,{a(k)})`).  Rendering each class
-from its `tail_key` is the open half of ROADMAP item 14.
 """
 
 from __future__ import annotations
@@ -46,18 +41,13 @@ from .schema import Schema
 from .words import SchematicWord, Stream, pattern_tail
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Germ:
-    schema: Schema
+    schema: Schema  # given any schema of the class, keeps its tail key
     sign: int  # +1 forward, -1 backward
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Germ):
-            return NotImplemented
-        return self.sign == other.sign and self.schema.tail_key == other.schema.tail_key
-
-    def __hash__(self) -> int:
-        return hash((self.schema.tail_key, self.sign))
+    def __post_init__(self):
+        object.__setattr__(self, "schema", self.schema.tail_key)
 
     def __str__(self) -> str:
         return self.render()

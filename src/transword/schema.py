@@ -19,21 +19,21 @@ cancel on an infinite and co-infinite step set are outside the fragment
 and rejected.
 
 Two schemas are in one tail class when they emit the same letters from
-some position on.  `Schema.tail_key` is exact: it is the class's normal
-presentation, so keys are equal exactly when the schemas are in one
-class, and germ equality and member lookup compare keys.  The normal
-presentation strips each b/c choice to the purely periodic step pattern
-it follows from some step on (literal b and c are constant patterns),
-folds to the least width at which the entries repeat, with letter
-indices as polynomials in the position, and picks a start.  Without
-prefix codes, the start puts first the entry whose index function,
-shifted by whole steps, has 0 <= a1 < 2*a2 (quadratic) or 0 <= a0 < a1
-(affine); prefix codes pin the step numbering up to the carry twin
-(`setspec.carry_twin`), which leaves finitely many starts.  Of these
-candidates the key is the least flat tuple.  `tail_alignment` returns
-the position shift between two schemas of one class, the difference of
-their normal presentations' starts, with a position from which their
-letters agree; stream cancellation and the interval decomposition use it.
+some position on.  `Schema.tail_key` is the class's normal presentation,
+an interned schema: keys are one object exactly when the schemas are in
+one class, and germs keep, compare and render keys.  It strips each b/c
+choice to the purely periodic step pattern it follows from some step on
+(literal b and c when constant), has the least width at which entries
+repeat, with letter indices as polynomials in the position, times the
+least factor at which no entry mixes a with b/c, and starts at the least
+candidate, as a tuple, whose index functions are natural-valued at step
+0.  Without prefix codes, a candidate puts an entry first at the least
+step from which its index function is natural-valued and increasing (the
+latest one qualifies); prefix codes pin the step numbering up to the
+carry twin, which leaves finitely many starts.  `tail_alignment` returns
+the shift between two schemas of one class, the difference of their
+keys' starts, with a position from which their letters agree; stream
+cancellation and the interval decomposition use it.
 `fold` reads the same position view (`_in_position`): a schema folds to
 the least width d at which every entry j has the sign and the position
 polynomial of entry j mod d, the families of these copies weave into
@@ -54,9 +54,9 @@ interning; every interned schema of the `equality`, `cancel` and
 `separation` runs read them.  Only some schemas are asked for the rest,
 which are set on first use: `fold` (98–100% of schemas), `tail_key`
 (0–80%), the shifts `unroll(schema, 1, d)`, None included (0–51%), and
-the pattern tail (`words.pattern_tail`, 0–82%): the schema of the stream
+the pattern tail (`words.pattern_tail`, 0–82%): the key of the stream
 that pattern reduction leaves of a stream over this one, None when it
-vanishes, from which the archipelago quotient reads each stream's germ.
+vanishes, which the archipelago quotient reads as each stream's germ.
 The intern tables live for the whole process and hold one object per
 distinct value built.
 """
@@ -303,10 +303,11 @@ class Schema(_Interned):
     (the wrap pair); and `valid`, False when some pair cancels on a step
     set that is infinite and co-infinite (a stream over the schema then
     has no schematic reduced form).  Every stream reads these two.  Set on
-    first use, as only some schemas are asked: `fold`, `tail_key`, in
-    `_shifts` a dict d -> `unroll(schema, 1, d)`, failed shifts (None)
-    included, and in `_tail` the pattern tail (`words.pattern_tail`),
-    False when the stream vanishes."""
+    first use, as only some schemas are asked: `fold`; in `_key` the
+    `tail_key` schema with the position of this schema at which it
+    starts; in `_shifts` a dict d -> `unroll(schema, 1, d)`, failed shifts
+    (None) included; and in `_tail` the key of the pattern tail
+    (`words.pattern_tail`), False when the stream vanishes."""
 
     __slots__ = (
         "entries", "width", "pair_classes", "valid", "_folded", "_key", "_shifts",
@@ -338,10 +339,10 @@ class Schema(_Interned):
         return f"Schema(entries={self.entries!r})"
 
     @property
-    def tail_key(self) -> tuple:
-        """The normal presentation of the tail class (module docstring) as
-        a flat tuple of ints and bit tuples: keys are equal exactly when
-        `tail_alignment` aligns the schemas.  Computed once, on first use."""
+    def tail_key(self) -> Schema:
+        """The normal presentation of the tail class (module docstring), an
+        interned schema: keys are one object exactly when `tail_alignment`
+        aligns the schemas.  Computed once, on first use."""
         if self._key is None:
             object.__setattr__(self, "_key", _compute_tail_key(self))
         return self._key[0]
@@ -363,10 +364,10 @@ class Schema(_Interned):
         return tuple(out)
 
 
-def _compute_tail_key(schema: Schema) -> tuple[tuple, int]:
-    """(key, p0): the normal presentation of the schema's tail class as a
-    flat tuple, and the position of the schema at which it starts; kept
-    in the `_key` slot."""
+def _compute_tail_key(schema: Schema) -> tuple[Schema, int]:
+    """(key, p0): the normal presentation of the schema's tail class, built
+    for the least candidate start only, and the position of the schema at
+    which it starts; kept in the `_key` slot."""
     m = schema.width
     entries, steps = zip(*(_stripped(e, j, m) for j, e in enumerate(schema.entries)))
     span = m * lcm(*map(len, steps))
@@ -379,15 +380,13 @@ def _compute_tail_key(schema: Schema) -> tuple[tuple, int]:
         # the minimal width: the least d at which the entries repeat
         m = next(d for d in range(1, m + 1) if entries == entries[:d] * (m // d))
         entries = entries[:m]
-        starts = []
-        for c, e in enumerate(entries):
-            # entry c first, at the step where its index function has
-            # 0 <= a1 < 2*a2 (quadratic) or 0 <= a0 < a1 (affine)
-            a2, a1, a0, _ = _poly_at(*e[3:], m, c)
-            starts.append(c - m * (a1 // (2 * a2) if a2 else a0 // a1))
-    return min(
-        (key, p) for p in starts if (key := _presentation(entries, fams, p)) is not None
-    )
+        # entry c first, from its least natural-valued increasing step
+        starts = [c + m * _first_step(*_poly_at(*e[3:], m, c)) for c, e in enumerate(entries)]
+    rows, p = min((r, p) for p in starts if (r := _presentation(entries, fams, p)))
+    # the least width, a multiple of m, at which no entry mixes a with b/c
+    L, kinds = len(fams), [max(f, _B) for f in fams]
+    d = next(d for d in range(m, m * L + 1, m) if kinds == kinds[d % L :] + kinds[: d % L])
+    return _key_schema(rows, d), p
 
 
 # the family at a position of the tail: c, b, a or a prefix-code choice
@@ -412,6 +411,16 @@ def _stripped(e: Entry, j: int, m: int) -> tuple[tuple, tuple]:
     return (e.sign, *branch, *_in_position(e, j, m)), steps
 
 
+def _first_step(a2: int, a1: int, a0: int, _div: int) -> int:
+    """The least step s <= 0 from which k -> a2*k^2 + a1*k + a0, natural
+    and increasing from step 0 on, is natural and increasing."""
+    lo, hi = (-a1 - a2) // (2 * a2) + 1 if a2 else -(a0 // a1), 0
+    while lo < hi:  # from step lo on it increases; bisect for the sign
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if a2 * mid * mid + a1 * mid + a0 < 0 else (lo, mid)
+    return lo
+
+
 def _in_position(e: Entry, j: int, m: int) -> tuple:
     """The letter index of entry j of m as a polynomial in the position:
     position p = m*k + j carries index f(k) = f((p - j) / m)."""
@@ -428,8 +437,10 @@ def _poly_at(a2: int, a1: int, a0: int, div: int, t: int, s: int) -> tuple:
 
 
 def _presentation(entries, fams: tuple, p: int) -> tuple | None:
-    """The flat tuple of the presentation starting at position p, or None
-    when some prefix code does not move to the steps that requires."""
+    """The presentation starting at position p: the step pattern, then per
+    entry its sign, index in the position and branch (twins order by
+    index); None when an index function is not natural-valued at step 0
+    or does not increase, or a prefix code cannot move as p requires."""
     m = len(entries)
     r = p % len(fams)
     out: list = [fams[r:] + fams[:r]]
@@ -442,8 +453,28 @@ def _presentation(entries, fams: tuple, p: int) -> tuple | None:
             if code is None:
                 return None
             x, y = code.branch_prefix, code.branch_period
-        out += (sign, x, y, *_poly_at(*index, 1, p))
+        index = _poly_at(*index, 1, p)
+        a2, a1, a0, _ = _poly_at(*index, m, j)
+        if a0 < 0 or a2 + a1 <= 0:
+            return None
+        out.append((sign, *index, x, y))
     return tuple(out)
+
+
+def _key_schema(rows: tuple, d: int) -> Schema:
+    """The presentation as a schema of width d; a b/c pattern becomes a
+    literal b or c when constant, else a selector set."""
+    fams, *rows = rows
+    out = []
+    for j in range(d):
+        sign, *index, x, y = rows[j % len(rows)]
+        bits = tuple(fams[(j + d * k) % len(fams)] for k in range(len(fams)))
+        if bits[0] in (_A, _CODE):
+            fam = "a" if bits[0] == _A else PrefixCode(x, y)
+        else:
+            fam = "c" if _B not in bits else "b" if _C not in bits else _from_bits((), bits)
+        out.append(Entry(fam, IndexFn(*_poly_at(*index, d, j)), sign))
+    return Schema(tuple(out))
 
 
 def unroll(schema: Schema, t: int, phase: int = 0) -> Schema | None:
@@ -540,7 +571,7 @@ def tail_alignment(su: Schema, sv: Schema) -> tuple[int, int] | None:
     Kpos where the entries' families agree at that shift."""
     if su is sv:
         return (0, 0)
-    if su.tail_key != sv.tail_key:
+    if su.tail_key is not sv.tail_key:
         return None
     delta = sv._key[1] - su._key[1]
     if su.width != sv.width:  # equal keys: neither carries a prefix code

@@ -123,7 +123,7 @@ class SigmaFamily:
             raise KeyError(f"no family member named {name}") from None
 
     @cached_property
-    def _by_key(self) -> dict[tuple, str]:
+    def _by_key(self) -> dict[Schema, str]:
         # almost disjoint infinite members never share a tail: one per key
         return {self._schemas[name].tail_key: name for name in self.names}
 
@@ -155,11 +155,9 @@ _T_SCHEMA = Schema((Entry("a", K, 1),))
 def u_word(target, n: int = 0, fam: SigmaFamily | None = None) -> SchematicWord:
     """The selector word from position n on: the word whose letter at each
     step m >= n is b_m or c_m by membership (or a_m for the symbol T).
-    The stream keeps cursor n, and the word is marked reduced when no move
-    applies to it.  A member of a family is a prefix code, whose stream
-    keeps its cursor, so its word is marked at every n.  The word of T is
-    not for n >= 1: `u_word(T, n)` is st(+,n,{a(k)}), which `canonicalize`
-    re-presents as st(+,0,{a(k+n)}), the same word."""
+    The word is reduced and marked: a member of a family is a prefix
+    code, whose stream keeps cursor n; the word of T settles to
+    st(+,0,{a(k+n)})."""
     if target == T:
         sch = _T_SCHEMA
     elif isinstance(target, str):

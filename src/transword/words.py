@@ -565,10 +565,10 @@ def _rewrite(segments, cancel: bool) -> SchematicWord:
 
 
 def _settled_word(seg: Segment) -> SchematicWord:
-    """The word of one segment, marked reduced when no move on the segment
-    applies: for one segment, exactly the test that the pass is done."""
+    """The reduced word of one segment, marked: without a pass when no move
+    on the segment applies, for one segment the test that the pass is done."""
     w = SchematicWord((seg,))
-    return _marked(w, _REDUCED) if _unary(seg, True) is None else w
+    return _marked(w, _REDUCED) if _unary(seg, True) is None else _rewrite(w.segments, True)
 
 
 def canonicalize(w: SchematicWord) -> SchematicWord:
@@ -610,12 +610,12 @@ def heg_equal(w1: SchematicWord, w2: SchematicWord) -> bool:
 
 
 def pattern_tail(schema: Schema) -> Schema | None:
-    """The schema of the stream that the pass leaves of a stream over
-    `schema` from position 0, or None when nothing of it stays a stream:
-    the stream settled and pattern-reduced, its head cut off.  Computed
-    once per distinct schema and kept in its `_tail` slot; the `hag`
-    module docstring says why every stream over the schema, whatever its
-    cursor and orientation, leaves a tail of this class."""
+    """The tail key (`Schema.tail_key`) of the stream that the pass leaves
+    of a stream over `schema` from position 0, or None when nothing of it
+    stays a stream: the stream settled and pattern-reduced, its head cut
+    off.  Computed once per distinct schema and kept in its `_tail` slot;
+    the `hag` module docstring says why every stream over the schema,
+    whatever its cursor and orientation, leaves a tail of this class."""
     tail = schema._tail
     if tail is None:
         tail = _compute_tail(schema)
@@ -625,7 +625,7 @@ def pattern_tail(schema: Schema) -> Schema | None:
 
 def _compute_tail(schema: Schema) -> Schema | bool:
     segments = _rewrite((Stream(True, 0, schema),), True).segments
-    return next((seg.schema for seg in segments if isinstance(seg, Stream)), False)
+    return next((seg.schema.tail_key for seg in segments if isinstance(seg, Stream)), False)
 
 
 # ---------------------------------------------------------------------------

@@ -120,14 +120,22 @@ def _warm_sweep():
     yield _sweep(fam)
 
 
-def _schemas_once(r):
-    # without interning, 10 250 tail keys and 61 440 folds
+def _sweep_twice():
+    fam = make_family(10)
+    yield _sweep(fam)
+    yield _sweep(fam)
+
+
+def _schemas_once(first, again):
+    # without interning, 10 250 tail keys and 61 440 folds per sweep; the
+    # first sweep computes whatever earlier work left out, and the second
+    # finds every body in a slot
     once = all(
-        r[body] == len({args for args, _ in r.calls[body]}) <= len(r.out) + 1
+        first[body] == len({args for args, _ in first.calls[body]}) <= len(first.out) + 1
         for body in ("tail_key", "fold")
     )
-    built = sorted((spec for (spec,), _ in r.calls["built"]), key=r.out.members.index)
-    return once and built == list(r.out.members)
+    built = sorted((spec for (spec,), _ in first.calls["built"]), key=first.out.members.index)
+    return once and built == list(first.out.members) and again["tail_key"] == again["fold"] == 0
 
 
 # k * 2^(k-1) + 2^k - 1 image words per sweep of k = 10 members (one word
@@ -150,10 +158,18 @@ def _parse_valid_then_damaged():
     yield
 
 
-def _doubling_checks(*len_maxes):
+def _embedding_checks(*len_maxes):
+    """embedding_check at each len_max of doubling_map, whose levels are
+    free bases, so that its sweep walks no word, then of _collapse_map,
+    whose sweep walks words up to a collision: 2, 10 and 14 words at
+    len_max 0 (no collision yet), 3 and 5."""
     for len_max in len_maxes:
         rep = embedding_check(doubling_map(), 3, len_max)
         assert rep.ok
+        yield rep
+    for len_max in len_maxes:
+        rep = embedding_check(_collapse_map(), 2, len_max)
+        assert rep.injective == (len_max == 0)
         yield rep
 
 
@@ -163,11 +179,27 @@ def _same_per_level(short, long):
     return short == long and short.out.words_checked < long.out.words_checked
 
 
-def _sweep_builds_few(short, long):
-    # at len_max 0 the sweep sees only the empty word, so the difference
-    # between the runs is the sweep's count
-    swept = long.out.words_checked - short.out.words_checked
-    return swept > 5000 and long["built"] - short["built"] < swept / 100
+def _per_level(tally, collapse_count):
+    # both maps make the same count at both lengths; a call per swept word
+    # would add 10 and 14 to _collapse_map's, whose count is pinned
+    return lambda d_short, d_long, c_short, c_long: (
+        _same_per_level(d_short, d_long)
+        and _same_per_level(c_short, c_long)
+        and c_short[tally] == collapse_count
+    )
+
+
+def _sweep_builds_few(d_short, d_long, c_short, c_long):
+    # at len_max 0 the sweep sees at most the empty words, so the
+    # difference between the runs is the sweep's count: none of doubling
+    # map's 5 000 counted words, and for _collapse_map only the two words
+    # of the collision report
+    swept = d_long.out.words_checked - d_short.out.words_checked
+    return (
+        swept > 5000
+        and d_long["built"] - d_short["built"] < swept / 100
+        and c_long["built"] - c_short["built"] == 2
+    )
 
 
 def _basis_levels_then_collapse():
@@ -183,9 +215,16 @@ def _basis_levels_then_collapse():
     yield
 
 
+class _NoDraws:
+    """An rng that raises on any attribute access: a draw from it fails."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"embedding_check read rng.{name}")
+
+
 def _ladder_checks():
     for s in _ladder_maps()[:5]:
-        for rng in (None, random.Random(4)):
+        for rng in (None, _NoDraws()):
             embedding_check(s, 3, 3, rng=rng)
 
 
@@ -246,10 +285,10 @@ ROWS = {
         and sweep["align"] == members["search"] == sweep["search"] == 0,
     ),
     # interned schemas carry their tail key and fold: a sweep runs each body
-    # at most once per distinct schema, and the family builds each member
-    # schema once
+    # at most once per distinct schema, a second sweep runs none, and the
+    # family builds each member schema once
     "test_separation_sweep_computes_once_per_schema": (
-        _sweep,
+        _sweep_twice,
         {
             "tail_key": "schema._compute_tail_key",
             "fold": "schema._compute_fold",
@@ -301,21 +340,21 @@ ROWS = {
     ),
     # support is looked up once per projection level, not once per word
     "test_embedding_check_support_queries_per_level": (
-        functools.partial(_doubling_checks, 3, 5),
+        functools.partial(_embedding_checks, 3, 5),
         {"queries": "endo.SubstitutionMap.support_query"},
-        _same_per_level,
+        _per_level("queries", 26),
     ),
     # the injectivity sweep extends each word's image from its prefix's; it
     # keeps no letters of, and reduces no image of, a checked word
     "test_embedding_check_projection_calls_per_level": (
-        functools.partial(_doubling_checks, 3, 5),
+        functools.partial(_embedding_checks, 3, 5),
         {"projections": "endo.kept_letters endo.reduce_free words.kept_letters words.reduce_free"},
-        _same_per_level,
+        _per_level("projections", 12),
     ),
     # the injectivity sweep hashes letter tuples; it builds a FreeWord only
     # to report a collision
     "test_embedding_check_sweep_builds_no_words": (
-        functools.partial(_doubling_checks, 0, 5),
+        functools.partial(_embedding_checks, 0, 5),
         {"built": "freegroup.FreeWord.__init__"},
         _sweep_builds_few,
     ),
@@ -327,7 +366,9 @@ ROWS = {
         {"walks": "endo.enumerate_images"},
         lambda bases, collapse: bases["walks"] == 0 < collapse["walks"],
     ),
-    # embedding_check is exhaustive: it draws no word, given an rng or not
+    # embedding_check is exhaustive: it draws no word, given an rng or not;
+    # the rng it is given raises on use, and tests/test_imports.py checks
+    # that endo.py imports no other source of draws
     "test_embedding_check_draws_no_words": (
         _ladder_checks,
         {"draws": "randwords.random_word"},

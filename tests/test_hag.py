@@ -189,7 +189,7 @@ def test_pattern_tail_slot_matches_fresh_computation():
                     if isinstance(seg, Stream)
                 ]
                 assert len(left) == (tail is not None)
-                assert all(t.tail_key == tail.tail_key for t in left)
+                assert all(t.tail_key is tail for t in left)
         codes += any(isinstance(e.fam, PrefixCode) for e in sch.entries)
     assert codes >= 20
     telescope = Schema((Entry("a", K, 1), Entry("a", affine(1, 1), -1)))
@@ -218,6 +218,5 @@ def test_absorbed_head_is_one_class():
     assert hag_normal(ABSORBED) == hag_normal(PLAIN)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: render germs from the tail key")
 def test_absorbed_head_renders_as_its_class():
     assert str(hag_normal(ABSORBED)) == str(hag_normal(PLAIN))

@@ -139,3 +139,15 @@ def test_count_gates_use_the_counting_fixture():
         if isinstance(call, ast.Call) and ast.unparse(call.func) == "monkeypatch.setattr"
     }
     assert found == set(SETATTR_ALLOWED)
+
+
+def test_endo_imports_nothing_to_draw_with():
+    # embedding_check is exhaustive, so endo.py draws no word: it imports
+    # neither `random` nor the word generators, under any name
+    path = PACKAGE / "endo.py"
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for module in _modules(path, node):
+                read |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    assert not read & {"random", "transword.randwords"}, sorted(read)

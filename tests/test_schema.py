@@ -21,6 +21,7 @@ from transword.schema import (
     tail_alignment,
     unroll,
 )
+from transword.dsl import parse_word, render_word
 from transword.randwords import random_stream
 from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, decimated
 from transword.words import SchematicWord, Stream, _step_hits
@@ -209,8 +210,6 @@ def test_fold_matches_copies_oracle():
     assert count >= 2000 and folded >= 1500 and codes >= 50
     # equal position polynomials, but the folded index (k^2-k)/2 does not
     # increase, so this word keeps width 2
-    from transword.dsl import parse_word
-
     (seg,) = parse_word("st(+,0,{a(2k^2-k) a(2k^2+k)})").segments
     assert fold(seg.schema) is seg.schema is fold_by_copies(seg.schema)
     assert seg.schema.width == 2
@@ -337,8 +336,14 @@ def test_unroll_by_one_shifts(sch, d):
 
 @given(schema_st())
 def test_tail_key_presentation_invariant(sch):
+    # the key is one schema per class: its own key, aligned with the
+    # schema, read back from its rendering, and shared by every presentation
+    key = sch.tail_key
+    assert key.tail_key is key and tail_alignment(sch, key) is not None
+    w = SchematicWord((Stream(True, 0, key),))
+    assert parse_word(render_word(w)) == w
     for other in _presentations(sch):
-        assert other.tail_key == sch.tail_key
+        assert other.tail_key is key
         assert tail_alignment(other, sch) is not None
         assert tail_alignment(sch, other) is not None
 
@@ -351,7 +356,7 @@ def test_tail_key_necessary_for_alignment(su, sv, pick):
     if pres and pick < 4:
         sv = pres[pick % len(pres)]  # a pair that often aligns
     found = alignment_by_search(su, sv)
-    assert (su.tail_key == sv.tail_key) == (found is not None)
+    assert (su.tail_key is sv.tail_key) == (found is not None)
     al = tail_alignment(su, sv)
     assert (al is None) == (found is None)
     if al is not None:
@@ -365,14 +370,14 @@ def test_tail_key_twin_branches():
     # (0 1^w, k+1) at step k renders what (1 0^w, k) renders at step k+1
     s = Schema((Entry(PrefixCode("0", "1"), affine(1, 1), 1),))
     t = Schema((Entry(PrefixCode("1", "0"), K, 1),))
-    assert s.tail_key == t.tail_key
+    assert s.tail_key is t.tail_key
     al = tail_alignment(s, t)
     assert al is not None
     delta, Kpos = al
     assert all(s.letter_at(p) == t.letter_at(p + delta) for p in range(Kpos, Kpos + 200))
     # the same branches on the same index functions never align
     u = Schema((Entry(PrefixCode("0", "1"), K, 1),))
-    assert u.tail_key != t.tail_key and tail_alignment(u, t) is None
+    assert u.tail_key is not t.tail_key and tail_alignment(u, t) is None
 
 
 def test_poly_shift_match_integer_cases():
@@ -391,8 +396,6 @@ def test_poly_shift_match_integer_cases():
 
 @given(schema_st())
 def test_schemas_are_interned(sch):
-    from transword.dsl import parse_word, render_word
-
     family = [sch] + _presentations(sch)
     for s in family:
         copied = tuple(Entry(e.fam, e.idx, e.sign) for e in s.entries)
@@ -416,8 +419,6 @@ def test_empty_schema_rejected():
 def test_schema_copy_and_pickle():
     import copy
     import pickle
-
-    from transword.dsl import parse_word
 
     w = parse_word('[a1] st(-,1,{sel(pcode("01","1"))(k+2) c(2k)^-1}) st(+,0,{a((k^2+5k+4)/2)^-1})')
     again = pickle.loads(pickle.dumps(w))
