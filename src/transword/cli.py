@@ -14,7 +14,10 @@ SEPARATION_K_MAX = 16 with exit status 1 before building the family.
 `--family k=K` builds K(K-1)/2 intersection bounds, so it refuses K above
 FAMILY_K_MAX = 256 the same way.  `project` builds every letter of rank
 below N, so it refuses N above PROJECT_N_MAX = 10**6 with exit status 1
-before building any.
+before building any.  `embedding-check` builds a projector per level and
+reports a word count with about L*log10(2*NMAX) digits, so it refuses
+--nmax above EMBEDDING_N_MAX = 200 and --lenmax above
+EMBEDDING_LEN_MAX = 1000 with exit status 1 before parsing the map.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ ABELIAN_K_MAX = 16  # demo-abelian prints 2^K rows
 SEPARATION_K_MAX = 16  # demo-separation keeps 2^K patterns, at most K words each
 FAMILY_K_MAX = 256  # --family k=K builds K(K-1)/2 intersection bounds
 PROJECT_N_MAX = 10**6  # project -N N builds every letter of rank < N
+EMBEDDING_N_MAX = 200  # embedding-check builds a projector per level
+EMBEDDING_LEN_MAX = 1000  # the word count at --lenmax L has ~L*log10(2*NMAX) digits
 
 
 def _family_arg(text: str):
@@ -208,6 +213,10 @@ def _run(args) -> dict:
             "matrix": matrix,
         }
     if args.cmd == "embedding-check":
+        if args.nmax > EMBEDDING_N_MAX:
+            raise ValueError(f"nmax must be at most {EMBEDDING_N_MAX}, got {args.nmax}")
+        if args.lenmax > EMBEDDING_LEN_MAX:
+            raise ValueError(f"lenmax must be at most {EMBEDDING_LEN_MAX}, got {args.lenmax}")
         s = dsl.parse_substitution(args.sub)
         rep = endo.embedding_check(s, args.nmax, args.lenmax)
         return {"substitution": args.sub, "report": rep.lines()}

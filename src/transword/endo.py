@@ -3,8 +3,13 @@
 A substitution is admissible when every concrete letter appears in only
 finitely many images; `support_query` answers which source indices use a
 letter, and `check_admissible` audits it against direct enumeration
-(one pass over each image collects the letters it uses: the tail rule's
-letter tuple, or an exceptional image's kept letters).
+(one pass over each image collects the letters it uses: a tail image as
+the (family, index) keys of its rule's `terms`, with no letter or word
+built, an exceptional image as its kept letters).  A letter in every
+tail image, whatever its rank, lies in the first tail image past the
+audited ones, whose letters' support queries raise on it.  A rule's
+`terms(n)` is the one source of its image's letters: `image_of` builds
+a tail image's word from them.
 `apply_endo` materializes the image of a word (streams map to streams by
 composing the tail pattern with each entry's index function);
 `projector(s, letters)` computes the projection of the image to a finite
@@ -112,10 +117,9 @@ class AffineRule:
     pattern: tuple[tuple[str, int, int, int], ...]
     n0: int = 0
 
-    def image(self, n: int) -> FreeWord:
-        return FreeWord(
-            tuple(Letter(fam, p * n + q, sign) for fam, p, q, sign in self.pattern)
-        )
+    def terms(self, n: int) -> list[tuple[str, int, int]]:
+        """(family, index, sign) of each letter of the image of a_n."""
+        return [(fam, p * n + q, sign) for fam, p, q, sign in self.pattern]
 
     def support(self, fam: str, index: int) -> set[int]:
         out = set()
@@ -152,11 +156,10 @@ class RowDifferenceRule:
 
     n0: int = 0
 
-    def image(self, n: int) -> FreeWord:
+    def terms(self, n: int) -> tuple[tuple[str, int, int], ...]:
+        """(family, index, sign) of each letter of the image of a_n."""
         m, i = cantor_unpair(n)
-        return FreeWord(
-            (Letter("a", n), Letter("a", cantor_pair(m, i + 1), -1))
-        )
+        return ("a", n, 1), ("a", cantor_pair(m, i + 1), -1)
 
     def support(self, fam: str, index: int) -> set[int]:
         if fam != "a":
@@ -203,7 +206,7 @@ class SubstitutionMap:
         table = self._table
         if n in table:
             return table[n]
-        return from_free(self.rule.image(n))
+        return from_free(FreeWord(tuple(Letter(*t) for t in self.rule.terms(n))))
 
     def support_query(self, fam: str, index: int) -> set[int]:
         """Source indices n whose image uses the letter (either sign)."""
@@ -237,35 +240,39 @@ def tau_map() -> SubstitutionMap:
 
 def check_admissible(s: SubstitutionMap, bound: int) -> bool:
     """Verify support_query against direct enumeration for every letter of
-    rank < bound; False also when some support is infinite.  An image the
-    tail rule gives is a letter tuple, read directly; only exceptional
-    images, which may hold streams, go through `kept_letters`."""
+    rank < bound, over the first 3*bound+64 images.  A tail-rule image is
+    read as the (family, index) keys of its terms, and builds no letter;
+    only exceptional images, which may hold streams, go through
+    `kept_letters`.  False also when some support is infinite: a letter
+    in every tail image lies in the first one past the audited images,
+    whatever its rank, and its support query raises."""
     horizon = 3 * bound + 64
     letters = rank_letter_set(bound)
     actual: dict[tuple[str, int], set[int]] = {key: set() for key in letters}
-    # both signs of each audited letter -> its set in `actual`
-    hits = {
-        Letter(fam, index, sign): actual[fam, index]
-        for fam, index in letters
-        for sign in (1, -1)
-    }
-    table = s._table
+    table, terms = s._table, s.rule.terms
     for n in range(horizon):
         if n in table:
-            used = kept_letters(table[n], letters)
+            used = [(l.fam, l.index, l.sign) for l in kept_letters(table[n], letters)]
         else:
-            used = s.rule.image(n).letters
-        for l in used:
-            hit = hits.get(l)
+            used = terms(n)
+        for fam, index, _ in used:
+            hit = actual.get((fam, index))
             if hit is not None:
                 hit.add(n)
-    for fam, index in sorted(letters):
-        try:
+    # a letter in every tail image, whatever its rank, is in the first one
+    # past the horizon, and its support query raises
+    past = horizon
+    while past in table:
+        past += 1
+    try:
+        for fam, index, _ in terms(past):
+            s.support_query(fam, index)
+        for fam, index in sorted(letters):
             claimed = s.support_query(fam, index)
-        except InadmissibleError:
-            return False
-        if {n for n in claimed if n < horizon} != actual[fam, index]:
-            return False
+            if {n for n in claimed if n < horizon} != actual[fam, index]:
+                return False
+    except InadmissibleError:
+        return False
     return True
 
 

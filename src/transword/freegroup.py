@@ -277,8 +277,11 @@ def enumerate_images(
 
 def reduced_word_count(n: int, maxlen: int) -> int:
     """Number of reduced words of length <= maxlen over n letters and their
-    inverses: 1 of length 0 and 2n(2n-1)^(L-1) of each length L >= 1."""
-    return sum(2 * n * (2 * n - 1) ** (L - 1) if L else 1 for L in range(maxlen + 1))
+    inverses: 1 of length 0 and 2n(2n-1)^(L-1) of each length L >= 1, in
+    closed form 2L+1 for n = 1 and 1 + n((2n-1)^L - 1)/(n-1) otherwise."""
+    if n == 1:
+        return 2 * maxlen + 1
+    return 1 + n * ((2 * n - 1) ** maxlen - 1) // (n - 1)
 
 
 def is_free_basis(gens: Sequence[Sequence[Letter]]) -> bool:

@@ -3,9 +3,18 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import transword.abelian
+import transword.dsl
 import transword.sigma
 import transword.words
-from transword.cli import ABELIAN_K_MAX, FAMILY_K_MAX, PROJECT_N_MAX, SEPARATION_K_MAX, main
+from transword.cli import (
+    ABELIAN_K_MAX,
+    EMBEDDING_LEN_MAX,
+    EMBEDDING_N_MAX,
+    FAMILY_K_MAX,
+    PROJECT_N_MAX,
+    SEPARATION_K_MAX,
+    main,
+)
 from transword.freegroup import reduced_word_count
 
 
@@ -224,6 +233,34 @@ def test_embedding_check_cli_rejects_malformed_input():
         assert code == 1
         assert out == ""
         assert "n_max >= 1" in err and "Traceback" not in err
+
+
+def test_embedding_check_refuses_large_sizes(monkeypatch):
+    def refuse(text):
+        raise AssertionError("parse_substitution was called")
+
+    monkeypatch.setattr(transword.dsl, "parse_substitution", refuse)
+    for flags, message in [
+        (["--nmax", str(EMBEDDING_N_MAX + 1)], f"nmax must be at most {EMBEDDING_N_MAX}"),
+        (["--lenmax", str(EMBEDDING_LEN_MAX + 1)], f"lenmax must be at most {EMBEDDING_LEN_MAX}"),
+        (["--lenmax", "100000"], f"lenmax must be at most {EMBEDDING_LEN_MAX}"),
+    ]:
+        code, out, err = run(["embedding-check", "-s", "doubling", *flags])
+        assert code == 1
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+
+def test_embedding_check_at_its_caps():
+    # the word count at the caps has about 2 600 digits, below Python's
+    # 4 300-digit limit on converting an integer to text
+    spec = "sub{tail: a(n) -> [a(2n) a(2n+1)]}"
+    argv = ["embedding-check", "-s", spec, "--nmax", str(EMBEDDING_N_MAX)]
+    code, out, _ = run([*argv, "--lenmax", str(EMBEDDING_LEN_MAX)])
+    words = sum(reduced_word_count(n, EMBEDDING_LEN_MAX) for n in range(1, EMBEDDING_N_MAX + 1))
+    assert code == 0
+    assert f"injectivity ({words} reduced words): yes" in out
+    assert "verdict: PASS" in out
 
 
 def test_parse_error_exit_code():

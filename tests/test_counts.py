@@ -19,7 +19,7 @@ import random
 import pytest
 
 from transword.dsl import ParseError, parse_word
-from transword.endo import doubling_map, embedding_check, tau_map, telescope_map
+from transword.endo import check_admissible, doubling_map, embedding_check, tau_map, telescope_map
 from transword.freegroup import reduced_word_count
 from transword.hag import hag_normal
 from transword.randwords import random_word
@@ -215,6 +215,13 @@ def _basis_levels_then_collapse():
     yield
 
 
+def _benchmark_audits():
+    """check_admissible on the benchmark's maps at its bounds (n_max 2, 3)."""
+    for s in (doubling_map(), tau_map(), telescope_map()):
+        for bound in (24, 30):
+            assert check_admissible(s, bound)
+
+
 class _NoDraws:
     """An rng that raises on any attribute access: a draw from it fails."""
 
@@ -338,11 +345,21 @@ ROWS = {
         lambda valid, damaged: valid["parsers"] == 0
         and [args[0] for args, _ in damaged.calls["parsers"]] == ["[a0 5]"],
     ),
-    # support is looked up once per projection level, not once per word
+    # support is looked up once per projection level, not once per word;
+    # the admissibility audit adds one query per letter of the first tail
+    # image past its horizon (26 before that query, _collapse_map's image
+    # being one letter)
     "test_embedding_check_support_queries_per_level": (
         functools.partial(_embedding_checks, 3, 5),
         {"queries": "endo.SubstitutionMap.support_query"},
-        _per_level("queries", 26),
+        _per_level("queries", 27),
+    ),
+    # the admissibility audit reads each tail image as the (family, index)
+    # keys of the rule's terms (a FreeWord per image made 136 or 154 a call)
+    "test_check_admissible_builds_no_words": (
+        _benchmark_audits,
+        {"built": "freegroup.FreeWord.__init__"},
+        lambda r: r["built"] == 0,
     ),
     # the injectivity sweep extends each word's image from its prefix's; it
     # keeps no letters of, and reduces no image of, a checked word

@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from transword.endo import (
     AffineRule,
@@ -90,6 +91,41 @@ def test_check_admissible_matches_letter_scan():
         for bound in (3, 9, 20):
             assert check_admissible(s, bound) == admissible
             assert admissible_by_scan(s, bound) == admissible
+
+
+# tail rules of 1-3 affine lines (slope 0 allowed) or the row difference,
+# with 0-2 exceptional images, some with streams
+line_st = st.tuples(
+    st.sampled_from("abc"), st.integers(0, 3), st.integers(0, 6), st.sampled_from((1, -1))
+)
+rule_st = st.one_of(
+    st.builds(
+        AffineRule, st.lists(line_st, min_size=1, max_size=3).map(tuple), st.sampled_from((0, 2))
+    ),
+    st.builds(RowDifferenceRule, st.sampled_from((0, 1))),
+)
+
+
+@st.composite
+def substitution_st(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    keys = draw(st.lists(st.integers(0, 6), max_size=2, unique=True))
+    exceptional = tuple(
+        (n, random_word(rng, max_segments=3, max_index=6, pure_a=rng.random() < 0.5))
+        for n in keys
+    )
+    return SubstitutionMap(draw(rule_st), exceptional)
+
+
+@given(substitution_st())
+def test_check_admissible_matches_letter_scan_on_random_rules(s):
+    # a slope-0 line puts one letter in every tail image, whatever its rank
+    constant = isinstance(s.rule, AffineRule) and any(p == 0 for _, p, _, _ in s.rule.pattern)
+    for bound in (3, 9, 20):
+        if constant:
+            assert not check_admissible(s, bound)
+        else:
+            assert check_admissible(s, bound) == admissible_by_scan(s, bound)
 
 
 def test_support_queries():
@@ -245,13 +281,15 @@ def test_embedding_check_doubling():
 
 
 # a40 lies in the image of every letter, so the map is not admissible; the
-# audit below rank 121 sees it, the one `embedding_check` runs does not
+# audit below rank 121 sees it by its letters, the one `embedding_check`
+# runs (rank < 24) by the first tail image past its horizon
 CONSTANT_A40 = SubstitutionMap(AffineRule((("a", 2, 0, 1), ("a", 0, 40, -1))))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
 def test_embedding_check_rejects_a_constant_letter_above_the_audit():
-    assert not embedding_check(CONSTANT_A40, 2, 3).ok
+    rep = embedding_check(CONSTANT_A40, 2, 3)
+    assert not rep.ok and not rep.admissible
+    assert rep.failures == ["support audit failed"]
 
 
 def test_constant_letter_is_inadmissible_at_its_rank():

@@ -277,6 +277,13 @@ def test_reduced_word_count_matches_enumeration():
             assert reduced_word_count(n, maxlen) == walked
 
 
+def test_reduced_word_count_matches_the_sum_by_length():
+    for n in range(8):
+        for maxlen in range(40):
+            by_length = sum(2 * n * (2 * n - 1) ** (L - 1) if L else 1 for L in range(maxlen + 1))
+            assert reduced_word_count(n, maxlen) == by_length
+
+
 def _gens(*words):
     """Generators written as lists of (index, sign) over the a-letters."""
     return [tuple(L("a", i, s) for i, s in w) for w in words]

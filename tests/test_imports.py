@@ -122,6 +122,7 @@ SETATTR_ALLOWED = {
     "tests/test_cli.py::test_family_arg_refuses_large_k": "a refused K builds no family",
     "tests/test_cli.py::test_demo_abelian_refuses_large_k": "a refused K builds no matrix",
     "tests/test_cli.py::test_project_refuses_large_level": "a refused N builds no letter set",
+    "tests/test_cli.py::test_embedding_check_refuses_large_sizes": "a refused size parses no map",
     "tests/test_cli.py::test_cap_exit_code": "a small rewrite cap, to reach it",
     "tests/test_words.py::test_cap_sites_raise_cap_error": "a small rewrite cap, to reach it",
     "tests/test_words.py::test_pass_keeps_every_block_reduced": "checks each block a move builds",
