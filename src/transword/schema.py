@@ -48,17 +48,18 @@ from a schema alone is computed once per distinct schema, however often
 callers rebuild it, and kept in its slots.  Which are set when a schema
 is first built and which on first use follows their traffic on the
 benchmark workloads.  Every stream reads its schema's adjacent-pair
-classes (`Schema.pair_classes`: validity when built, pattern sites in
-the rewrite pass) and its validity (`Schema.valid`), so both are set at
-interning; every interned schema of the `equality`, `cancel` and
-`separation` runs read them.  Only some schemas are asked for the rest,
-which are set on first use: `fold` (98–100% of schemas), `tail_key`
-(0–80%), the shifts `unroll(schema, 1, d)`, None included (0–51%), and
-the pattern tail (`words.pattern_tail`, 0–82%): the key of the stream
-that pattern reduction leaves of a stream over this one, None when it
-vanishes, which the archipelago quotient reads as each stream's germ.
-The intern tables live for the whole process and hold one object per
-distinct value built.
+classes (`Schema.pair_classes`: the finite hits absorb refuses, the
+cofinite pairs pattern reduction drops), its validity (`Schema.valid`)
+and its last finite hit (`Schema.last_hit`, which settling cuts
+through), so all three are set at interning, and every interned schema
+of the `equality`, `cancel` and `separation` runs read them.  Only some
+schemas are asked for the rest, which are set on first use: `fold`
+(98–100% of schemas), `tail_key` (0–80%), the shifts
+`unroll(schema, 1, d)`, None included (0–51%), and the pattern tail
+(`words.pattern_tail`, 0–82%): the key of the stream that pattern
+reduction leaves of a stream over this one, None when it vanishes, which
+the archipelago quotient reads as each stream's germ.  The intern tables
+live for the whole process and hold one object per distinct value built.
 """
 
 from __future__ import annotations
@@ -300,18 +301,19 @@ class Schema(_Interned):
     `pair_classes`, (j, kind, data) for each adjacent pair of entries in
     order of its first entry j, (kind, data) being `pair_cancellation` of
     entry j and the next, which for the last entry is entry 0 one step on
-    (the wrap pair); and `valid`, False when some pair cancels on a step
-    set that is infinite and co-infinite (a stream over the schema then
-    has no schematic reduced form).  Every stream reads these two.  Set on
-    first use, as only some schemas are asked: `fold`; in `_key` the
-    `tail_key` schema with the position of this schema at which it
-    starts; in `_shifts` a dict d -> `unroll(schema, 1, d)`, failed shifts
-    (None) included; and in `_tail` the key of the pattern tail
+    (the wrap pair); `valid`, False when some pair cancels on a step set
+    that is infinite and co-infinite (a stream over the schema then has no
+    schematic reduced form); and `last_hit`, the last step at which some
+    pair has a finite hit, -1 when none.  Every stream reads these
+    three.  Set on first use, as only some schemas are asked: `fold`; in
+    `_key` the `tail_key` schema with the position of this schema at which
+    it starts; in `_shifts` a dict d -> `unroll(schema, 1, d)`, failed
+    shifts (None) included; and in `_tail` the key of the pattern tail
     (`words.pattern_tail`), False when the stream vanishes."""
 
     __slots__ = (
-        "entries", "width", "pair_classes", "valid", "_folded", "_key", "_shifts",
-        "_tail",
+        "entries", "width", "pair_classes", "valid", "last_hit", "_folded", "_key",
+        "_shifts", "_tail",
     )
 
     def __new__(cls, entries: tuple[Entry, ...]):
@@ -326,8 +328,9 @@ class Schema(_Interned):
                 for j in range(m)
             )
             valid = all(kind != MIXED for _, kind, _ in pairs)
+            last = max((d[-1] for _, kind, d in pairs if kind == FINITE and d), default=-1)
             self = object.__new__(cls)
-            for slot, value in zip_longest(cls.__slots__, (entries, m, pairs, valid)):
+            for slot, value in zip_longest(cls.__slots__, (entries, m, pairs, valid, last)):
                 object.__setattr__(self, slot, value)
             self = _SCHEMAS.setdefault(entries, self)
         return self
@@ -367,7 +370,7 @@ class Schema(_Interned):
 def _compute_tail_key(schema: Schema) -> tuple[Schema, int]:
     """(key, p0): the normal presentation of the schema's tail class, built
     for the least candidate start only, and the position of the schema at
-    which it starts; kept in the `_key` slot."""
+    which it starts; kept in the `_key` slot, and (key, 0) in the key's."""
     m = schema.width
     entries, steps = zip(*(_stripped(e, j, m) for j, e in enumerate(schema.entries)))
     span = m * lcm(*map(len, steps))
@@ -386,7 +389,9 @@ def _compute_tail_key(schema: Schema) -> tuple[Schema, int]:
     # the least width, a multiple of m, at which no entry mixes a with b/c
     L, kinds = len(fams), [max(f, _B) for f in fams]
     d = next(d for d in range(m, m * L + 1, m) if kinds == kinds[d % L :] + kinds[: d % L])
-    return _key_schema(rows, d), p
+    key = _key_schema(rows, d)
+    object.__setattr__(key, "_key", (key, 0))  # a key is its own, from position 0
+    return key, p
 
 
 # the family at a position of the tail: c, b, a or a prefix-code choice

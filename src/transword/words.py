@@ -6,11 +6,10 @@ that two presentations are order-isomorphic ("the same word") exactly
 when `canonicalize` sends them to the same value, and that `reduce`
 rewrites to the unique reduced word in the same projection class, so
 that `heg_equal` decides equality in the group by comparing reduced
-canonical forms.  That target is not met yet: `canonicalize` keeps apart
-presentations that split a stream head differently (ROADMAP, item 10),
-and both passes keep apart presentations that differ in which stream
-takes a block at a junction of a backward and a forward stream (item 1),
-where `heg_equal` says False on one word.
+canonical forms.  That target is not met yet: both passes keep apart
+presentations that differ in which stream takes a block at a junction of
+a backward and a forward stream (ROADMAP, item 1), where `heg_equal`
+says False on one word.
 
 `canonicalize` and `reduce` are one left-to-right stack pass, as in free
 reduction.  The pass keeps one invariant: every block it holds, on the
@@ -20,24 +19,26 @@ where two reduced words cancel only where they meet.  An input block
 enters through normalisation when it is read: dropped when empty, and
 when cancelling freely reduced, and dropped when that empties it.  An
 input stream, and every stream a move builds, is settled by the one
-settle move `_settle` (fold, then cut the head to a step boundary or
-shift the cursor into the schema), and when cancelling also by pattern
-reduction, which is how telescoping products collapse.  Every head split,
-to a step boundary or to a pattern's steps, is the one cut `_split_head`,
-which when cancelling reduces the head it cuts.  The segment then meets
-the top of the output stack through the moves at one junction: merge,
-which when cancelling cancels at the junction of the two reduced blocks,
-absorb and cross move; when cancelling, also eat, pair-junction and
-pair-tail (see `_binary`).  Absorb and eat read a block outward from the
-junction in the stream's forward sequence, so one rule serves both
-orientations, and pair-junction and pair-tail find where two tails agree
-by one walk.  The pieces of a move go back in front of the input, so no
-move applies on the stack and the pass ends on a word no move applies
-to: the normal form, as far as the moves are confluent.  The tests
-compare the pass against `random_site_reduce` in `tests/oracles.py`,
-which applies cancellation sites in random order.  A block between a
-backward and a forward stream is offered to the backward one first,
-which is not yet order-independent (ROADMAP, item 1).
+settle move `_settle`, in both passes: fold, then cut the head to a step
+boundary or shift the cursor into the schema, and cut it through the
+pattern's last finite hit (a step at which adjacent entries cancel), so
+that a stream keeps one head however it is presented.  When cancelling,
+pattern reduction then drops a pair of entries that cancels cofinitely,
+which is how telescoping products collapse.  Every head split is the one
+cut `_split_head`, which when cancelling reduces the head it cuts.  The
+segment then meets the top of the output stack through the moves at one
+junction: merge, which when cancelling cancels at the junction of the
+two reduced blocks, absorb and cross move; when cancelling, also eat,
+pair-junction and pair-tail (see `_binary`).  Absorb and eat read a block
+outward from the junction in the stream's forward sequence, so one rule
+serves both orientations, and pair-junction and pair-tail find where two
+tails agree by one walk.  The pieces of a move go back in front of the
+input, so no move applies on the stack and the pass ends on a word no
+move applies to: the normal form, as far as the moves are confluent.  The
+tests compare the pass against `random_site_reduce` in
+`tests/oracles.py`, which applies cancellation sites in random order.  A
+block between a backward and a forward stream is offered to the backward
+one first, which is not yet order-independent (ROADMAP, item 1).
 
 Every word the pass returns is marked as its fixpoint: "canonical" from
 `canonicalize`, "reduced" from `reduce`; `EMPTY_WORD`, on which no move
@@ -268,21 +269,19 @@ def _split_head(st: Stream, upto: int, cancel: bool = False) -> list[Segment]:
 
 
 def _step_hits(schema: Schema, s: int) -> bool:
-    """Whether some adjacent pattern pair cancels at step s.  Absorbing a
-    step with a hit into a stream would hide a cancellation from the
-    rewrite engine (and undo its head splits), so canonical moves skip
-    such steps; reduced words never have them."""
-    if s < 0:
-        return True
-    m = schema.width
-    run = schema.letters(s * m, (s + 1) * m + 1)  # step s and the wrap letter
-    return not is_reduced_free(FreeWord(run))
+    """Whether some adjacent pattern pair has a finite hit at step s >= 0
+    (`Schema.pair_classes`).  `_settle` cuts a stream's head through its
+    last finite hit, so absorb refuses such a step; a cofinitely cancelling
+    pair is the stream's own pattern, which only pattern reduction drops."""
+    return any(kind == FINITE and s in data for _, kind, data in schema.pair_classes)
 
 
 def _absorb_letters(st: Stream, letters) -> Stream | None:
     """The stream extended by one earlier step whose forward-sequence
     letters are exactly `letters` (length = width), or None.  Selector
-    entries choose the membership bit of the new step to match."""
+    entries choose the membership bit of the new step to match.  A step
+    with a finite pattern hit (`_step_hits`) is refused, as `_settle`
+    would cut it off again."""
     m = st.schema.width
     if st.pos >= m:
         if tuple(letters) != st.schema.letters(st.pos - m, st.pos):
@@ -316,9 +315,7 @@ def _absorb_letters(st: Stream, letters) -> Stream | None:
         ext = Stream(st.forward, 0, Schema(tuple(entries)))
     except ValueError:
         return None
-    if _step_hits(ext.schema, 0):
-        return None
-    return ext
+    return None if _step_hits(ext.schema, 0) else ext
 
 
 def _block_meets_stream(bw: FreeWord, st: Stream, cancel: bool):
@@ -374,30 +371,25 @@ def _cross_move(left: Stream, right: Stream):
 
 
 def _pattern_site(st: Stream):
-    """First rewritable pattern pair, as (pair_index, kind, data): a pair
-    that cancels cofinitely, or at some step >= the stream's (finite hits
-    are ascending)."""
-    k0 = st.step
+    """The first cofinitely cancelling pattern pair, as (pair_index, kind,
+    bound), bound being the step from which it cancels; or None."""
     for site in st.schema.pair_classes:
-        kind, data = site[1], site[2]
-        if kind == COFINITE or (kind == FINITE and data and data[-1] >= k0):
+        if site[1] == COFINITE:
             return site
     return None
 
 
 def _apply_pattern(st: Stream) -> list[Segment] | None:
-    """Pattern reduction of a stream with its cursor on a step boundary:
-    cut the head through the pattern's last finite hit or up to its first
-    cofinite step (the next visit settles the cursor), else drop the
-    cofinite pair from the stream's own step on."""
+    """Pattern reduction of a settled stream: drop the first cofinitely
+    cancelling pair from the stream's own step on, first cutting the head
+    up to the pair's bound (the next visit settles the cursor)."""
     site = _pattern_site(st)
     if site is None:
         return None
-    j, kind, data = site
+    j, _, bound = site
     m = st.schema.width
-    cut = (data[-1] + 1) * m if kind == FINITE else data * m
-    if cut > st.pos:
-        return _split_head(st, cut, True)
+    if bound * m > st.pos:
+        return _split_head(st, bound * m, True)
     entries = st.schema.entries
     pieces: list[Segment] = []
     if j < m - 1:
@@ -445,15 +437,17 @@ def _junction_run(u: Stream, v: Stream) -> int:
 
 def _settle(st: Stream, cancel: bool = False) -> list[Segment] | None:
     """The stream's canonical presentation in display order, or None when
-    it has it: the schema folded, then a cursor inside a step cut to the
-    next boundary (with `cancel`, the cut head freely reduced), or a
+    it has it: the schema folded, then the head cut to the later of the
+    next step boundary and the step after the pattern's last finite hit,
+    `Schema.last_hit` (with `cancel`, the cut head freely reduced), else a
     boundary cursor shifted into the schema and the shift folded (prefix
     codes keep their cursor; a shift keeps pair classes, so the stream
     stays valid)."""
     sch = fold(st.schema)
     pos, m = st.pos, sch.width
-    if pos % m:
-        return _split_head(Stream(st.forward, pos, sch), pos + m - pos % m, cancel)
+    cut = (sch.last_hit + 1) * m
+    if pos % m or cut > pos:
+        return _split_head(Stream(st.forward, pos, sch), max(cut, pos - pos % m + m), cancel)
     if pos:
         shifted = unroll(sch, 1, pos // m)
         if shifted is not None:
@@ -465,7 +459,8 @@ def _unary(seg: Segment, cancel: bool) -> list[Segment] | None:
     """The first move on one segment, as its replacement in display order,
     or None.  A block is normalised: dropped when empty, and with `cancel`
     freely reduced, and dropped when that empties it.  A stream is settled
-    (`_settle`), and with `cancel` pattern-reduced.  The pass runs this on
+    (`_settle`), in both passes alike, and once settled, with `cancel`
+    pattern-reduced (`_apply_pattern`).  The pass runs this on
     input segments and on the streams that moves build; a block a move
     builds keeps the pass's invariant, on which this returns None."""
     if isinstance(seg, FiniteBlock):

@@ -6,8 +6,9 @@ set of inputs, one line per result, for comparing two trees with `diff`.
 For each seed s it draws the fuzz-size word
 w = random_word(Random(s), max_segments=10, max_index=15) and prints the
 renderings of canonicalize(w), reduce(w), is_reduced(w), hag_normal(w)
-and proj_rank(w, 12), of reduce on three shuffled presentations of w
-(drawn from the same generator), and of the DSL round trip of w.  Over
+and proj_rank(w, 12), of reduce and of canonicalize on three shuffled
+presentations of w (drawn from the same generator, reduce then
+canonicalize for each), and of the DSL round trip of w.  Over
 make_family(10) it prints decompose, apply_Ff and phi_sigma (under the
 cyclic permutation S1 -> S2 -> ... -> S10 -> S1) for one family word per
 seed (`family_word(Random(s), ...)`), then for every member word, the
@@ -115,7 +116,9 @@ def fuzz_lines(seed: int):
     yield "hag_normal", _show(lambda: hag_normal(w))
     yield "proj_rank12", _show(lambda: proj_rank(w, 12))
     for i in range(3):
-        yield f"shuffle{i}", _show(lambda: reduce(shuffle_presentation(w, rng)))
+        v = shuffle_presentation(w, rng)
+        yield f"shuffle{i}", _show(lambda: reduce(v))
+        yield f"cshuffle{i}", _show(lambda: canonicalize(v))
     yield "roundtrip", _show(lambda: render_word(parse_word(render_word(w))))
 
 

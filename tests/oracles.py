@@ -36,6 +36,7 @@ from transword.hag import Germ, HagClass, _cancelled, hag_normal
 from transword.randwords import random_word
 from transword.schema import (
     COFINITE,
+    FINITE,
     Entry,
     IndexFn,
     Schema,
@@ -112,11 +113,13 @@ def adjacent_pairs(schema: Schema):
 
 
 def step_hits_by_pairs(schema: Schema, s: int) -> bool:
-    """Whether some adjacent entry pair emits mutually inverse letters at
-    step s; True for s < 0."""
-    return s < 0 or any(
+    """Whether some adjacent entry pair whose cancellation class is finite
+    emits mutually inverse letters at step s >= 0."""
+    finite = {j for j, kind, _ in schema.pair_classes if kind == FINITE}
+    return any(
         cancels(_entry_letter(e1, s), _entry_letter(e2, s + shift))
-        for _, e1, e2, shift in adjacent_pairs(schema)
+        for j, e1, e2, shift in adjacent_pairs(schema)
+        if j in finite
     )
 
 

@@ -21,10 +21,19 @@ import pytest
 from transword.dsl import ParseError, parse_word
 from transword.endo import check_admissible, doubling_map, embedding_check, tau_map, telescope_map
 from transword.freegroup import reduced_word_count
-from transword.hag import hag_normal
-from transword.randwords import random_word
+from transword.hag import hag_equal, hag_normal
+from transword.randwords import random_word, shuffle_presentation
 from transword.sigma import Maximal, decompose, make_family, psi_f, separation_pattern, u_word
-from transword.words import EMPTY_WORD, SchematicWord, Stream, canonicalize, concat, invert, reduce
+from transword.words import (
+    EMPTY_WORD,
+    SchematicWord,
+    Stream,
+    canonicalize,
+    concat,
+    heg_equal,
+    invert,
+    reduce,
+)
 
 from oracles import psi_f_by_composite
 from test_dsl import VALID_TEXTS
@@ -74,9 +83,11 @@ LETTER_READS = 573
 # reading two empty ranges for tails that agree from both cursors
 LETTER_CALLS = 217
 # `_unary`, `_binary` and `reduce_free` calls on the same words, pinned when
-# merges began to cancel at the junction and blocks built by moves stopped
-# passing through `_unary` (before: 4 166, 2 661 and 274)
-UNARY_CALLS, BINARY_CALLS, REDUCE_FREE_CALLS = 3266, 2661, 125
+# the settle move began to cut stream heads through their last finite
+# pattern hit in both passes: `concat` canonicalizes, and a head it cuts
+# off meets its neighbours in one more junction (before: 3 266, 2 661 and
+# 125; before merges cancelled at the junction: 4 166, 2 661 and 274)
+UNARY_CALLS, BINARY_CALLS, REDUCE_FREE_CALLS = 3259, 2669, 124
 
 
 def _letter_reads(r):
@@ -124,6 +135,28 @@ def _sweep_twice():
     fam = make_family(10)
     yield _sweep(fam)
     yield _sweep(fam)
+
+
+def _fresh_equality_words():
+    """Equality queries over seeded words not drawn elsewhere in the suite:
+    each word against a shuffle of it, by `heg_equal` and `hag_equal`."""
+    rng = random.Random(3434)
+    for _ in range(200):
+        w = random_word(rng, **SIZES[1])
+        v = shuffle_presentation(w, rng)
+        heg_equal(w, v)  # as the workload's queries do; item 1 may say False
+        assert hag_equal(w, v)
+    yield
+
+
+def _no_key_recomputed(r):
+    # a schema that an earlier call returned as a key is never an argument
+    keys = set()
+    for (schema,), (key, _) in r.calls["tail_key"]:
+        if schema in keys:
+            return False
+        keys.add(key)
+    return bool(keys)
 
 
 def _schemas_once(first, again):
@@ -290,6 +323,13 @@ ROWS = {
         },
         lambda members, sweep: members["align"] == moves(members.calls["align"]) == 10
         and sweep["align"] == members["search"] == sweep["search"] == 0,
+    ),
+    # a key schema keeps itself as its own key when it is built, so the
+    # germs `hag_equal` builds from keys compute no key a second time
+    "test_tail_key_computed_once_per_key": (
+        _fresh_equality_words,
+        {"tail_key": "schema._compute_tail_key"},
+        _no_key_recomputed,
     ),
     # interned schemas carry their tail key and fold: a sweep runs each body
     # at most once per distinct schema, a second sweep runs none, and the

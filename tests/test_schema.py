@@ -336,9 +336,11 @@ def test_unroll_by_one_shifts(sch, d):
 
 @given(schema_st())
 def test_tail_key_presentation_invariant(sch):
-    # the key is one schema per class: its own key, aligned with the
-    # schema, read back from its rendering, and shared by every presentation
+    # the key is one schema per class: its own key from its position 0
+    # (kept when the key is built), aligned with the schema, read back from
+    # its rendering, and shared by every presentation
     key = sch.tail_key
+    assert key._key == (key, 0)
     assert key.tail_key is key and tail_alignment(sch, key) is not None
     w = SchematicWord((Stream(True, 0, key),))
     assert parse_word(render_word(w)) == w
@@ -510,27 +512,32 @@ def test_schema_slots_match_fresh_computation():
 
 
 def test_reader_matches_entry_arithmetic():
-    # `letters`, `letter_at` and `_step_hits` against the entry-by-entry
-    # reads of the oracles, on random schemas with and without prefix
-    # codes, each also followed by its first entry inverted one step on
-    # (a wrap pair that cancels where the family repeats across the step)
+    # `letters`, `letter_at`, `_step_hits` and `last_hit` against the
+    # entry-by-entry reads of the oracles, on random schemas with and
+    # without prefix codes, each also followed by its first entry inverted
+    # one step on (a wrap pair that cancels where the family repeats across
+    # the step) and by its first entry as a b-letter inverted by a c/b
+    # selector at the same index (a pair that cancels at the seeded finite
+    # step set)
     codes = hits = misses = 0
     for seed in range(120):
         rng = random.Random(seed)
         sch = random_stream(rng, selectors=TWINS if seed % 3 == 0 else None).schema
         e = sch.entries[0]
         tele = Schema((e, Entry(e.fam, e.idx.shift(1), -e.sign)))
-        for s in (sch, tele):
+        steps = Finite(rng.sample(range(7), 3))
+        spot = Schema((Entry("b", e.idx, e.sign), Entry(steps, e.idx, -e.sign)))
+        assert spot.last_hit == max(steps.elems)
+        for s in (sch, tele, spot):
             m = s.width
             ref = [letter_by_entry(s, p) for p in range(6 * m)]
             assert [s.letter_at(p) for p in range(6 * m)] == ref
             for p0 in range(3 * m + 1):  # every offset within a step
                 for p1 in range(p0, p0 + 2 * m + 2):  # empty ranges included
                     assert s.letters(p0, p1) == tuple(ref[p0:p1])
-            for k in range(-1, 7):
+            for k in range(7):
                 hit = _step_hits(s, k)
-                assert hit == step_hits_by_pairs(s, k)
-                if k >= 0:
-                    hits, misses = hits + hit, misses + (not hit)
+                assert hit == step_hits_by_pairs(s, k) and (not hit or k <= s.last_hit)
+                hits, misses = hits + hit, misses + (not hit)
         codes += any(isinstance(e.fam, PrefixCode) for e in sch.entries)
     assert codes >= 20 and hits >= 300 and misses >= 300

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -291,6 +292,74 @@ def test_ww_inverse_dies():
         for _ in range(60):
             w = random_word(rng, **size)
             assert reduce(concat(w, invert(w))) == EMPTY_WORD
+
+
+def _fuzz_with_shuffle(size):
+    """(seed, w, one shuffled presentation of w) for the fuzz seeds 0-2999,
+    the shuffle drawn from the word's generator."""
+    for seed in range(3000):
+        rng = random.Random(seed)
+        w = random_word(rng, **size)
+        yield seed, w, shuffle_presentation(w, rng)
+
+
+def _differ_at_a_junction(x, y):
+    """Whether x and y differ in one run of segments that spells, in each, a
+    backward stream, zero or more blocks and a forward stream: item 1's
+    junction shape."""
+    a, b = x.segments, y.segments
+    i = 0
+    while i < min(len(a), len(b)) and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < min(len(a), len(b)) - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    return all(
+        re.fullmatch(
+            r"-b*\+",
+            "".join(
+                "b" if isinstance(seg, FiniteBlock) else "+" if seg.forward else "-"
+                for seg in segs[i : len(segs) - j]
+            ),
+        )
+        for segs in (a, b)
+    )
+
+
+@pytest.mark.parametrize("size, defects", [(0, set()), (1, {435, 2991})])
+def test_canonicalize_unique_under_shuffles(size, defects):
+    # every stream keeps the same head in both passes, so a shuffle moves
+    # no canonical form but at item 1's junction
+    differ = {}
+    for seed, w, v in _fuzz_with_shuffle(SIZES[size]):
+        forms = canonicalize(w), canonicalize(v)
+        if forms[0] != forms[1]:
+            differ[seed] = forms
+    assert set(differ) == defects
+    assert all(_differ_at_a_junction(*forms) for forms in differ.values())
+
+
+@pytest.mark.parametrize("size, defects", [(0, 12), (1, 19)])
+def test_canonicalize_mirror(size, defects):
+    # canonicalize(invert(w)) == invert(canonicalize(w)) but where a block
+    # between a backward and a forward stream goes to the backward one
+    # (item 1); a failure of any other shape fails
+    differ = []
+    for _, w, _ in _fuzz_with_shuffle(SIZES[size]):
+        forms = canonicalize(invert(w)), invert(canonicalize(w))
+        if forms[0] != forms[1]:
+            differ.append(forms)
+    assert len(differ) == defects
+    assert all(_differ_at_a_junction(*forms) for forms in differ)
+
+
+def test_canonicalize_cuts_head_through_last_finite_hit():
+    # the smallest pair the shuffle fuzz found before both passes cut heads
+    # alike: the pattern cancels at steps 0 and 1 only, so the stream
+    # starts at step 2 whether or not a shuffle split its head off
+    w = parse_word("st(+,0,{a(k+4)^-1 a(2k+4)})")
+    v = parse_word("[a4^-1 a4 a5^-1 a6] st(+,0,{a(k+6)^-1 a(2k+8)})")
+    assert canonicalize(w) == canonicalize(v) == v
 
 
 def test_random_site_oracle_at_fuzz_size():
