@@ -14,8 +14,8 @@ SEPARATION_K_MAX = 16 with exit status 1 before building the family.
 `--family k=K` builds K(K-1)/2 intersection bounds, so it refuses K above
 FAMILY_K_MAX = 256 the same way.  `project` builds every letter of rank
 below N, so it refuses N above PROJECT_N_MAX = 10**6 with exit status 1
-before building any.  `embedding-check` builds a projector per level and
-reports a word count with about L*log10(2*NMAX) digits, so it refuses
+before building any.  `embedding-check` filters a table of pieces per level
+from one projector and reports a word count with about L*log10(2*NMAX) digits, so it refuses
 --nmax above EMBEDDING_N_MAX = 200 and --lenmax above
 EMBEDDING_LEN_MAX = 1000 with exit status 1 before parsing the map.
 """
@@ -32,7 +32,7 @@ ABELIAN_K_MAX = 16  # demo-abelian prints 2^K rows
 SEPARATION_K_MAX = 16  # demo-separation keeps 2^K patterns, at most K words each
 FAMILY_K_MAX = 256  # --family k=K builds K(K-1)/2 intersection bounds
 PROJECT_N_MAX = 10**6  # project -N N builds every letter of rank < N
-EMBEDDING_N_MAX = 200  # embedding-check builds a projector per level
+EMBEDDING_N_MAX = 200  # embedding-check filters a table of pieces per level
 EMBEDDING_LEN_MAX = 1000  # the word count at --lenmax L has ~L*log10(2*NMAX) digits
 
 

@@ -512,37 +512,32 @@ def parse_word(text: str, env: dict[str, SetSpec] | None = None) -> SchematicWor
     return _descent_word(text, env) if w is None else w
 
 
-def _descent_word(text: str, env=None) -> SchematicWord:
-    """`_Parser`'s reading of a whole word, or its `ParseError`."""
+def _parse_whole(text: str, rule: str, env=None):
+    """What the `_Parser` method named `rule` reads from the whole text, or
+    its `ParseError`; text left after the rule is an error naming its
+    token."""
     p = _Parser(text, env)
-    w = p.word()
+    value = getattr(p, rule)()
     if p.peek()[0] != "eof":
         p.fail(f"trailing input {p.peek()[1]!r}")
-    return w
+    return value
+
+
+def _descent_word(text: str, env=None) -> SchematicWord:
+    """`_Parser`'s reading of a whole word, or its `ParseError`."""
+    return _parse_whole(text, "word", env)
 
 
 def parse_setspec(text: str, env=None) -> SetSpec:
-    p = _Parser(text, env)
-    s = p.setspec()
-    if p.peek()[0] != "eof":
-        p.fail("trailing input")
-    return s
+    return _parse_whole(text, "setspec", env)
 
 
 def parse_sigma_map(text: str) -> dict[str, str]:
-    p = _Parser(text)
-    m = p.sigma_map()
-    if p.peek()[0] != "eof":
-        p.fail("trailing input")
-    return m
+    return _parse_whole(text, "sigma_map")
 
 
 def parse_substitution(text: str):
-    p = _Parser(text)
-    s = p.substitution()
-    if p.peek()[0] != "eof":
-        p.fail("trailing input")
-    return s
+    return _parse_whole(text, "substitution")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ that are themselves infinite: the source letters whose images use the
 set, and the projected image of each, are found once, and the returned
 function only looks them up.  `apply_projected` is one call of it.
 
-`embedding_check` builds one projector per level and reads both of its
-word-level checks off the projector's table of pieces.  The projector
+`embedding_check` builds one projector, for its top level, and reads both
+of its word-level checks off each level's table of pieces, which it
+filters from the projector's (`_level_pieces`).  The projector
 for level m_{n-1} is w -> h(p_S(w)), where S is the set of source letters
 it keeps, p_S keeps only those letters and h sends a_j to its piece.  The
 retraction identity compares h(p_S(w)) with h(p_{S∩A}(w)) for
@@ -77,7 +78,9 @@ from .words import (
     FiniteBlock,
     SchematicWord,
     Stream,
+    _first_letters,
     _split_head,
+    _stream_hits,
     canonicalize,
     concat,
     from_free,
@@ -297,12 +300,8 @@ def apply_endo(s: SubstitutionMap, w: SchematicWord) -> SchematicWord:
         pieces = [seg]
         if isinstance(seg, Stream):
             m = seg.schema.width
-            cut_step = seg.pos // m
-            for j, e in enumerate(seg.schema.entries):
-                for n in list(table) + list(range(s.rule.n0)):
-                    k = e.idx.solve(n)
-                    if k is not None and k * m + j >= seg.pos:
-                        cut_step = max(cut_step, k + 1)
+            hits = _stream_hits(seg, frozenset(("a", n) for n in [*table, *range(s.rule.n0)]))
+            cut_step = max([seg.pos // m] + [p // m + 1 for p, _ in hits])
             entries = []
             for e in seg.schema.entries:
                 entries.extend(s.rule.compose_idx(e.idx, e.sign))
@@ -351,6 +350,23 @@ def projector(
 def apply_projected(s: SubstitutionMap, w: SchematicWord, letters) -> FreeWord:
     """project_finite(image of w, letters) without materializing the image."""
     return projector(s, letters)(w)
+
+
+def _level_pieces(s: SubstitutionMap, levels) -> list[dict[int, tuple[Letter, ...]]]:
+    """For each rank level m, j -> the image of a_j projected to the
+    letters of rank < m, for the j whose image uses a letter below the top
+    level.  One projector serves every level: deleting letters is a
+    homomorphism, so it commutes with free reduction, and the pieces of
+    level m are the top level's with their letters of rank >= m deleted,
+    freely reduced."""
+    top = projector(s, rank_letter_set(max(levels))).pieces
+    return [
+        {
+            j: reduce_free(FreeWord(tuple(l for l in piece if l.rank < m))).letters
+            for j, (piece, _) in top.items()
+        }
+        for m in levels
+    ]
 
 
 def telescope_product(enum: IndexFn) -> SchematicWord:
@@ -458,16 +474,9 @@ def embedding_check(
     bound = 3 * (max(ranks) + len_max + 4) - 1
     levels = []
     for n, img in enumerate(images[: n_max + 1]):
-        blocks = [seg for seg in img.segments if isinstance(seg, FiniteBlock)]
-        kept = [l for seg in blocks for l in seg.word]
-        if len(blocks) < len(img.segments):
-            heads = [
-                l
-                for seg in img.segments
-                if isinstance(seg, Stream)
-                for l in seg.schema.letters(seg.pos, seg.pos + seg.schema.width)
-            ]
-            top = max([bound] + [l.rank + 1 for l in kept + heads])
+        kept = _first_letters(img)
+        if any(isinstance(seg, Stream) for seg in img.segments):
+            top = max([bound] + [l.rank + 1 for l in kept])
             kept = kept_letters(img, rank_letter_set(top))
         found = None
         for r in sorted({l.rank for l in kept}):
@@ -486,22 +495,17 @@ def embedding_check(
     if not rep.ladder_ok:
         rep.fail("some image of a_{n+1} uses letters below level m_n")
 
-    # projectors[n - 1] projects images to the letters below level m_{n-1}
-    projectors = [projector(s, rank_letter_set(m)) for m in levels[:n_max]]
+    tables = _level_pieces(s, levels[:n_max])
     rep.retraction_ok = True
-    for n in range(1, n_max + 1):
-        pieces = projectors[n - 1].pieces
-        witness = min(
-            (j for j, (piece, _) in pieces.items() if j >= n and piece), default=None
-        )
+    for n, table in enumerate(tables, 1):
+        witness = min((j for j, piece in table.items() if j >= n and piece), default=None)
         if witness is not None:
             rep.retraction_ok = False
             rep.fail(f"retraction identity fails at n={n} on {Letter('a', witness)}")
 
     rep.injective = True
-    for n in range(1, n_max + 1):
-        pieces = projectors[n - 1].pieces
-        gens = [pieces[i][0] if i in pieces else () for i in range(n)]
+    for n, table in enumerate(tables, 1):
+        gens = [table.get(i, ()) for i in range(n)]
         if is_free_basis(gens):
             # injective on all of F_n: no collision at any length
             rep.words_checked += reduced_word_count(n, len_max)
@@ -523,5 +527,4 @@ def embedding_check(
             rep.words_checked += 1
         if not rep.injective:
             break
-    rep.ok = rep.ok and rep.ladder_ok and rep.retraction_ok and rep.injective
     return rep

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
+from itertools import zip_longest
 from operator import attrgetter, is_not
 
 FAMILIES = ("a", "b", "c")
@@ -41,15 +42,34 @@ _FAM_OFFSET = {"a": 0, "b": 1, "c": 2}
 class _Interned:
     """Base of the hash-consed classes (`Letter` here, the schema values
     in `schema.py`): an instance is shared by every caller that builds its
-    value, so it is frozen, and `==` and `hash` stay object identity."""
+    value, so it is frozen, and `==` and `hash` stay object identity.  A
+    class lists in `__match_args__` the slots its constructor takes, which
+    pickling and `repr` read; `_build` makes each new object, which the
+    class's constructor then enters into its table."""
 
     __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    @classmethod
+    def _build(cls, *values):
+        """A new object whose slots hold `values` in order, the rest None."""
+        self = object.__new__(cls)
+        for slot, value in zip_longest(cls.__slots__, values):
+            object.__setattr__(self, slot, value)
+        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
 # every letter built so far, by (fam, index, sign); see `Letter`
@@ -67,6 +87,7 @@ class Letter(_Interned):
     (fam, index, sign)."""
 
     __slots__ = ("fam", "index", "sign", "inverse")
+    __match_args__ = ("fam", "index", "sign")
 
     def __new__(cls, fam: str, index: int, sign: int = 1):
         self = _LETTERS.get((fam, index, sign))
@@ -77,21 +98,14 @@ class Letter(_Interned):
                 raise ValueError("letter index must be a natural number")
             if sign not in (1, -1):
                 raise ValueError("letter sign must be +1 or -1")
-            pos, neg = object.__new__(cls), object.__new__(cls)
-            for l, s, other in ((pos, 1, neg), (neg, -1, pos)):
-                object.__setattr__(l, "fam", fam)
-                object.__setattr__(l, "index", index)
-                object.__setattr__(l, "sign", s)
-                object.__setattr__(l, "inverse", other)
+            neg = cls._build(fam, index, -1)
+            object.__setattr__(neg, "inverse", cls._build(fam, index, 1, neg))
             # the positive letter's entry decides which pair is kept, so
             # racing constructions of either sign agree on one pair
-            pos = _LETTERS.setdefault((fam, index, 1), pos)
+            pos = _LETTERS.setdefault((fam, index, 1), neg.inverse)
             _LETTERS.setdefault((fam, index, -1), pos.inverse)
             self = pos if sign == 1 else pos.inverse
         return self
-
-    def __reduce__(self):
-        return (Letter, (self.fam, self.index, self.sign))
 
     def __lt__(self, other):
         if not isinstance(other, Letter):

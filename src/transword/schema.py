@@ -64,7 +64,6 @@ live for the whole process and hold one object per distinct value built.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from math import gcd, isqrt, lcm
 
 from .freegroup import Letter, _Interned
@@ -101,21 +100,15 @@ class IndexFn(_Interned):
     only when an argument tuple is first seen; an invalid tuple never
     enters the table, so it raises on every call."""
 
-    __slots__ = ("a2", "a1", "a0", "div")
+    __slots__ = __match_args__ = ("a2", "a1", "a0", "div")
 
     def __new__(cls, a2: int, a1: int, a0: int, div: int = 1):
         key = (a2, a1, a0, div)
         self = _INDEX_FNS.get(key)
         if self is None:
-            self = _INDEX_FNS.setdefault(key, _new_index_fn(cls, *key))
+            terms = _lowest_terms(*key)
+            self = _INDEX_FNS.setdefault(key, _INDEX_FNS.setdefault(terms, cls._build(*terms)))
         return self
-
-    def __reduce__(self):
-        return (IndexFn, (self.a2, self.a1, self.a0, self.div))
-
-    def __repr__(self) -> str:
-        fields = f"a2={self.a2!r}, a1={self.a1!r}, a0={self.a0!r}, div={self.div!r}"
-        return f"IndexFn({fields})"
 
     def value(self, k: int) -> int:
         return (self.a2 * k * k + self.a1 * k + self.a0) // self.div
@@ -145,9 +138,9 @@ class IndexFn(_Interned):
         return f"({body})/{self.div}" if self.div != 1 else body
 
 
-def _new_index_fn(cls, a2: int, a1: int, a0: int, div: int) -> IndexFn:
-    """The interned function for an argument tuple not yet in the table:
-    validated and reduced to lowest terms; ValueError when invalid."""
+def _lowest_terms(a2: int, a1: int, a0: int, div: int) -> tuple[int, int, int, int]:
+    """The argument tuple of an index function in lowest terms; ValueError
+    when it is not one."""
     if div <= 0:
         raise ValueError("div must be positive")
     g = gcd(a2, a1, a0, div)
@@ -159,14 +152,7 @@ def _new_index_fn(cls, a2: int, a1: int, a0: int, div: int) -> IndexFn:
         raise ValueError("index function must be strictly increasing")
     if a0 < 0:
         raise ValueError("index function must be natural-valued at 0")
-    key = (a2, a1, a0, div)
-    self = _INDEX_FNS.get(key)
-    if self is None:
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, key):
-            object.__setattr__(self, name, value)
-        self = _INDEX_FNS.setdefault(key, self)
-    return self
+    return a2, a1, a0, div
 
 
 def affine(a1: int, a0: int = 0) -> IndexFn:
@@ -207,7 +193,7 @@ class Entry(_Interned):
     `hash` are object identity, and an invalid triple raises on every
     call."""
 
-    __slots__ = ("fam", "idx", "sign")
+    __slots__ = __match_args__ = ("fam", "idx", "sign")
 
     def __new__(cls, fam: FamSpec, idx: IndexFn, sign: int = 1):
         key = (fam, idx, sign)
@@ -217,17 +203,8 @@ class Entry(_Interned):
                 raise ValueError(f"bad famspec {fam!r}")
             if sign not in (1, -1):
                 raise ValueError("entry sign must be +1 or -1")
-            self = object.__new__(cls)
-            for name, value in zip(cls.__slots__, key):
-                object.__setattr__(self, name, value)
-            self = _ENTRIES.setdefault(key, self)
+            self = _ENTRIES.setdefault(key, cls._build(*key))
         return self
-
-    def __reduce__(self):
-        return (Entry, (self.fam, self.idx, self.sign))
-
-    def __repr__(self) -> str:
-        return f"Entry(fam={self.fam!r}, idx={self.idx!r}, sign={self.sign!r})"
 
     def family_at(self, k: int) -> str:
         if isinstance(self.fam, str):
@@ -315,6 +292,7 @@ class Schema(_Interned):
         "entries", "width", "pair_classes", "valid", "last_hit", "_folded", "_key",
         "_shifts", "_tail",
     )
+    __match_args__ = ("entries",)
 
     def __new__(cls, entries: tuple[Entry, ...]):
         entries = tuple(entries)
@@ -329,17 +307,8 @@ class Schema(_Interned):
             )
             valid = all(kind != MIXED for _, kind, _ in pairs)
             last = max((d[-1] for _, kind, d in pairs if kind == FINITE and d), default=-1)
-            self = object.__new__(cls)
-            for slot, value in zip_longest(cls.__slots__, (entries, m, pairs, valid, last)):
-                object.__setattr__(self, slot, value)
-            self = _SCHEMAS.setdefault(entries, self)
+            self = _SCHEMAS.setdefault(entries, cls._build(entries, m, pairs, valid, last))
         return self
-
-    def __reduce__(self):
-        return (Schema, (self.entries,))
-
-    def __repr__(self) -> str:
-        return f"Schema(entries={self.entries!r})"
 
     @property
     def tail_key(self) -> Schema:

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .freegroup import (
+    FAMILIES,
     FreeWord,
     Letter,
     is_reduced_free,
@@ -222,16 +223,21 @@ def proj_rank(w: SchematicWord, n: int) -> FreeWord:
     return project_finite(w, rank_letter_set(n))
 
 
-def min_rank_of(w: SchematicWord) -> int | None:
-    """Smallest letter rank occurring in w, None for the empty word."""
-    ranks = []
+def _first_letters(w: SchematicWord) -> list[Letter]:
+    """Every letter of w's blocks and each stream's first period from its
+    cursor, in segment order."""
+    out: list[Letter] = []
     for seg in w.segments:
         if isinstance(seg, FiniteBlock):
-            ranks.extend(l.rank for l in seg.word)
+            out.extend(seg.word)
         else:
-            period = seg.schema.letters(seg.pos, seg.pos + seg.schema.width)
-            ranks.extend(l.rank for l in period)
-    return min(ranks) if ranks else None
+            out.extend(seg.schema.letters(seg.pos, seg.pos + seg.schema.width))
+    return out
+
+
+def min_rank_of(w: SchematicWord) -> int | None:
+    """Smallest letter rank occurring in w, None for the empty word."""
+    return min((l.rank for l in _first_letters(w)), default=None)
 
 
 def equal_up_to(w1: SchematicWord, w2: SchematicWord, N: int) -> bool:
@@ -281,7 +287,9 @@ def _absorb_letters(st: Stream, letters) -> Stream | None:
     letters are exactly `letters` (length = width), or None.  Selector
     entries choose the membership bit of the new step to match.  A step
     with a finite pattern hit (`_step_hits`) is refused, as `_settle`
-    would cut it off again."""
+    would cut it off again.  `st` is settled, so it sits on a step
+    boundary, and below one width at 0; and one more step keeps the kind
+    of every pair class, so the extended stream is valid."""
     m = st.schema.width
     if st.pos >= m:
         if tuple(letters) != st.schema.letters(st.pos - m, st.pos):
@@ -289,8 +297,6 @@ def _absorb_letters(st: Stream, letters) -> Stream | None:
         if _step_hits(st.schema, st.pos // m - 1):
             return None
         return Stream(st.forward, st.pos - m, st.schema)
-    if st.pos != 0:
-        return None
     entries = []
     for e, l in zip(st.schema.entries, letters):
         if l.sign != e.sign:
@@ -311,10 +317,7 @@ def _absorb_letters(st: Stream, letters) -> Stream | None:
         elif fam != l.fam:
             return None
         entries.append(Entry(fam, idx, e.sign))
-    try:
-        ext = Stream(st.forward, 0, Schema(tuple(entries)))
-    except ValueError:
-        return None
+    ext = Stream(st.forward, 0, Schema(tuple(entries)))
     return None if _step_hits(ext.schema, 0) else ext
 
 
@@ -626,17 +629,14 @@ def _compute_tail(schema: Schema) -> Schema | bool:
 # ---------------------------------------------------------------------------
 # recoding and retraction
 
-_FAM_BY_RESIDUE = ("a", "b", "c")
-
-
 def _encode_letter(l: Letter) -> Letter:
     if l.fam != "a":
         raise ValueError("encode expects a word over the a-letters only")
-    return Letter(_FAM_BY_RESIDUE[l.index % 3], l.index // 3, l.sign)
+    return Letter(FAMILIES[l.index % 3], l.index // 3, l.sign)
 
 
 def _decode_letter(l: Letter) -> Letter:
-    return Letter("a", 3 * l.index + _FAM_BY_RESIDUE.index(l.fam), l.sign)
+    return Letter("a", 3 * l.index + FAMILIES.index(l.fam), l.sign)
 
 
 def gamma_recode(w: SchematicWord, direction: str) -> SchematicWord:
@@ -669,7 +669,7 @@ def gamma_recode(w: SchematicWord, direction: str) -> SchematicWord:
                 r = e.idx.value(0) % 3
                 assert e.idx.value(1) % 3 == r and e.idx.value(2) % 3 == r
                 idx = IndexFn(e.idx.a2, e.idx.a1, e.idx.a0 - r * e.idx.div, 3 * e.idx.div)
-                entries.append(Entry(_FAM_BY_RESIDUE[r], idx, e.sign))
+                entries.append(Entry(FAMILIES[r], idx, e.sign))
             out.append(
                 Stream(seg.forward, (step0 // T) * T * m, Schema(tuple(entries)))
             )
@@ -680,7 +680,7 @@ def gamma_recode(w: SchematicWord, direction: str) -> SchematicWord:
                     raise ValueError(
                         "decode: selector streams are outside the schematic image"
                     )
-                r = _FAM_BY_RESIDUE.index(e.fam)
+                r = FAMILIES.index(e.fam)
                 idx = IndexFn(
                     3 * e.idx.a2, 3 * e.idx.a1, 3 * e.idx.a0 + r * e.idx.div, e.idx.div
                 )

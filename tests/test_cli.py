@@ -274,6 +274,17 @@ def test_parse_error_exit_code():
         assert "parse error" in err and "Traceback" not in err
 
 
+def test_map_parse_error_exit_code():
+    for argv, message in (
+        (["apply-ff", "-e", "[a0]", "-f", "f{1->T}", "--family", "k=2"], "expected a member name"),
+        (["embedding-check", "-s", "sub{tail: a(m) -> [a(n)]}"], "tail rule variable must be n"),
+    ):
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+
 def test_setspec_error_exit_code():
     for spec in ('pcode("","")', 'eper("01","")'):
         code, out, err = run(["reduce", "-e", f"st(+,0,{{sel({spec})(k)}})"])

@@ -385,14 +385,14 @@ ROWS = {
         lambda valid, damaged: valid["parsers"] == 0
         and [args[0] for args, _ in damaged.calls["parsers"]] == ["[a0 5]"],
     ),
-    # support is looked up once per projection level, not once per word;
-    # the admissibility audit adds one query per letter of the first tail
-    # image past its horizon (26 before that query, _collapse_map's image
-    # being one letter)
+    # support is looked up for the top projection level only, not once per
+    # level or per word; the admissibility audit adds one query per letter
+    # of the first tail image past its horizon (25 before that query,
+    # _collapse_map's image being one letter)
     "test_embedding_check_support_queries_per_level": (
         functools.partial(_embedding_checks, 3, 5),
         {"queries": "endo.SubstitutionMap.support_query"},
-        _per_level("queries", 27),
+        _per_level("queries", 26),
     ),
     # the admissibility audit reads each tail image as the (family, index)
     # keys of the rule's terms (a FreeWord per image made 136 or 154 a call)

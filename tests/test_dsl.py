@@ -91,6 +91,28 @@ def test_parse_error_positions():
     assert e.value.col == 4 and "unexpected character '@'" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, col",
+    [
+        (parse_sigma_map, "f{1->S1}", "expected a member name", 3),
+        (parse_sigma_map, "f{S1->1}", "expected a member name or T", 7),
+        (parse_substitution, "sub{tail: a(m) -> [a(m)]}", "tail rule variable must be n", 13),
+        (parse_substitution, "sub{tail: a(n) -> [d(n)]}", "expected a pattern letter", 20),
+        (parse_substitution, "sub{tail: a(n) -> [a(n^2)]}", "tail patterns are affine in n", 20),
+        # text left after a whole value names its first token
+        (parse_setspec, "fin{0} x", "trailing input 'x'", 8),
+        (parse_sigma_map, "f{S1->T} }", "trailing input '}'", 10),
+        (parse_substitution, "doubling tau", "trailing input 'tau'", 10),
+        (parse_word, "[a0] )", "trailing input ')'", 6),
+    ],
+)
+def test_whole_text_parse_errors(parse, text, message, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == f"parse error at line 1, column {col}: {message}"
+    assert e.value.col == col
+
+
 def test_roundtrip_random_words():
     rng = random.Random(31)
     for size in SIZES:

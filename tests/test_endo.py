@@ -10,6 +10,7 @@ from transword.endo import (
     InadmissibleError,
     RowDifferenceRule,
     SubstitutionMap,
+    _level_pieces,
     apply_endo,
     apply_projected,
     cantor_pair,
@@ -437,3 +438,32 @@ def test_check_admissible_matches_letter_scan_on_ladder_maps():
     for s in _ladder_maps():
         for bound in (3, 9, 20):
             assert check_admissible(s, bound) == admissible_by_scan(s, bound)
+
+
+# bound 5 audits the images below 3 * 5 + 64 = 79; exceptional images at
+# 79 and 80 make the audit skip both to reach the first tail image
+PAST_HORIZON = ((79, block(Letter("a", 500))), (80, block(Letter("a", 501))))
+
+
+def test_check_admissible_skips_exceptional_images_past_the_horizon():
+    dbl = SubstitutionMap(doubling_map().rule, PAST_HORIZON)
+    assert check_admissible(dbl, 5) and admissible_by_scan(dbl, 5)
+    # a40 lies in every tail image, above the letters the scan audits
+    s = SubstitutionMap(CONSTANT_A40.rule, PAST_HORIZON)
+    assert not check_admissible(s, 5)
+    assert admissible_by_scan(s, 5)
+
+
+def test_level_pieces_match_one_projector_per_level():
+    compared = 0
+    for s in [doubling_map(), tau_map(), telescope_map(), *random_affine_maps()]:
+        for n_max in (3, 6, 12):
+            levels = embedding_check(s, n_max, 0).levels[:n_max]
+            if not levels:
+                continue
+            for m, table in zip(levels, _level_pieces(s, levels)):
+                pieces = projector(s, rank_letter_set(m)).pieces
+                for j in pieces.keys() | table.keys():
+                    assert table.get(j, ()) == pieces.get(j, ((),))[0], (s, m, j)
+                compared += 1
+    assert compared == 540

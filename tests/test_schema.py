@@ -453,7 +453,11 @@ def test_index_fn_and_entry_interned():
         "Entry(fam=PrefixCode(branch_prefix=(), branch_period=(0,)), "
         "idx=IndexFn(a2=0, a1=1, a0=0, div=1), sign=-1)"
     )
-    for x in (f, e):
+    sch = Schema((Entry("a", K, 1),))
+    assert repr(sch) == (
+        "Schema(entries=(Entry(fam='a', idx=IndexFn(a2=0, a1=1, a0=0, div=1), sign=1),))"
+    )
+    for x in (f, e, sch):
         assert copy.copy(x) is x and copy.deepcopy(x) is x
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(x, protocol)) is x

@@ -23,6 +23,7 @@ from transword.sigma import (
 from transword.words import (
     block,
     concat,
+    equal_up_to,
     heg_equal,
     invert,
     proj_rank,
@@ -153,6 +154,20 @@ def test_decompose_extension_backward():
     w = reduce(concat(invert(u_word("S1", 2, FAM2)), block(Letter("b", 1, -1))))
     assert decompose(w, FAM2).tags() == (Maximal("S1", 1, -1),)
     assert decompose(TWIN_BWD, FAM2).tags() == (Maximal("S1", 0, -1),)
+
+
+def test_decompose_cuts_a_matched_stream_head_as_letters():
+    # the stream renders b1 at step 0, then S3 = pcode("1","0") from 2 on
+    fam = make_family(4)
+    w = parse_word('st(+,0,{sel(pcode("0","1"))(k+1)})')
+    for word, head, tags in (
+        (w, block(Letter("b", 1)), (None, Maximal("S3", 2, 1))),
+        (invert(w), block(Letter("b", 1, -1)), (Maximal("S3", 2, -1), None)),
+    ):
+        d = decompose(word, fam)
+        assert d.tags() == tags
+        assert [p.word for p in d.pieces if p.tag is None] == [head]
+        assert equal_up_to(d.recompose(), word, 60)
 
 
 def test_decompose_plain_cases():

@@ -619,6 +619,28 @@ def test_prefix_code_decimation_decided_equal(equal):
     assert equal(*map(parse_word, PCODE_DECIMATION))
 
 
+# one word as a prefix code and as its carry twin one step on: code(1^j) + 1
+# is code(0^(j+1)), so pcode("","1") at k+1 and pcode("","0") from step 1
+# emit the same letters.  Both passes keep a prefix-code stream in the twin
+# presentation it arrives in, and so does decompose's recomposition of
+# tests/test_sigma.py's TWIN_FWD
+TWIN_PRESENTATIONS = (
+    'st(+,0,{sel(pcode("","1"))(k+1)})',
+    'st(+,1,{sel(pcode("","0"))(k)})',
+)
+
+
+def test_twin_presentations_same_word():
+    w, v = map(parse_word, TWIN_PRESENTATIONS)
+    assert hag_equal(w, v)
+    assert all(equal_up_to(w, v, N) for N in range(80))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_twin_presentations_heg_equal():
+    assert heg_equal(*map(parse_word, TWIN_PRESENTATIONS))
+
+
 # presentations of one word where a block sits between a backward and a
 # forward stream, and heg_equal tells them apart (ROADMAP item 1, the
 # junction shape): the smallest pair, then the shuffled pairs of queries
