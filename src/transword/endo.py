@@ -6,10 +6,10 @@ letter, and `check_admissible` audits it against direct enumeration
 (one pass over each image collects the letters it uses: a tail image as
 the (family, index) keys of its rule's `terms`, with no letter or word
 built, an exceptional image as its kept letters).  A letter in every
-tail image, whatever its rank, lies in the first tail image past the
-audited ones, whose letters' support queries raise on it.  A rule's
-`terms(n)` is the one source of its image's letters: `image_of` builds
-a tail image's word from them.
+tail image, whatever its rank, lies in the rule's image of the first
+index past the audited ones, whose letters' support queries raise on
+it.  A rule's `terms(n)` is the one source of its image's letters:
+`image_of` builds a tail image's word from them.
 `apply_endo` materializes the image of a word (streams map to streams by
 composing the tail pattern with each entry's index function);
 `projector(s, letters)` computes the projection of the image to a finite
@@ -174,10 +174,13 @@ class RowDifferenceRule:
         return out
 
     def compose_idx(self, idx: IndexFn, sign: int) -> list[Entry]:
-        # recognizable only on a pairing row: idx must be cantor_row(m)
+        # recognizable only on a pairing row from one of its entries d:
+        # idx must be cantor_row(m).shift(d), which is
+        # (k^2 + (2s+3)k + s(s+1) + 2d)/2 with s = m + d and 0 <= d <= s
         if idx.div == 2 and idx.a2 == 1 and (idx.a1 - 3) % 2 == 0:
-            m = (idx.a1 - 3) // 2
-            if m >= 0 and idx.a0 == m * (m + 1):
+            s = (idx.a1 - 3) // 2
+            d2 = idx.a0 - s * (s + 1)
+            if d2 % 2 == 0 and 0 <= d2 <= 2 * s:
                 return [
                     Entry("a", idx, sign),
                     Entry("a", idx.shift(1), -sign),
@@ -247,7 +250,7 @@ def check_admissible(s: SubstitutionMap, bound: int) -> bool:
     read as the (family, index) keys of its terms, and builds no letter;
     only exceptional images, which may hold streams, go through
     `kept_letters`.  False also when some support is infinite: a letter
-    in every tail image lies in the first one past the audited images,
+    in every tail image lies in the rule's image past the audited ones,
     whatever its rank, and its support query raises."""
     horizon = 3 * bound + 64
     letters = rank_letter_set(bound)
@@ -262,13 +265,10 @@ def check_admissible(s: SubstitutionMap, bound: int) -> bool:
             hit = actual.get((fam, index))
             if hit is not None:
                 hit.add(n)
-    # a letter in every tail image, whatever its rank, is in the first one
-    # past the horizon, and its support query raises
-    past = horizon
-    while past in table:
-        past += 1
+    # a letter in every tail image, whatever its rank, is in the rule's
+    # image past the horizon, and its support query raises
     try:
-        for fam, index, _ in terms(past):
+        for fam, index, _ in terms(horizon):
             s.support_query(fam, index)
         for fam, index in sorted(letters):
             claimed = s.support_query(fam, index)

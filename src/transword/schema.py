@@ -30,9 +30,10 @@ candidate, as a tuple, whose index functions are natural-valued at step
 0.  Without prefix codes, a candidate puts an entry first at the least
 step from which its index function is natural-valued and increasing (the
 latest one qualifies); prefix codes pin the step numbering up to the
-carry twin, which leaves finitely many starts.  `tail_alignment` returns
-the shift between two schemas of one class, the difference of their
-keys' starts, with a position from which their letters agree; stream
+carry twin, which leaves finitely many starts.  A schema keeps with its
+key where the key starts and from where it renders the key's letters;
+`tail_alignment` reads the shift between two schemas of one class, and a
+position from which their letters agree, off these slots, and stream
 cancellation and the interval decomposition use it.
 `fold` reads the same position view (`_in_position`): a schema folds to
 the least width d at which every entry j has the sign and the position
@@ -48,11 +49,11 @@ from a schema alone is computed once per distinct schema, however often
 callers rebuild it, and kept in its slots.  Which are set when a schema
 is first built and which on first use follows their traffic on the
 benchmark workloads.  Every stream reads its schema's adjacent-pair
-classes (`Schema.pair_classes`: the finite hits absorb refuses, the
-cofinite pairs pattern reduction drops), its validity (`Schema.valid`)
-and its last finite hit (`Schema.last_hit`, which settling cuts
-through), so all three are set at interning, and every interned schema
-of the `equality`, `cancel` and `separation` runs read them.  Only some
+classes (`Schema.pair_classes`: the cofinite pairs pattern reduction
+drops), its validity (`Schema.valid`) and its last finite hit
+(`Schema.last_hit`, which settling cuts through and absorb refuses),
+so all three are set at interning, and every interned schema of the
+`equality`, `cancel` and `separation` runs read them.  Only some
 schemas are asked for the rest, which are set on first use: `fold`
 (98–100% of schemas), `tail_key` (0–80%), the shifts
 `unroll(schema, 1, d)`, None included (0–51%), and the pattern tail
@@ -283,10 +284,11 @@ class Schema(_Interned):
     schematic reduced form); and `last_hit`, the last step at which some
     pair has a finite hit, -1 when none.  Every stream reads these
     three.  Set on first use, as only some schemas are asked: `fold`; in
-    `_key` the `tail_key` schema with the position of this schema at which
-    it starts; in `_shifts` a dict d -> `unroll(schema, 1, d)`, failed
-    shifts (None) included; and in `_tail` the key of the pattern tail
-    (`words.pattern_tail`), False when the stream vanishes."""
+    `_key` the `tail_key` schema, where it starts and from where this
+    schema renders its letters (`_compute_tail_key`); in `_shifts` a dict
+    d -> `unroll(schema, 1, d)`, failed shifts (None) included; and in
+    `_tail` the key of the pattern tail (`words.pattern_tail`), False when
+    the stream vanishes."""
 
     __slots__ = (
         "entries", "width", "pair_classes", "valid", "last_hit", "_folded", "_key",
@@ -336,12 +338,17 @@ class Schema(_Interned):
         return tuple(out)
 
 
-def _compute_tail_key(schema: Schema) -> tuple[Schema, int]:
-    """(key, p0): the normal presentation of the schema's tail class, built
-    for the least candidate start only, and the position of the schema at
-    which it starts; kept in the `_key` slot, and (key, 0) in the key's."""
-    m = schema.width
-    entries, steps = zip(*(_stripped(e, j, m) for j, e in enumerate(schema.entries)))
+def _compute_tail_key(schema: Schema) -> tuple[Schema, int, int]:
+    """(key, p0, k0): the normal presentation of the schema's tail class,
+    built for the least candidate start only; the position p0 of the
+    schema at which it starts; and the least position k0 >= 0 from which
+    the schema's letter at p is the key's at p - p0, past each entry's
+    lead: its selector's bit prefix, or for a prefix code moved D steps
+    to or from its carry twin, the bound of their agreement at shift -D.
+    Kept in the `_key` slot, and (key, 0, 0) in the key's."""
+    n = m = schema.width
+    entries, steps, leads = zip(*(_stripped(e, j, m) for j, e in enumerate(schema.entries)))
+    leads = list(leads)
     span = m * lcm(*map(len, steps))
     woven = tuple(steps[p % m][p // m % len(steps[p % m])] for p in range(span))
     fams = _canonical_evp((), woven)[1]
@@ -355,24 +362,31 @@ def _compute_tail_key(schema: Schema) -> tuple[Schema, int]:
         # entry c first, from its least natural-valued increasing step
         starts = [c + m * _first_step(*_poly_at(*e[3:], m, c)) for c, e in enumerate(entries)]
     rows, p = min((r, p) for p in starts if (r := _presentation(entries, fams, p)))
+    for j, e in enumerate(schema.entries):
+        D = -((j - p) // n)  # entry j is rendered D steps earlier
+        if D and isinstance(e.fam, PrefixCode):
+            moved = carry_twin(e.fam) if D == -1 else carry_untwin(e.fam)
+            leads[j] = pair_agreement(e.fam, moved, -D)[1]
+    k0 = max((n * (lead - 1) + j + 1 for j, lead in enumerate(leads) if lead), default=0)
     # the least width, a multiple of m, at which no entry mixes a with b/c
     L, kinds = len(fams), [max(f, _B) for f in fams]
     d = next(d for d in range(m, m * L + 1, m) if kinds == kinds[d % L :] + kinds[: d % L])
     key = _key_schema(rows, d)
-    object.__setattr__(key, "_key", (key, 0))  # a key is its own, from position 0
-    return key, p
+    object.__setattr__(key, "_key", (key, 0, 0))  # a key is its own, from position 0
+    return key, p, k0
 
 
 # the family at a position of the tail: c, b, a or a prefix-code choice
 _C, _B, _A, _CODE = 0, 1, 2, 3
 
 
-def _stripped(e: Entry, j: int, m: int) -> tuple[tuple, tuple]:
+def _stripped(e: Entry, j: int, m: int) -> tuple[tuple, tuple, int]:
     """Entry j of m as its sign, prefix-code branch (empty for other
-    families) and letter index as a polynomial in the position; and the
-    purely periodic step pattern of families it follows from some step on."""
+    families) and letter index as a polynomial in the position; the purely
+    periodic step pattern of families it follows from some step on; and
+    that step, the length of a b/c selector's bit prefix, else 0."""
     fam = e.fam
-    branch = ((), ())
+    branch, prefix = ((), ()), ()
     bits = _evp_bits(fam)
     if bits is not None:  # bits are _C/_B
         prefix, period = bits
@@ -382,7 +396,7 @@ def _stripped(e: Entry, j: int, m: int) -> tuple[tuple, tuple]:
         steps = (_A,)
     else:
         branch, steps = (fam.branch_prefix, fam.branch_period), (_CODE,)
-    return (e.sign, *branch, *_in_position(e, j, m)), steps
+    return (e.sign, *branch, *_in_position(e, j, m)), steps, len(prefix)
 
 
 def _first_step(a2: int, a1: int, a0: int, _div: int) -> int:
@@ -541,20 +555,15 @@ def _compute_fold(schema: Schema) -> Schema:
 def tail_alignment(su: Schema, sv: Schema) -> tuple[int, int] | None:
     """(delta, Kpos) such that su's letter at p equals sv's letter at
     p + delta for every p >= Kpos; None when no such shift exists.  Equal
-    tail keys decide; delta is where the normal presentations start, and
-    Kpos where the entries' families agree at that shift."""
+    tail keys decide, and both values are read off the `_key` slots:
+    delta is where the key starts in sv less where it starts in su, and
+    from Kpos on both schemas render the key's letters, its pattern
+    extended back to the positions before it starts."""
     if su is sv:
         return (0, 0)
     if su.tail_key is not sv.tail_key:
         return None
-    delta = sv._key[1] - su._key[1]
-    if su.width != sv.width:  # equal keys: neither carries a prefix code
-        L = lcm(su.width, sv.width)
-        su, sv = unroll(su, L // su.width), unroll(sv, L // sv.width)
-    m = su.width
-    d, phi = divmod(delta, m)
-    K_steps = max(
-        fam_agreement(eu.fam, sv.entries[(j + phi) % m].fam, d + (j + phi >= m))[1]
-        for j, eu in enumerate(su.entries)
-    )
-    return delta, max(0, K_steps * m, -delta)
+    _, pu, ku = su._key
+    _, pv, kv = sv._key
+    delta = pv - pu
+    return delta, max(0, ku, kv - delta, -delta)

@@ -70,16 +70,7 @@ from .freegroup import (
     rank_letter_set,
     reduce_free,
 )
-from .schema import (
-    COFINITE,
-    FINITE,
-    Entry,
-    IndexFn,
-    Schema,
-    fold,
-    tail_alignment,
-    unroll,
-)
+from .schema import COFINITE, Entry, IndexFn, Schema, fold, tail_alignment, unroll
 from .setspec import SetSpec, _evp_bits, _from_bits
 
 _REDUCE_CAP = 100_000
@@ -274,27 +265,20 @@ def _split_head(st: Stream, upto: int, cancel: bool = False) -> list[Segment]:
     return _displayed(st.forward, [FiniteBlock(head), rest] if head else [rest])
 
 
-def _step_hits(schema: Schema, s: int) -> bool:
-    """Whether some adjacent pattern pair has a finite hit at step s >= 0
-    (`Schema.pair_classes`).  `_settle` cuts a stream's head through its
-    last finite hit, so absorb refuses such a step; a cofinitely cancelling
-    pair is the stream's own pattern, which only pattern reduction drops."""
-    return any(kind == FINITE and s in data for _, kind, data in schema.pair_classes)
-
-
 def _absorb_letters(st: Stream, letters) -> Stream | None:
     """The stream extended by one earlier step whose forward-sequence
     letters are exactly `letters` (length = width), or None.  Selector
-    entries choose the membership bit of the new step to match.  A step
-    with a finite pattern hit (`_step_hits`) is refused, as `_settle`
-    would cut it off again.  `st` is settled, so it sits on a step
-    boundary, and below one width at 0; and one more step keeps the kind
-    of every pair class, so the extended stream is valid."""
+    entries choose the membership bit of the new step to match.  `st` is
+    settled: on a step boundary, below one width at 0, and past its last
+    finite hit, so the new step has a finite pattern hit only at
+    `Schema.last_hit`, and is then refused, as `_settle` would cut it off
+    again.  One more step keeps the kind of every pair class, so the
+    extended stream is valid."""
     m = st.schema.width
     if st.pos >= m:
         if tuple(letters) != st.schema.letters(st.pos - m, st.pos):
             return None
-        if _step_hits(st.schema, st.pos // m - 1):
+        if st.pos // m - 1 == st.schema.last_hit:
             return None
         return Stream(st.forward, st.pos - m, st.schema)
     entries = []
@@ -318,7 +302,7 @@ def _absorb_letters(st: Stream, letters) -> Stream | None:
             return None
         entries.append(Entry(fam, idx, e.sign))
     ext = Stream(st.forward, 0, Schema(tuple(entries)))
-    return None if _step_hits(ext.schema, 0) else ext
+    return None if ext.schema.last_hit == 0 else ext
 
 
 def _block_meets_stream(bw: FreeWord, st: Stream, cancel: bool):
@@ -359,8 +343,9 @@ def _cross_move(left: Stream, right: Stream):
     the backward stream `left`; for a junction whose tails differ."""
     mu = left.schema.width
     g = lcm(mu, right.schema.width)
-    if _pattern_site(left) is not None or _pattern_site(right) is not None:
-        return None
+    for _, kind, _ in left.schema.pair_classes + right.schema.pair_classes:
+        if kind == COFINITE:
+            return None
     cur = left
     for p in range(right.pos, right.pos + g, mu):
         # display order runs opposite to forward-sequence order, so the
@@ -373,23 +358,16 @@ def _cross_move(left: Stream, right: Stream):
     return [cur, Stream(True, right.pos + g, right.schema)]
 
 
-def _pattern_site(st: Stream):
-    """The first cofinitely cancelling pattern pair, as (pair_index, kind,
-    bound), bound being the step from which it cancels; or None."""
-    for site in st.schema.pair_classes:
-        if site[1] == COFINITE:
-            return site
-    return None
-
-
 def _apply_pattern(st: Stream) -> list[Segment] | None:
     """Pattern reduction of a settled stream: drop the first cofinitely
-    cancelling pair from the stream's own step on, first cutting the head
-    up to the pair's bound (the next visit settles the cursor)."""
-    site = _pattern_site(st)
-    if site is None:
+    cancelling pair, as (pair_index, kind, bound) in
+    `Schema.pair_classes`, from the stream's own step on, first cutting
+    the head up to the pair's bound (the next visit settles the cursor)."""
+    for j, kind, bound in st.schema.pair_classes:
+        if kind == COFINITE:
+            break
+    else:
         return None
-    j, _, bound = site
     m = st.schema.width
     if bound * m > st.pos:
         return _split_head(st, bound * m, True)

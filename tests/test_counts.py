@@ -22,7 +22,8 @@ from transword.dsl import ParseError, parse_word
 from transword.endo import check_admissible, doubling_map, embedding_check, tau_map, telescope_map
 from transword.freegroup import reduced_word_count
 from transword.hag import hag_equal, hag_normal
-from transword.randwords import random_word, shuffle_presentation
+from transword.randwords import random_stream, random_word, shuffle_presentation
+from transword.schema import tail_alignment, unroll
 from transword.sigma import Maximal, decompose, make_family, psi_f, separation_pattern, u_word
 from transword.words import (
     EMPTY_WORD,
@@ -35,12 +36,12 @@ from transword.words import (
     reduce,
 )
 
-from oracles import psi_f_by_composite
+from oracles import TWINS, psi_f_by_composite
 from test_dsl import VALID_TEXTS
 from test_endo import _collapse_map, _ladder_maps
 from test_hag import _fuzz_words
 from test_sigma import _psi_cases, _subsets
-from test_words import SIZES, one_stream_schemas
+from test_words import NEGATIVE_A1, SIZES, one_stream_schemas
 
 
 class Run(dict):
@@ -152,11 +153,26 @@ def _fresh_equality_words():
 def _no_key_recomputed(r):
     # a schema that an earlier call returned as a key is never an argument
     keys = set()
-    for (schema,), (key, _) in r.calls["tail_key"]:
+    for (schema,), (key, _, _) in r.calls["tail_key"]:
         if schema in keys:
             return False
         keys.add(key)
     return bool(keys)
+
+
+def _unequal_width_pairs():
+    """Pairs of one tail class at unequal widths: the fold pin against its
+    folded stream, both ways, and seeded schemas against their unrollings
+    by 2 and 3.  The warm-up run builds them and their keys."""
+    pin, folded = (parse_word(t).segments[-1].schema for t in NEGATIVE_A1)
+    pairs = [(pin, folded), (folded, pin)]
+    for seed in range(40):
+        sch = random_stream(random.Random(seed), selectors=TWINS if seed % 3 == 0 else None).schema
+        pairs += [(big, sch) for big in (unroll(sch, 2), unroll(sch, 3)) if big is not None]
+    for u, v in pairs:
+        assert u.width != v.width and u.tail_key is v.tail_key
+    yield pairs
+    yield [tail_alignment(u, v) for u, v in pairs]
 
 
 def _schemas_once(first, again):
@@ -323,6 +339,18 @@ ROWS = {
         },
         lambda members, sweep: members["align"] == moves(members.calls["align"]) == 10
         and sweep["align"] == members["search"] == sweep["search"] == 0,
+    ),
+    # each schema keeps where its key starts and from where it renders the
+    # key's letters, so aligning two schemas of one class at unequal
+    # widths reads the two slots: it unrolls neither to a common width and
+    # compares no families (unrolling to a common width and scanning the
+    # families made 105 and 159 such calls on these pairs)
+    "test_tail_alignment_reads_the_key_slots": (
+        _unequal_width_pairs,
+        {"unroll": "schema._compute_unroll", "agree": "schema.fam_agreement"},
+        lambda warm, r: len(warm.out) >= 50
+        and None not in r.out
+        and r["unroll"] == r["agree"] == 0,
     ),
     # a key schema keeps itself as its own key when it is built, so the
     # germs `hag_equal` builds from keys compute no key a second time

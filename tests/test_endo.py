@@ -32,7 +32,7 @@ from transword.freegroup import (
     rank_letter_set,
 )
 from transword.hag import EMPTY_CLASS, hag_normal
-from transword.schema import affine
+from transword.schema import Entry, IndexFn, affine
 from transword.sigma import T, make_family, u_word
 from transword.words import (
     block,
@@ -42,6 +42,7 @@ from transword.words import (
     invert,
     proj_rank,
     project_finite,
+    stream_word,
 )
 from transword.randwords import random_word
 
@@ -273,6 +274,19 @@ def test_tau_row_products_telescope():
 def test_tau_on_non_row_stream_rejected():
     with pytest.raises(ValueError):
         apply_endo(tau_map(), u_word(T, 0))
+
+
+def test_tau_on_rows_started_at_a_later_entry():
+    # a row stream from entry d settles to the schema of
+    # cantor_row(m).shift(d), which tau maps as it maps the row itself;
+    # a quadratic that is no shifted row is still refused
+    tau, keep = tau_map(), rank_letter_set(60)
+    for m in range(5):
+        for d in range(6):
+            w = stream_word(True, d, [Entry("a", cantor_row(m), 1)])
+            assert project_finite(apply_endo(tau, w), keep) == apply_projected(tau, w, keep)
+    with pytest.raises(ValueError, match="leaves the fragment"):
+        apply_endo(tau, stream_word(True, 0, [Entry("a", IndexFn(1, 1, 0, 2), 1)]))
 
 
 def test_embedding_check_doubling():

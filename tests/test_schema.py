@@ -22,9 +22,10 @@ from transword.schema import (
     unroll,
 )
 from transword.dsl import parse_word, render_word
+from transword.freegroup import Letter
 from transword.randwords import random_stream
 from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, decimated
-from transword.words import SchematicWord, Stream, _step_hits
+from transword.words import SchematicWord, Stream
 
 from oracles import (
     TWINS,
@@ -340,7 +341,7 @@ def test_tail_key_presentation_invariant(sch):
     # (kept when the key is built), aligned with the schema, read back from
     # its rendering, and shared by every presentation
     key = sch.tail_key
-    assert key._key == (key, 0)
+    assert key._key == (key, 0, 0)
     assert key.tail_key is key and tail_alignment(sch, key) is not None
     w = SchematicWord((Stream(True, 0, key),))
     assert parse_word(render_word(w)) == w
@@ -348,6 +349,32 @@ def test_tail_key_presentation_invariant(sch):
         assert other.tail_key is key
         assert tail_alignment(other, sch) is not None
         assert tail_alignment(sch, other) is not None
+
+
+def _key_letter(key, q):
+    """The key's letter at position q, its pattern extended back to q < 0:
+    a selector by its period, an index function by its polynomial."""
+    k, j = divmod(q, key.width)
+    e = key.entries[j]
+    if k < 0 and isinstance(e.fam, EvPeriodic):
+        assert not e.fam.prefix  # a key's selectors are purely periodic
+        fam = "b" if e.fam.period[k % len(e.fam.period)] else "c"
+        return Letter(fam, e.idx.value(k), e.sign)
+    return letter_by_entry(key, q)
+
+
+@given(schema_st())
+@example(parse_word("st(+,0,{b(k+2)^-1 a((k^2+5k+2)/2)})").segments[0].schema)
+@example(parse_word('st(+,0,{sel(fin{})(k+6) sel(eper("","001"))(k)^-1})').segments[0].schema)
+def test_tail_key_slot_renders_the_key(sch):
+    # (key, p0, k0) = `_key`: from k0 on, the schema's letter at p is the
+    # key's at p - p0, extended back where p < p0: the fact
+    # `tail_alignment` trusts for its bound (the examples start before
+    # their keys)
+    for s in [sch] + _presentations(sch):
+        key = s.tail_key
+        _, p0, k0 = s._key
+        assert seq(s, 200, k0) == [_key_letter(key, p - p0) for p in range(k0, k0 + 200)]
 
 
 @given(schema_st(), schema_st(), st.integers(0, 8))
@@ -516,7 +543,7 @@ def test_schema_slots_match_fresh_computation():
 
 
 def test_reader_matches_entry_arithmetic():
-    # `letters`, `letter_at`, `_step_hits` and `last_hit` against the
+    # `letters`, `letter_at` and `last_hit` against the
     # entry-by-entry reads of the oracles, on random schemas with and
     # without prefix codes, each also followed by its first entry inverted
     # one step on (a wrap pair that cancels where the family repeats across
@@ -539,9 +566,12 @@ def test_reader_matches_entry_arithmetic():
             for p0 in range(3 * m + 1):  # every offset within a step
                 for p1 in range(p0, p0 + 2 * m + 2):  # empty ranges included
                     assert s.letters(p0, p1) == tuple(ref[p0:p1])
+            # a settled stream sits past its last hit, so absorb refuses
+            # exactly the step `last_hit`
+            assert s.last_hit < 0 or step_hits_by_pairs(s, s.last_hit)
             for k in range(7):
-                hit = _step_hits(s, k)
-                assert hit == step_hits_by_pairs(s, k) and (not hit or k <= s.last_hit)
+                hit = step_hits_by_pairs(s, k)
+                assert (hit and k >= s.last_hit) == (k == s.last_hit)
                 hits, misses = hits + hit, misses + (not hit)
         codes += any(isinstance(e.fam, PrefixCode) for e in sch.entries)
     assert codes >= 20 and hits >= 300 and misses >= 300
