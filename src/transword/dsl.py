@@ -550,8 +550,15 @@ def render_setspec(s: SetSpec, names: dict[SetSpec, str] | None = None) -> str:
 
 
 def render_entry(e: Entry, names=None) -> str:
-    fam = e.fam if isinstance(e.fam, str) else f"sel({render_setspec(e.fam, names)})"
-    return f"{fam}({e.idx})" + ("^-1" if e.sign < 0 else "")
+    """The entry's text; without set names it is kept in the entry's
+    `_text` slot on first render."""
+    text = None if names else e._text
+    if text is None:
+        fam = e.fam if isinstance(e.fam, str) else f"sel({render_setspec(e.fam, names)})"
+        text = f"{fam}({e.idx})" + ("^-1" if e.sign < 0 else "")
+        if not names:
+            object.__setattr__(e, "_text", text)
+    return text
 
 
 def render_word(w: SchematicWord, names=None) -> str:
@@ -562,10 +569,10 @@ def render_word(w: SchematicWord, names=None) -> str:
     parts = []
     for seg in w.segments:
         if isinstance(seg, FiniteBlock):
-            parts.append("[" + " ".join(str(l) for l in seg.word) + "]")
+            parts.append("[" + " ".join(map(str, seg.word.letters)) + "]")
         else:
             m = seg.schema.width
-            entries = " ".join(render_entry(e, names) for e in seg.schema.entries)
+            entries = " ".join([render_entry(e, names) for e in seg.schema.entries])
             parts.append(
                 f"st({'+' if seg.forward else '-'},{seg.pos // m},{{{entries}}})"
             )

@@ -40,12 +40,14 @@ _FAM_OFFSET = {"a": 0, "b": 1, "c": 2}
 
 
 class _Interned:
-    """Base of the hash-consed classes (`Letter` here, the schema values
-    in `schema.py`): an instance is shared by every caller that builds its
-    value, so it is frozen, and `==` and `hash` stay object identity.  A
-    class lists in `__match_args__` the slots its constructor takes, which
-    pickling and `repr` read; `_build` makes each new object, which the
-    class's constructor then enters into its table."""
+    """Base of the hash-consed classes (`Letter` here, the set specs in
+    `setspec.py` and the schema values in `schema.py`): an instance is
+    shared by every caller that builds its value, so it is frozen, and
+    `==` and `hash` stay object identity.  A class lists in
+    `__match_args__` the slots its constructor takes, which pickling and
+    `repr` read; `_build` makes each new object, which the class's
+    constructor then enters into its table.  Slots past those hold values
+    derived from the object alone, set once with `object.__setattr__`."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -83,10 +85,11 @@ class Letter(_Interned):
     identical, `==` and `hash` are object identity (both run in C), and
     `inverse` is a slot.  A letter and its inverse are built together, on
     first use, and point at each other; validation runs only then, and an
-    invalid triple never enters the table.  Letters order by
-    (fam, index, sign)."""
+    invalid triple never enters the table.  A letter keeps its text in
+    `_text`, set on its first `str`.  Letters order by (fam, index,
+    sign)."""
 
-    __slots__ = ("fam", "index", "sign", "inverse")
+    __slots__ = ("fam", "index", "sign", "inverse", "_text")
     __match_args__ = ("fam", "index", "sign")
 
     def __new__(cls, fam: str, index: int, sign: int = 1):
@@ -118,7 +121,11 @@ class Letter(_Interned):
         return 3 * self.index + _FAM_OFFSET[self.fam]
 
     def __str__(self) -> str:
-        return f"{self.fam}{self.index}" + ("^-1" if self.sign < 0 else "")
+        text = self._text
+        if text is None:
+            text = f"{self.fam}{self.index}" + ("^-1" if self.sign < 0 else "")
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __repr__(self) -> str:
         return f"Letter({self})"

@@ -80,7 +80,7 @@ EMPTY_CLASS = HagClass(())
 def _cancelled(germs) -> HagClass:
     stack: list[Germ] = []
     for g in germs:
-        if stack and stack[-1] == Germ(g.schema, -g.sign):
+        if stack and stack[-1].schema is g.schema and stack[-1].sign == -g.sign:
             stack.pop()
         else:
             stack.append(g)

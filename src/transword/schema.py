@@ -41,26 +41,30 @@ polynomial of entry j mod d, the families of these copies weave into
 one, and the folded index functions increase.
 
 Schemas, entries and index functions are hash-consed (Filliatre &
-Conchon, *Type-safe modular hash-consing*, 2006): `Schema(entries)`,
-`Entry(fam, idx, sign)` and `IndexFn(a2, a1, a0, div)` return the one
-object for their value, so equality is identity and each constructor
-validates a value once; all three hash by identity.  Every value derived
-from a schema alone is computed once per distinct schema, however often
-callers rebuild it, and kept in its slots.  Which are set when a schema
-is first built and which on first use follows their traffic on the
-benchmark workloads.  Every stream reads its schema's adjacent-pair
-classes (`Schema.pair_classes`: the cofinite pairs pattern reduction
-drops), its validity (`Schema.valid`) and its last finite hit
-(`Schema.last_hit`, which settling cuts through and absorb refuses),
-so all three are set at interning, and every interned schema of the
-`equality`, `cancel` and `separation` runs read them.  Only some
-schemas are asked for the rest, which are set on first use: `fold`
-(98–100% of schemas), `tail_key` (0–80%), the shifts
-`unroll(schema, 1, d)`, None included (0–51%), and the pattern tail
-(`words.pattern_tail`, 0–82%): the key of the stream that pattern
-reduction leaves of a stream over this one, None when it vanishes, which
-the archipelago quotient reads as each stream's germ.  The intern tables
-live for the whole process and hold one object per distinct value built.
+Conchon, *Type-safe modular hash-consing*, 2006), like letters and the
+set specs a selector holds: `Schema(entries)`, `Entry(fam, idx, sign)`
+and `IndexFn(a2, a1, a0, div)` return the one object for their value, so
+equality is identity and each constructor validates a value once; all
+three hash by identity.  Every value derived from a schema alone is
+computed once per distinct schema, however often callers rebuild it, and
+kept in its slots.  Which are set when a schema is first built and which
+on first use follows their traffic on the benchmark workloads.  Every
+stream reads its schema's adjacent-pair classes (`Schema.pair_classes`:
+the cofinite pairs pattern reduction drops), its validity
+(`Schema.valid`) and its last finite hit (`Schema.last_hit`, which
+settling cuts through and absorb refuses), so all three are set at
+interning, and every interned schema of the `equality`, `cancel` and
+`separation` runs read them.  Only some schemas are asked for the rest,
+which are set on first use: `fold` (98–100% of schemas), `tail_key`
+(0–80%), the shifts `unroll(schema, 1, d)`, None included (0–51%), and
+the pattern tail (`words.pattern_tail`, 0–82%): the key of the stream
+that pattern reduction leaves of a stream over this one, None when it
+vanishes, which the archipelago quotient reads as each stream's germ.
+An entry's DSL text is set on its first render (`dsl.render_entry`): the
+`equality` run renders 78% of its interned entries, 1.5 times each per
+pass over its queries, and the `cancel`, `separation` and `ladder` runs
+render none.  The intern tables live for the whole process and hold one
+object per distinct value built.
 """
 
 from __future__ import annotations
@@ -192,9 +196,11 @@ class Entry(_Interned):
     """One entry of a schema: the letter fam(idx(k))^sign at step k.
     Interned like `IndexFn`: equal entries are one object, `==` and
     `hash` are object identity, and an invalid triple raises on every
-    call."""
+    call.  `_text` keeps the entry's DSL text without set names, set on
+    its first render (`dsl.render_entry`)."""
 
-    __slots__ = __match_args__ = ("fam", "idx", "sign")
+    __slots__ = ("fam", "idx", "sign", "_text")
+    __match_args__ = ("fam", "idx", "sign")
 
     def __new__(cls, fam: FamSpec, idx: IndexFn, sign: int = 1):
         key = (fam, idx, sign)

@@ -6,12 +6,18 @@ naturals; a PrefixCode spec denotes {code(branch restricted to k) : k >= 0}
 for an eventually periodic branch.  Distinct branches give almost disjoint
 infinite sets, which is what the separation machinery runs on.
 
+Set specs are hash-consed like `Letter` and the schema values: each of
+the three constructors returns the one object built for its set, so
+equal sets are one object and `==` and `hash` are identity.  One set has
+one spec: `EvPeriodic` refuses an all-zero period, the finite set
+`Finite` spells.
+
 Every other family choice (a finite set, an eventually periodic set, or
 a schema entry's literal b, in at every step, or c, at none) is read
 through one bit view, `_evp_bits`: membership as the bit sequence
 prefix + period + period + ...  Sets are built back from checked bit
 tuples by `_from_bits`, which demotes an all-zero period to Finite;
-`make_evp` parses outside input and calls it.  One re-indexing,
+`make_evp` does the same for outside input.  One re-indexing,
 `decimated(spec, t, s)` = {k : t*k + s in spec}, serves cursor shifts
 (t = 1, a slice of the bits) and unrolls; folding, tail keys, agreement
 and intersection read the same view.
@@ -24,8 +30,9 @@ equality and pattern validity all reduce to this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+
+from .freegroup import _Interned
 
 Bits = tuple[int, ...]
 
@@ -87,12 +94,39 @@ def decode(n: int) -> Bits:
     return tuple(int(ch) for ch in s)
 
 
-class SetSpec:
-    """Base marker; concrete variants below.  All immutable and hashable.
+# every set spec built so far, by class and arguments, both as given and
+# canonical, and every `make_evp` result by its arguments; see `SetSpec`
+_SETSPECS: dict[tuple, SetSpec] = {}
 
-    Library code builds periodic sets through `make_evp` or `_from_bits`,
-    which demote an all-zero period to the Finite variant so that equal
-    sets stay syntactically equal."""
+
+def _given(arg):
+    """A constructor argument as a table key: a string or tuple as it is,
+    any other iterable as a tuple."""
+    return arg if isinstance(arg, (str, tuple)) else tuple(arg)
+
+
+class SetSpec(_Interned):
+    """Base of the three set variants, which are interned: `Finite(elems)`,
+    `EvPeriodic(prefix, period)` and `PrefixCode(branch_prefix,
+    branch_period)` return the one object built for their set, so
+    `Finite([6, 3]) is Finite((3, 6))`, and `==` and `hash` are object
+    identity.  The table holds each spec under its arguments as given and
+    in canonical form, so a repeated spec costs one lookup; validation
+    and canonicalisation run only for arguments not seen before, and an
+    invalid spec never enters the table, so it raises on every call.
+
+    A set has one spec: `EvPeriodic` refuses an all-zero period, whose
+    set is finite, and `make_evp` and `_from_bits` demote such a period
+    to the Finite variant."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _enter(cls, key: tuple, *canonical) -> SetSpec:
+        """The spec with canonical arguments `canonical`, built unless the
+        table holds it, and entered under `key` too."""
+        spec = _SETSPECS.setdefault((cls, *canonical), cls._build(*canonical))
+        return _SETSPECS.setdefault(key, spec)
 
     def contains(self, n: int) -> bool:
         raise NotImplementedError
@@ -101,14 +135,18 @@ class SetSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Finite(SetSpec):
-    elems: tuple[int, ...]
+    __slots__ = __match_args__ = ("elems",)
 
-    def __init__(self, elems):
-        object.__setattr__(self, "elems", tuple(sorted(set(map(int, elems)))))
-        if self.elems and self.elems[0] < 0:
-            raise ValueError("finite set must consist of naturals")
+    def __new__(cls, elems):
+        key = (cls, _given(elems))
+        self = _SETSPECS.get(key)
+        if self is None:
+            elems = tuple(sorted(set(map(int, key[1]))))
+            if elems and elems[0] < 0:
+                raise ValueError("finite set must consist of naturals")
+            self = cls._enter(key, elems)
+        return self
 
     def contains(self, n: int) -> bool:
         return n in self.elems
@@ -120,21 +158,26 @@ class Finite(SetSpec):
         return "fin{" + ",".join(str(e) for e in self.elems) + "}"
 
 
-@dataclass(frozen=True)
 class EvPeriodic(SetSpec):
-    prefix: Bits
-    period: Bits
+    __slots__ = __match_args__ = ("prefix", "period")
 
-    def __init__(self, prefix, period):
-        pre, per = _canonical_evp(_parse_bits(prefix), _parse_bits(period))
-        object.__setattr__(self, "prefix", pre)
-        object.__setattr__(self, "period", per)
+    def __new__(cls, prefix, period):
+        key = (cls, _given(prefix), _given(period))
+        self = _SETSPECS.get(key)
+        if self is None:
+            prefix, period = _canonical_evp(_parse_bits(key[1]), _parse_bits(key[2]))
+            if 1 not in period:
+                raise ValueError(
+                    "an all-zero period makes a finite set: use Finite, or make_evp"
+                )
+            self = cls._enter(key, prefix, period)
+        return self
 
     def contains(self, n: int) -> bool:
         return n >= 0 and _bit(self.prefix, self.period, n) == 1
 
     def is_infinite(self) -> bool:
-        return any(self.period)
+        return True
 
     def __str__(self) -> str:
         pre = "".join(map(str, self.prefix))
@@ -142,15 +185,16 @@ class EvPeriodic(SetSpec):
         return f'eper("{pre}","{per}")'
 
 
-@dataclass(frozen=True)
 class PrefixCode(SetSpec):
-    branch_prefix: Bits
-    branch_period: Bits
+    __slots__ = __match_args__ = ("branch_prefix", "branch_period")
 
-    def __init__(self, branch_prefix, branch_period):
-        pre, per = _canonical_evp(_parse_bits(branch_prefix), _parse_bits(branch_period))
-        object.__setattr__(self, "branch_prefix", pre)
-        object.__setattr__(self, "branch_period", per)
+    def __new__(cls, branch_prefix, branch_period):
+        key = (cls, _given(branch_prefix), _given(branch_period))
+        self = _SETSPECS.get(key)
+        if self is None:
+            prefix, period = _canonical_evp(_parse_bits(key[1]), _parse_bits(key[2]))
+            self = cls._enter(key, prefix, period)
+        return self
 
     def branch_bit(self, i: int) -> int:
         return _bit(self.branch_prefix, self.branch_period, i)
@@ -195,26 +239,27 @@ def carry_untwin(spec: PrefixCode) -> PrefixCode | None:
 
 def make_evp(prefix, period) -> SetSpec:
     """EvPeriodic, demoted to Finite when the period is all zeros;
-    ValueError for an empty period, as from `EvPeriodic`."""
-    prefix, period = _parse_bits(prefix), _parse_bits(period)
-    if not period:
-        raise ValueError("period must be nonempty")
-    return _from_bits(prefix, period)
+    ValueError for an empty period, as from `EvPeriodic`.  The result is
+    kept in the set-spec table under (make_evp, prefix, period), so that
+    repeated arguments cost one lookup, whichever variant they give."""
+    key = (make_evp, _given(prefix), _given(period))
+    spec = _SETSPECS.get(key)
+    if spec is None:
+        prefix, period = _parse_bits(key[1]), _parse_bits(key[2])
+        if not period:
+            raise ValueError("period must be nonempty")
+        spec = _SETSPECS.setdefault(key, _from_bits(prefix, period))
+    return spec
 
 
 def _from_bits(prefix: Bits, period: Bits) -> SetSpec:
     """The set with bit sequence prefix + period + period + ..., from bit
     tuples already checked: Finite when the period is all zeros, else
-    EvPeriodic in canonical form.  Neither constructor parses again."""
+    EvPeriodic.  Both constructors look their arguments up in the
+    set-spec table first, so a sequence seen before costs one lookup."""
     if 1 not in period:
-        spec = object.__new__(Finite)
-        object.__setattr__(spec, "elems", tuple(n for n, b in enumerate(prefix) if b))
-        return spec
-    spec = object.__new__(EvPeriodic)
-    pre, per = _canonical_evp(prefix, period)
-    object.__setattr__(spec, "prefix", pre)
-    object.__setattr__(spec, "period", per)
-    return spec
+        return Finite(tuple(n for n, b in enumerate(prefix) if b))
+    return EvPeriodic(prefix, period)
 
 
 def _evp_bits(spec) -> tuple[Bits, Bits] | None:

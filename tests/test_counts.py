@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from transword.dsl import ParseError, parse_word
+from transword.dsl import ParseError, parse_word, render_word
 from transword.endo import check_admissible, doubling_map, embedding_check, tau_map, telescope_map
 from transword.freegroup import reduced_word_count
 from transword.hag import hag_equal, hag_normal
@@ -196,6 +196,32 @@ def _hag_normal_twice():
     words = [x for ws in _fuzz_words(SIZES[1], range(60)) for x in ws]
     yield [hag_normal(w) for w in words]
     yield [hag_normal(w) for w in words]
+
+
+def _hag_normal_of_fuzz_words():
+    return [hag_normal(x) for ws in _fuzz_words(SIZES[1], range(60)) for x in ws]
+
+
+# every selector form, set names, and an all-zero period that `make_evp`
+# demotes to a finite set
+SELECTOR_TEXTS = [(text, env) for text, env in VALID_TEXTS if "sel(" in text] + [
+    ('st(+,0,{sel(eper("0001","0"))(k) sel(pcode("01","10"))(2k)})', None)
+]
+
+
+def _parse_selectors_twice():
+    """The texts with selectors, parsed twice: the first pass builds what
+    earlier work left out, and the second finds every set spec."""
+    for _ in range(2):
+        for text, env in SELECTOR_TEXTS:
+            parse_word(text, env)
+        yield
+
+
+def _render_twice():
+    words = [parse_word(text, env) for text, env in VALID_TEXTS]
+    for _ in range(2):
+        yield [render_word(w) for w in words]
 
 
 def _parse_valid_then_damaged():
@@ -404,6 +430,34 @@ ROWS = {
         _hag_normal_twice,
         {"passes": "words._rewrite"},
         lambda first, r: r.out == first.out and r["passes"] == 0,
+    ),
+    # each germ is built from its stream's pattern tail; cancelling
+    # adjacent inverse germs compares their slots and builds no germ (one
+    # per comparison before)
+    "test_hag_normal_builds_one_germ_per_tail": (
+        _hag_normal_of_fuzz_words,
+        {"germs": "hag.Germ.__init__", "tails": "hag.pattern_tail"},
+        lambda r: r["germs"] == moves(r.calls["tails"]) > 0,
+    ),
+    # set specs are interned under the arguments the scanner reads, so a
+    # spec seen before is one table lookup: it parses no bit string and
+    # canonicalises no period
+    "test_reparse_builds_no_set_spec": (
+        _parse_selectors_twice,
+        {
+            "specs": "dsl.Finite dsl.make_evp dsl.PrefixCode",
+            "parsed": "setspec._parse_bits setspec._canonical_evp",
+        },
+        lambda first, warm: warm["specs"] == first["specs"] > 0 and warm["parsed"] == 0,
+    ),
+    # an entry keeps its text from its first render, so rendering the same
+    # words again formats no index function
+    "test_rerender_formats_no_entry": (
+        _render_twice,
+        {"formatted": "schema.IndexFn.__str__", "entries": "dsl.render_entry"},
+        lambda first, warm: warm.out == first.out
+        and warm["entries"] > 0
+        and warm["formatted"] == 0,
     ),
     # the scanner reads every valid word; the descent parser runs only on
     # a damaged one, to place its error

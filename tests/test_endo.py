@@ -454,12 +454,14 @@ def test_check_admissible_matches_letter_scan_on_ladder_maps():
             assert check_admissible(s, bound) == admissible_by_scan(s, bound)
 
 
-# bound 5 audits the images below 3 * 5 + 64 = 79; exceptional images at
-# 79 and 80 make the audit skip both to reach the first tail image
+# bound 5 audits the images below 3 * 5 + 64 = 79; the exceptional images
+# at 79 and 80 sit where the audit reads the rule's image terms(79)
 PAST_HORIZON = ((79, block(Letter("a", 500))), (80, block(Letter("a", 501))))
 
 
-def test_check_admissible_skips_exceptional_images_past_the_horizon():
+def test_check_admissible_reads_the_rule_image_at_the_horizon():
+    # the audit reads terms(horizon), the rule's image, whatever the
+    # exceptional table holds there
     dbl = SubstitutionMap(doubling_map().rule, PAST_HORIZON)
     assert check_admissible(dbl, 5) and admissible_by_scan(dbl, 5)
     # a40 lies in every tail image, above the letters the scan audits

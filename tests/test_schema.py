@@ -24,7 +24,7 @@ from transword.schema import (
 from transword.dsl import parse_word, render_word
 from transword.freegroup import Letter
 from transword.randwords import random_stream
-from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, decimated
+from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, decimated, make_evp
 from transword.words import SchematicWord, Stream
 
 from oracles import (
@@ -153,7 +153,7 @@ def test_unroll_decimates_selectors():
 bits_st = st.lists(st.integers(0, 1), max_size=4).map(tuple)
 periodic_st = st.one_of(
     st.builds(Finite, st.lists(st.integers(0, 12), max_size=5)),
-    st.builds(EvPeriodic, bits_st, bits_st.filter(bool)),
+    st.builds(EvPeriodic, bits_st, bits_st.filter(lambda bits: 1 in bits)),
 )
 
 
@@ -484,11 +484,26 @@ def test_index_fn_and_entry_interned():
     assert repr(sch) == (
         "Schema(entries=(Entry(fam='a', idx=IndexFn(a2=0, a1=1, a0=0, div=1), sign=1),))"
     )
-    for x in (f, e, sch):
+    # set specs, keyed as given and in canonical form like IndexFn
+    fin = Finite([6, 3])
+    assert fin is Finite((3, 6))
+    evp = make_evp("0", "1")
+    assert evp is EvPeriodic((0,), (1,)) is EvPeriodic([0], "11")
+    assert carry_twin(PrefixCode("0", "1")) is PrefixCode("1", "0")
+    specs = fin, evp, e.fam
+    assert [repr(x) for x in specs] == [
+        "Finite(elems=(3, 6))",
+        "EvPeriodic(prefix=(0,), period=(1,))",
+        "PrefixCode(branch_prefix=(0,), branch_period=(1,))",
+    ]
+    for x in (f, e, sch, *specs):
         assert copy.copy(x) is x and copy.deepcopy(x) is x
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(x, protocol)) is x
-    for x, name, value in ((f, "a2", 3), (f, "div", 1), (e, "sign", 1), (e, "idx", K)):
+    for x, name, value in (
+        (f, "a2", 3), (f, "div", 1), (e, "sign", 1), (e, "idx", K),
+        (fin, "elems", ()), (evp, "period", (1, 1)), (e.fam, "branch_prefix", ()),
+    ):
         with pytest.raises(FrozenInstanceError):
             setattr(x, name, value)
     with pytest.raises(FrozenInstanceError):
@@ -505,6 +520,9 @@ def test_index_fn_and_entry_interned():
         lambda: IndexFn(0, 1, -1),  # negative at 0
         lambda: Entry("d", K, 1),
         lambda: Entry("a", K, 0),
+        lambda: Finite([-1]),
+        lambda: PrefixCode("2", "1"),
+        lambda: EvPeriodic("1", "0"),  # a finite set, spelt only by Finite
     ],
 )
 def test_bad_index_fn_or_entry_raises_every_time(make):

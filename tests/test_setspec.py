@@ -31,7 +31,8 @@ bits_st = st.lists(st.integers(0, 1), max_size=4).map(tuple)
 period_st = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple)
 
 finite_st = st.builds(Finite, st.lists(st.integers(0, 12), max_size=5))
-evp_st = st.builds(EvPeriodic, bits_st, period_st)
+# an all-zero period is a finite set, which only `Finite` spells
+evp_st = st.builds(EvPeriodic, bits_st, period_st.filter(lambda bits: 1 in bits))
 pcode_st = st.builds(PrefixCode, bits_st, period_st)
 spec_st = st.one_of(finite_st, evp_st, pcode_st)
 
@@ -81,7 +82,7 @@ def test_shift_matches_membership(s, t, d):
 
 @given(bits_st, period_st)
 def test_from_bits_matches_make_evp(prefix, period):
-    assert _from_bits(prefix, period) == make_evp(prefix, period)
+    assert _from_bits(prefix, period) is make_evp(prefix, period)
 
 
 @given(spec_st)

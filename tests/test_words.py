@@ -4,7 +4,7 @@ import re
 import pytest
 
 import transword.words
-from transword.dsl import parse_word
+from transword.dsl import parse_word, render_word
 from transword.freegroup import (
     EMPTY,
     FreeWord,
@@ -15,7 +15,7 @@ from transword.freegroup import (
 )
 from transword.hag import hag_equal
 from transword.schema import Entry, K, Schema, affine, unroll
-from transword.setspec import EvPeriodic, Finite, PrefixCode
+from transword.setspec import EvPeriodic, Finite, PrefixCode, make_evp
 from transword.words import (
     EMPTY_WORD,
     CapError,
@@ -220,6 +220,22 @@ def test_reduce_backward_forward_partial():
     assert len(r.segments) == 2
     for N in range(17):
         assert proj_rank(r, N) == proj_rank(w, N)
+
+
+def test_all_zero_period_is_one_finite_spec():
+    # an all-zero period spells a finite set, which has one spec: when
+    # EvPeriodic took it, this selector word was not heg_equal to the
+    # fin{0} word, though both project alike, and its rendering parsed
+    # back to the fin{0} word
+    with pytest.raises(ValueError, match="Finite.*make_evp"):
+        EvPeriodic("1", "0")
+    demoted = make_evp("1", "0")
+    assert demoted is Finite([0])
+    w = stream_word(True, 0, [Entry(demoted, K, 1)])
+    v = parse_word("st(+,0,{sel(fin{0})(k)})")
+    assert heg_equal(w, v) and hag_equal(w, v) and equal_up_to(w, v, 40)
+    assert parse_word('st(+,0,{sel(eper("1","0"))(k)})') == v
+    assert parse_word(render_word(w)) == w
 
 
 def test_reduce_soundness_random():
