@@ -35,10 +35,14 @@ key where the key starts and from where it renders the key's letters;
 `tail_alignment` reads the shift between two schemas of one class, and a
 position from which their letters agree, off these slots, and stream
 cancellation and the interval decomposition use it.
-`fold` reads the same position view (`_in_position`): a schema folds to
-the least width d at which every entry j has the sign and the position
-polynomial of entry j mod d, the families of these copies weave into
-one, and the folded index functions increase.
+One routine re-presents a schema at another width or start:
+`_present(schema, w, s)`, whose entry j renders at step k the letter at
+position s + j + w*k.  It reads the same position view (`_in_position`):
+the entries that one result entry meets share a sign and a position
+polynomial, and their choices along the progression of positions make
+one famspec (`_progression`).  `unroll` is `_present` at a multiple of
+the width, the cursor shift is its case t = 1, and `fold` takes the least
+proper divisor of the width at which `_present` succeeds from position 0.
 
 Schemas, entries and index functions are hash-consed (Filliatre &
 Conchon, *Type-safe modular hash-consing*, 2006), like letters and the
@@ -84,7 +88,6 @@ from .setspec import (
     _from_bits,
     carry_twin,
     carry_untwin,
-    decimated,
     pair_agreement,
 )
 
@@ -471,6 +474,58 @@ def _key_schema(rows: tuple, d: int) -> Schema:
     return Schema(tuple(out))
 
 
+def _present(schema: Schema, w: int, s: int) -> Schema | None:
+    """The schema of width w whose entry j renders at step k the letter at
+    position s + j + w*k of `schema`; None when the entries one result
+    entry meets (those congruent mod gcd(m, w)) differ in sign or position
+    polynomial, an index function leaves the naturals or the families met
+    are not one famspec (`_progression`)."""
+    m, entries = schema.width, schema.entries
+    g = gcd(m, w)
+    at = [(e.sign, _in_position(e, j, m)) for j, e in enumerate(entries)]
+    if any(at[j] != at[j % g] for j in range(g, m)):
+        return None
+    fams = [e.fam for e in entries]
+    out = []
+    for p in range(s, s + w):
+        fam = _progression(fams, p, w)
+        if fam is None:
+            return None
+        sign, poly = at[p % m]
+        try:
+            idx = IndexFn(*_poly_at(*poly, w, p))
+        except ValueError:
+            return None
+        out.append(Entry(fam, idx, sign))
+    return Schema(tuple(out))
+
+
+def _progression(fams: list, start: int, stride: int) -> FamSpec | None:
+    """The famspec F whose choice at step k is the one entry p % m makes at
+    step p // m, p = start + stride*k, where m = len(fams) and no set has a
+    member at p < 0: one literal or 'a' when every entry met has it; a
+    prefix code only when read at its own steps from step 0; else the set
+    woven from the bit view.  None for 'a' beside b/c, or for a prefix
+    code read at other steps."""
+    m = len(fams)
+    met = [fams[(start + stride * i) % m] for i in range(m // gcd(m, stride))]
+    first = met[0]
+    if all(f == first for f in met) and (isinstance(first, str) or (stride, start // m) == (m, 0)):
+        return first
+    strands = {f: _evp_bits(f) for f in met}
+    if None in strands.values():
+        return None
+    stable = max(len(prefix) for prefix, _ in strands.values())
+    k0 = max(0, -((start - m * stable) // stride))  # from k0 on, every strand is periodic
+    span = len(met) * lcm(*(len(period) for _, period in strands.values()))
+    bits = []
+    for k in range(k0 + span):
+        q, r = divmod(start + stride * k, m)
+        f = fams[r]
+        bits.append(int(f == "b") if q < 0 else _bit(*strands[f], q))
+    return _from_bits(tuple(bits[:k0]), tuple(bits[k0:]))
+
+
 def unroll(schema: Schema, t: int, phase: int = 0) -> Schema | None:
     """Present the same letter sequence with period width*t; step kappa of
     the result covers original steps t*kappa+phase .. t*kappa+phase+t-1,
@@ -481,47 +536,16 @@ def unroll(schema: Schema, t: int, phase: int = 0) -> Schema | None:
     t = 1 and phase 0) or an index function leaves the naturals.  Shifts
     are computed once per (schema, phase) and kept in the schema's
     `_shifts` slot."""
+    m = schema.width
     if t != 1:
-        return _compute_unroll(schema, t, phase)
+        return _present(schema, t * m, phase * m)
     shifts = schema._shifts
     if shifts is None:
         shifts = {}
         object.__setattr__(schema, "_shifts", shifts)
     if phase not in shifts:
-        shifts[phase] = _compute_unroll(schema, 1, phase)
+        shifts[phase] = _present(schema, m, phase * m)
     return shifts[phase]
-
-
-def _compute_unroll(schema: Schema, t: int, phase: int) -> Schema | None:
-    out = []
-    for s in range(t):
-        for e in schema.entries:
-            fam = e.fam
-            if isinstance(fam, SetSpec):
-                fam = decimated(fam, t, phase + s)
-                if fam is None:
-                    return None
-            try:
-                idx = e.idx.compose_affine(t, phase + s)
-            except ValueError:
-                return None
-            out.append(Entry(fam, idx, e.sign))
-    return Schema(tuple(out))
-
-
-def _weave_fams(fams: list[FamSpec], t: int) -> FamSpec | None:
-    """A single famspec F with F(t*k+s) == fams[s](k), for folding."""
-    if all(isinstance(f, str) for f in fams):
-        return fams[0] if len(set(fams)) == 1 else None
-    strands = [_evp_bits(f) for f in fams]
-    if None in strands:
-        return None  # 'a' and prefix-code selectors do not weave
-    stable = max(len(prefix) for prefix, _ in strands)  # every strand periodic
-    span = lcm(*(len(period) for _, period in strands))
-    bits = tuple(
-        _bit(*strands[n % t], n // t) for n in range(t * (stable + span))
-    )
-    return _from_bits(bits[: t * stable], bits[t * stable :])
 
 
 def fold(schema: Schema) -> Schema:
@@ -535,27 +559,12 @@ def fold(schema: Schema) -> Schema:
 
 
 def _compute_fold(schema: Schema) -> Schema:
-    """The fold at the least width that works (module docstring); it is
-    final, as folding twice is folding once at the smaller width."""
-    m, entries = schema.width, schema.entries
-    at = [(e.sign, _in_position(e, j, m)) for j, e in enumerate(entries)]
-    for d in range(1, m):
-        if m % d or any(at[j] != at[j % d] for j in range(d, m)):
-            continue
-        t = m // d
-        out = []
-        for j in range(d):
-            fam = _weave_fams([entries[j + d * s].fam for s in range(t)], t)
-            if fam is None:
-                break
-            try:
-                idx = IndexFn(*_poly_at(*at[j][1], d, j))
-            except ValueError:  # the folded index does not increase
-                break
-            out.append(Entry(fam, idx, at[j][0]))
-        else:
-            return Schema(tuple(out))
-    return schema
+    """The presentation at the least proper divisor d of the width that
+    `_present` accepts from position 0, else the schema; it is final, as
+    folding twice is folding once at the smaller width."""
+    m = schema.width
+    widths = (d for d in range(1, m) if m % d == 0)
+    return next(filter(None, (_present(schema, d, 0) for d in widths)), schema)
 
 
 def tail_alignment(su: Schema, sv: Schema) -> tuple[int, int] | None:

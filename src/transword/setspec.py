@@ -17,10 +17,10 @@ a schema entry's literal b, in at every step, or c, at none) is read
 through one bit view, `_evp_bits`: membership as the bit sequence
 prefix + period + period + ...  Sets are built back from checked bit
 tuples by `_from_bits`, which demotes an all-zero period to Finite;
-`make_evp` does the same for outside input.  One re-indexing,
-`decimated(spec, t, s)` = {k : t*k + s in spec}, serves cursor shifts
-(t = 1, a slice of the bits) and unrolls; folding, tail keys, agreement
-and intersection read the same view.
+`make_evp` does the same for outside input.  Re-indexing a schema's
+families at another width or start (`schema._progression`, behind fold,
+unroll and the cursor shift), tail keys, agreement and intersection all
+read this view.
 
 The classification helpers at the bottom decide, for any two specs and an
 integer shift, whether the agreement set {k : (k in S1) == (k+d in S2)} is
@@ -288,25 +288,6 @@ def _shift_bits(bits: tuple[Bits, Bits], d: int) -> tuple[Bits, Bits]:
         return prefix[d:], period
     r = (d - len(prefix)) % len(period)
     return (), period[r:] + period[:r]
-
-
-def decimated(spec, t: int, s: int) -> SetSpec | None:
-    """The set {k >= 0 : t*k + s in spec}, for t >= 1 and any s (negative
-    positions are outside every set), read through the bit view; literal
-    'b' and 'c' count as the set of all naturals and the empty set.  None
-    for a prefix-code set unless t = 1 and s = 0: prefix-code sets neither
-    shift nor decimate."""
-    bits = _evp_bits(spec)
-    if bits is None:
-        return spec if t == 1 and s == 0 else None
-    prefix, period = _shift_bits(bits, s)  # t = 1 stays a slice
-    if t > 1:
-        start = -(-len(prefix) // t)  # the first k with t*k past the prefix
-        rest = t * start - len(prefix)
-        L = len(period)
-        period = tuple(period[(rest + t * i) % L] for i in range(L))
-        prefix = prefix[::t]
-    return _from_bits(prefix, period)
 
 
 # ---------------------------------------------------------------------------

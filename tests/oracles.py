@@ -3,8 +3,9 @@
 These deliberately use the naive algorithm in each case (repeated-scan
 cancellation, brute-force letter enumeration over a horizon, stream
 letters read entry by entry, a fold that composes and compares the index
-function of every copy) so that the production code paths are checked
-against something computed differently.
+function of every copy and weaves their families by membership) so that
+the production code paths are checked against something computed
+differently.
 The quotient class is also computed through the whole-word pass, apart
 from the library's per-schema pattern tails.
 The helpers at the bottom serve only the tests: the random-site rewrite
@@ -40,18 +41,20 @@ from transword.schema import (
     Entry,
     IndexFn,
     Schema,
-    _weave_fams,
     fam_agreement,
     poly_shift_match,
     unroll,
 )
 from transword.setspec import (
     MIXED,
+    EvPeriodic,
+    Finite,
     PrefixCode,
     SetSpec,
     _classify_bitstream,
     _evp_bits,
     _shift_bits,
+    make_evp,
     pair_agreement,
 )
 from transword.sigma import SigmaFamily, apply_Ff, decompose, u_word
@@ -161,7 +164,7 @@ def fold_by_copies(schema: Schema) -> Schema:
                     break
                 if any(idx.compose_affine(t, s) != copies[s].idx for s in range(t)):
                     break
-                fam = _weave_fams([c.fam for c in copies], t)
+                fam = _weave_by_members([c.fam for c in copies], t)
                 if fam is None:
                     break
                 new_entries.append(Entry(fam, idx, copies[0].sign))
@@ -170,6 +173,31 @@ def fold_by_copies(schema: Schema) -> Schema:
                 changed = True
                 break
     return schema
+
+
+def _weave_by_members(fams, t: int):
+    """The famspec F with F(t*k + s) == fams[s](k), read off membership:
+    one literal when every copy has it; None beside 'a' or a prefix code;
+    else the set whose bit n is the choice of copy n % t at step n // t,
+    over the copies' prefixes and one common period."""
+    if all(f == fams[0] for f in fams) and isinstance(fams[0], str):
+        return fams[0]
+    if any(f == "a" or isinstance(f, PrefixCode) for f in fams):
+        return None
+
+    def lengths(f):  # (prefix, period) lengths of the set's bit sequence
+        if isinstance(f, EvPeriodic):
+            return len(f.prefix), len(f.period)
+        return (f.elems[-1] + 1 if f.elems else 0, 1) if isinstance(f, Finite) else (0, 1)
+
+    def bit(n):
+        f, k = fams[n % t], n // t
+        return int(f == "b" if isinstance(f, str) else f.contains(k))
+
+    stable = max(lengths(f)[0] for f in fams)
+    span = lcm(*(lengths(f)[1] for f in fams))
+    bits = [bit(n) for n in range(t * (stable + span))]
+    return make_evp(bits[: t * stable], bits[t * stable :])
 
 
 def _stream_kept(seg: Stream, keep) -> list[Letter]:

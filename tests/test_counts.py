@@ -373,10 +373,10 @@ ROWS = {
     # families made 105 and 159 such calls on these pairs)
     "test_tail_alignment_reads_the_key_slots": (
         _unequal_width_pairs,
-        {"unroll": "schema._compute_unroll", "agree": "schema.fam_agreement"},
+        {"present": "schema._present", "agree": "schema.fam_agreement"},
         lambda warm, r: len(warm.out) >= 50
         and None not in r.out
-        and r["unroll"] == r["agree"] == 0,
+        and r["present"] == r["agree"] == 0,
     ),
     # a key schema keeps itself as its own key when it is built, so the
     # germs `hag_equal` builds from keys compute no key a second time

@@ -12,8 +12,8 @@ from transword.schema import (
     IndexFn,
     K,
     Schema,
-    _compute_unroll,
-    _weave_fams,
+    _present,
+    _progression,
     affine,
     fold,
     pair_cancellation,
@@ -24,7 +24,7 @@ from transword.schema import (
 from transword.dsl import parse_word, render_word
 from transword.freegroup import Letter
 from transword.randwords import random_stream
-from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, decimated, make_evp
+from transword.setspec import EvPeriodic, Finite, PrefixCode, carry_twin, make_evp
 from transword.words import SchematicWord, Stream
 
 from oracles import (
@@ -157,10 +157,12 @@ periodic_st = st.one_of(
 )
 
 
-@given(periodic_st, st.integers(1, 4))
+@given(st.one_of(periodic_st, st.sampled_from("bc")), st.integers(1, 4))
 def test_weave_inverts_decimation(spec, t):
-    strands = [decimated(spec, t, s) for s in range(t)]
-    assert _weave_fams(strands, t) == decimated(spec, 1, 0)
+    # the t strands of spec at steps t*k + s, read back along the positions
+    # of a width-t schema: a literal chooses alike at every step
+    strands = [_progression([spec], s, t) for s in range(t)]
+    assert _progression(strands, 0, 1) == spec
 
 
 @given(idx_st, st.integers(1, 3))
@@ -294,7 +296,7 @@ def _twinned(sch):
         if isinstance(fam, PrefixCode):
             fam = carry_twin(fam)
         elif not isinstance(fam, str):
-            fam = decimated(fam, 1, -1)
+            fam = _progression([fam], -1, 1)
         if fam is None:
             return None
         try:
@@ -333,6 +335,25 @@ def test_unroll_by_one_shifts(sch, d):
         return
     for p in range(max(0, -d * sch.width), 40):
         assert shifted.letter_at(p) == sch.letter_at(p + d * sch.width)
+
+
+@given(schema_st(), st.integers(0, 3), st.integers(0, 64))
+def test_present_renders_the_letters_from_its_start(sch, pick, s):
+    # widths among the divisors of m, m, 2m and 3m, starts 0 .. 2m+1
+    m = sch.width
+    widths = [d for d in range(1, m) if m % d == 0] + [m, 2 * m, 3 * m]
+    w, s = widths[pick % len(widths)], s % (2 * m + 2)
+    got = _present(sch, w, s)
+    if got is not None:
+        assert got.width == w
+        assert seq(got, 200) == seq(sch, 200, s)
+    elif w % m == 0:
+        # each index function stays natural-valued at the steps from s on,
+        # so only a prefix code read off its own steps refuses
+        assert any(
+            isinstance(sch.entries[p % m].fam, PrefixCode) and (w, p // m) != (m, 0)
+            for p in range(s, s + w)
+        )
 
 
 @given(schema_st())
@@ -543,7 +564,7 @@ def test_schema_slots_match_fresh_computation():
         for s in family:
             for d in range(5):
                 cached = unroll(s, 1, d)
-                assert cached is _compute_unroll(s, 1, d)  # None exactly where it is
+                assert cached is _present(s, s.width, d * s.width)  # None exactly where it is
                 assert unroll(s, 1, d) is cached and s._shifts[d] is cached
                 failed += cached is None
             direct = tuple(

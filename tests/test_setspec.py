@@ -11,12 +11,13 @@ from transword.setspec import (
     _from_bits,
     carry_twin,
     code,
-    decimated,
     decode,
     intersection_bound,
     make_evp,
     pair_agreement,
 )
+
+from transword.schema import _progression
 
 from oracles import eventually_equal, indicator_classification, sets_equal
 
@@ -61,23 +62,18 @@ def test_evp_canonical_form_preserves_membership(s):
     assert raw == s  # canonicalization makes equality syntactic
 
 
-def _member(s, n):
-    """Membership, with literal b and c as all naturals and the empty set."""
-    if isinstance(s, str):
-        return s == "b" and n >= 0
-    return s.contains(n)
-
-
-@given(st.one_of(spec_st, st.sampled_from("bc")), st.integers(1, 3), st.integers(-1, 6))
+@given(st.one_of(spec_st, st.sampled_from("abc")), st.integers(1, 3), st.integers(-1, 6))
 def test_shift_matches_membership(s, t, d):
-    r = decimated(s, t, d)
+    # one family read at the steps t*k + d: a literal chooses alike at
+    # every step, a set has no member below 0, and a prefix code is read
+    # only at its own steps from step 0
+    r = _progression([s], d, t)
     if isinstance(s, PrefixCode):
-        # prefix-code sets neither shift nor decimate
         assert r == (s if (t, d) == (1, 0) else None)
-        return
-    assert bitmap(r, 100) == tuple(
-        1 if _member(s, t * i + d) else 0 for i in range(100)
-    )
+    elif isinstance(s, str):
+        assert r == s
+    else:
+        assert bitmap(r, 100) == tuple(1 if s.contains(t * i + d) else 0 for i in range(100))
 
 
 @given(bits_st, period_st)

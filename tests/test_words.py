@@ -576,13 +576,15 @@ def test_heg_equal():
 
 
 # one word written with literal b/c letters and with a selector that picks
-# the same letters: each pair reduces to two different values
+# the same letters: each pair but the third reduces to two different
+# values; fold weaves the third's literal strands c and b into one selector
 LITERAL_VS_SELECTOR = [
     ('st(+,0,{b(k)})', 'st(+,0,{sel(eper("","1"))(k)})'),
     ("st(+,0,{c(k)})", "st(+,0,{sel(fin{})(k)})"),
     ('st(+,0,{c(2k+7) b(2k+8)})', 'st(+,0,{sel(eper("","01"))(k+7)})'),
     ("[b5] st(+,0,{c(k+6)})", "st(+,0,{sel(fin{0})(k+5)})"),
 ]
+LITERAL_MENDED = LITERAL_VS_SELECTOR[2]
 
 
 @pytest.mark.parametrize("text_w, text_v", LITERAL_VS_SELECTOR)
@@ -592,8 +594,14 @@ def test_literal_vs_selector_same_word(text_w, text_v):
     assert equal_up_to(w, v, 40)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-@pytest.mark.parametrize("text_w, text_v", LITERAL_VS_SELECTOR)
+@pytest.mark.parametrize(
+    "text_w, text_v",
+    [
+        pair if pair == LITERAL_MENDED
+        else pytest.param(*pair, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
+        for pair in LITERAL_VS_SELECTOR
+    ],
+)
 def test_literal_vs_selector_heg_equal(text_w, text_v):
     assert heg_equal(parse_word(text_w), parse_word(text_v))
 
