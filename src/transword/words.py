@@ -38,7 +38,12 @@ move applies to: the normal form, as far as the moves are confluent.  The
 tests compare the pass against `random_site_reduce` in
 `tests/oracles.py`, which applies cancellation sites in random order.  A
 block between a backward and a forward stream is offered to the backward
-one first, which is not yet order-independent (ROADMAP, item 1).
+one first; the cross move then passes whole periods from the stream whose
+tail key orders later (`_key_order`) to the other, whichever orientation
+that is.  So each move applies at a pair exactly when its mirror image
+applies at the inverted pair, and on the fuzz of `tests/normal_forms.py`
+both passes commute with `invert`.  Which stream keeps a part of a period
+at such a junction still depends on the presentation (ROADMAP, item 1).
 
 Every word the pass returns is marked as its fixpoint: "canonical" from
 `canonicalize`, "reduced" from `reduce`; `EMPTY_WORD`, on which no move
@@ -52,9 +57,8 @@ or not the moves are confluent:
   pass over a marked word makes no move;
 - `_unary(., False)` and `_binary(., ., False)` return None whenever
   their cancelling forms do, so a "reduced" word is also canonical.
-`invert` drops the mark: the pass is not mirror-symmetric (a block
-between a backward and a forward stream goes to the backward one), so
-the inverse of a fixpoint need not be one.
+`invert` keeps the mark: the moves are mirror-symmetric, so none applies
+to the inverse of a fixpoint either.
 """
 
 from __future__ import annotations
@@ -339,23 +343,39 @@ def _block_meets_stream(bw: FreeWord, st: Stream, cancel: bool):
 
 
 def _cross_move(left: Stream, right: Stream):
-    """Move one lcm-period from the head of the forward stream `right` into
-    the backward stream `left`; for a junction whose tails differ."""
-    mu = left.schema.width
-    g = lcm(mu, right.schema.width)
+    """At a junction of a backward stream `left` and a forward stream
+    `right` whose tail keys differ, move one lcm-period from the head of
+    the stream whose key orders later (`_key_order`) into the other; None
+    when the keys are equal.  A move here applies exactly when its mirror
+    image applies at the inverted pair."""
     for _, kind, _ in left.schema.pair_classes + right.schema.pair_classes:
         if kind == COFINITE:
             return None
-    cur = left
-    for p in range(right.pos, right.pos + g, mu):
-        # display order runs opposite to forward-sequence order, so the
-        # step adjacent to the junction pairs with the earliest moved
-        # letters of the right stream, reversed within the step
-        step = right.schema.letters(p, p + mu)
+    ku, kv = left.schema.tail_key, right.schema.tail_key
+    if ku is kv:
+        return None
+    src, dst = (right, left) if _key_order(kv) > _key_order(ku) else (left, right)
+    mu = dst.schema.width
+    g = lcm(mu, src.schema.width)
+    cur = dst
+    for p in range(src.pos, src.pos + g, mu):
+        # display order runs opposite to forward-sequence order on one side
+        # of the junction, so the step adjacent to it takes the earliest
+        # moved letters, reversed within the step and inverted
+        step = src.schema.letters(p, p + mu)
         cur = _absorb_letters(cur, [l.inverse for l in reversed(step)])
         if cur is None:
             return None
-    return [cur, Stream(True, right.pos + g, right.schema)]
+    rest = Stream(src.forward, src.pos + g, src.schema)
+    return [cur, rest] if dst is left else [rest, cur]
+
+
+def _key_order(key: Schema) -> tuple:
+    """A total order of tail keys by value, entry by entry, the same in
+    every process and independent of interning order."""
+    return tuple(
+        (str(e.fam), e.idx.a2, e.idx.a1, e.idx.a0, e.idx.div, e.sign) for e in key.entries
+    )
 
 
 def _apply_pattern(st: Stream) -> list[Segment] | None:
@@ -557,14 +577,14 @@ def concat(*words: SchematicWord) -> SchematicWord:
 
 
 def invert(w: SchematicWord) -> SchematicWord:
-    """The inverse word, unmarked (module docstring)."""
+    """The inverse word, with w's fixpoint mark (module docstring)."""
     out: list[Segment] = []
     for seg in reversed(w.segments):
         if isinstance(seg, FiniteBlock):
             out.append(FiniteBlock(seg.word.inverse))
         else:
             out.append(Stream(not seg.forward, seg.pos, seg.schema))
-    return SchematicWord(tuple(out))
+    return _marked(SchematicWord(tuple(out)), w._mark)
 
 
 def reduce(w: SchematicWord) -> SchematicWord:
