@@ -508,21 +508,20 @@ def _progression(fams: list, start: int, stride: int) -> FamSpec | None:
     woven from the bit view.  None for 'a' beside b/c, or for a prefix
     code read at other steps."""
     m = len(fams)
-    met = [fams[(start + stride * i) % m] for i in range(m // gcd(m, stride))]
-    first = met[0]
-    if all(f == first for f in met) and (isinstance(first, str) or (stride, start // m) == (m, 0)):
-        return first
-    strands = {f: _evp_bits(f) for f in met}
-    if None in strands.values():
+    g = gcd(m, stride)
+    met = fams[start % g :: g]  # the entries p % m meets, those congruent to start mod g
+    if len(set(met)) == 1 and (isinstance(met[0], str) or (stride, start // m) == (m, 0)):
+        return met[0]
+    strands = [_evp_bits(f) for f in met]
+    if None in strands:
         return None
-    stable = max(len(prefix) for prefix, _ in strands.values())
+    stable = max(len(prefix) for prefix, _ in strands)
     k0 = max(0, -((start - m * stable) // stride))  # from k0 on, every strand is periodic
-    span = len(met) * lcm(*(len(period) for _, period in strands.values()))
+    span = len(met) * lcm(*(len(period) for _, period in strands))
     bits = []
-    for k in range(k0 + span):
-        q, r = divmod(start + stride * k, m)
-        f = fams[r]
-        bits.append(int(f == "b") if q < 0 else _bit(*strands[f], q))
+    for p in range(start, start + stride * (k0 + span), stride):
+        q, r = divmod(p, m)
+        bits.append(_bit(*strands[r // g], q) if q >= 0 else int(fams[r] == "b"))
     return _from_bits(tuple(bits[:k0]), tuple(bits[k0:]))
 
 
