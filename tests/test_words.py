@@ -300,8 +300,6 @@ def test_homomorphism_shape():
             assert equal_up_to(r, glued, N)
 
 
-
-
 def test_ww_inverse_dies():
     rng = random.Random(44)
     for size in SIZES:
@@ -516,7 +514,7 @@ def test_marked_words_skip_their_passes():
         # the mark is no field: equality, hash and rendering ignore it
         plain = SchematicWord(r.segments)
         assert plain == r and hash(plain) == hash(r) and repr(plain) == repr(r)
-        # the pass is mirror-symmetric, so the inverse keeps the mark
+        # the moves are mirror-symmetric, so the inverse keeps the mark
         inv, cinv = invert(r), invert(c)
         assert reduce(inv) is inv and canonicalize(inv) is inv and canonicalize(cinv) is cinv
         rewrite = transword.words._rewrite  # a fresh pass leaves them as they are
