@@ -28,16 +28,26 @@ bit string, NAME a set name of the environment):
 
 No rule refers to itself, so the grammar is regular, and `parse_word`
 reads a word with one `findall` of a compiled pattern, `_SEGMENT`: one
-match per block, bare letter or stream, whose groups hold a stream's
-header and first entry.  A block's letters, a stream's other entries and
-a polynomial's terms take one more `findall` each, and the interned
-values are built straight from the groups.  When a character starts no
-segment, letter or entry there, or a constructor refuses what was read,
-`parse_word` runs the descent parser `_Parser` on the whole text
-instead, so the value or the `ParseError` (message, line and column) is
-always the one `_Parser` gives.  `_Parser` also reads set specs, family
-maps and substitutions (whose exceptional images are words), and it is
-the reference the scanner is tested against.
+match per block, bare letter or stream, whose groups hold a block's
+text, a bare letter, or a stream's header and the text of its entries.
+Text this module rendered names letters and entries that were read
+before, so the scanner first splits a block's or a stream's text at
+whitespace and looks each piece up in `_LETTER_BY_TEXT` or
+`_ENTRY_BY_TEXT`, tables from a value's rendering (`str(letter)`,
+`render_entry` without set names) to the interned value.  A segment
+with a piece that misses (other spacing, a set name, damaged text) is
+read the long way: the letters or entries take one more `findall`, a
+polynomial's terms another, the interned values are built straight from
+the groups, and each is entered in its table under its rendering.  So
+every key is the text its value renders to, and as rendered text parses
+back to the value it came from, a hit is what the long way would build.
+When a character starts no segment, letter or entry there, or a
+constructor refuses what was read, `parse_word` runs the descent parser
+`_Parser` on the whole text instead, so the value or the `ParseError`
+(message, line and column) is always the one `_Parser` gives.  `_Parser`
+also reads set specs, family maps and substitutions (whose exceptional
+images are words), and it is the reference the scanner is tested
+against.
 """
 
 from __future__ import annotations
@@ -407,19 +417,17 @@ _ENTRY = (
 
 
 # One segment a match: a block (its bracket and the text up to the
-# closing one), a letter of a bare run, a stream (direction, start, its
-# first entry's groups, and the text of its other entries up to its
-# closing brace), or any other character, which leaves every group empty
-# and ends the scan.  A block's letters and a stream's other entries are
+# closing one), a letter of a bare run, a stream (direction, start and the
+# text of its entries up to its closing brace), or any other character,
+# which leaves every group empty and ends the scan.  A block's letters and
+# a stream's entries are looked up by their text (module docstring), else
 # read by `_LETTERS` and `_ENTRIES`, which match any other character too: a
 # pattern that repeated the letter or entry pattern would hold the
-# matcher's state for every repetition.  (19 groups: CPython 3.11 keeps
-# freed 20-tuples on a free list that it never reuses.)
+# matcher's state for every repetition.
 _SEGMENT = re.compile(
     r"\s*(?:(\[[^\]]*)\]"
     rf"|{_LETTER}"
-    rf"|st\s*\(\s*([+-])\s*,\s*(\d+)\s*,\s*\{{\s*{_ENTRY}"
-    r"([^{}]*(?:\{[^{}]*\}[^{}]*)*)\}\s*\)"
+    r"|st\s*\(\s*([+-])\s*,\s*(\d+)\s*,\s*\{([^{}]*(?:\{[^{}]*\}[^{}]*)*)\}\s*\)"
     r"|\S)"
 )
 _LETTERS = re.compile(rf"\s*(?:{_LETTER}|(\S))")
@@ -429,6 +437,12 @@ _ENTRIES = re.compile(rf"\s*(?:{_ENTRY}|(\S))")
 _TERMS = re.compile(r"\s*([+-]?)\s*(\d*)\s*(k?)(\s*\^\s*\d+)?")
 _SIGN = {"": 1, "+": 1, "-": -1}
 
+# every letter and entry the scanner has read the long way, by its
+# rendering (`str`, `render_entry` without set names): the text its `_text`
+# slot holds
+_LETTER_BY_TEXT: dict[str, Letter] = {}
+_ENTRY_BY_TEXT: dict[str, Entry] = {}
+
 
 def _scan_word(text: str, env) -> SchematicWord | None:
     """The word `_Parser` reads from `text`, built from the matches of
@@ -437,11 +451,7 @@ def _scan_word(text: str, env) -> SchematicWord | None:
     segs: list = []
     run = None  # the letters of an open bare run
     try:
-        for (
-            block, fam, index, sign, direction, k0,
-            lit, fin, kind, s1, s2, name, a1, a0, paren, div, bare, esign,
-            more,
-        ) in _SEGMENT.findall(text):
+        for block, fam, index, sign, direction, k0, body in _SEGMENT.findall(text):
             if fam:
                 if run is None:
                     run = []
@@ -452,19 +462,25 @@ def _scan_word(text: str, env) -> SchematicWord | None:
                 segs[-1] = FiniteBlock(FreeWord(tuple(run)))
                 run = None
             if direction:
-                first = (lit, fin, kind, s1, s2, name, a1, a0, paren, div, bare, esign, "")
-                entries = [_entry(*first, env)]
-                if more:
-                    for groups in _ENTRIES.findall(more):
-                        entries.append(_entry(*groups, env))
+                try:
+                    entries = [_ENTRY_BY_TEXT[t] for t in body.split()]
+                except KeyError:
+                    entries = [_entry(*groups, env) for groups in _ENTRIES.findall(body)]
+                    for e in entries:
+                        _ENTRY_BY_TEXT[render_entry(e)] = e
                 schema = Schema(tuple(entries))
                 segs.append(Stream(direction == "+", int(k0) * schema.width, schema))
             elif block:
-                # a character that starts no letter leaves the index empty,
-                # and int("") raises
-                found = _LETTERS.findall(block, 1)
-                letters = tuple([Letter(f, int(i), _SIGN[s]) for f, i, s, _ in found])
-                segs.append(FiniteBlock(FreeWord(letters)))
+                try:
+                    letters = [_LETTER_BY_TEXT[t] for t in block[1:].split()]
+                except KeyError:
+                    # a character that starts no letter leaves the index
+                    # empty, and int("") raises
+                    found = _LETTERS.findall(block, 1)
+                    letters = [Letter(f, int(i), _SIGN[s]) for f, i, s, _ in found]
+                    for x in letters:
+                        _LETTER_BY_TEXT[str(x)] = x
+                segs.append(FiniteBlock(FreeWord(tuple(letters))))
             else:
                 return None
     except ValueError:

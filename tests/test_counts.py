@@ -37,7 +37,7 @@ from transword.words import (
 )
 
 from oracles import TWINS, psi_f_by_composite
-from test_dsl import VALID_TEXTS
+from test_dsl import VALID_TEXTS, clear_tables
 from test_endo import _collapse_map, _ladder_maps
 from test_hag import _fuzz_words
 from test_sigma import _psi_cases, _subsets
@@ -210,12 +210,21 @@ SELECTOR_TEXTS = [(text, env) for text, env in VALID_TEXTS if "sel(" in text] + 
 
 
 def _parse_selectors_twice():
-    """The texts with selectors, parsed twice: the first pass builds what
-    earlier work left out, and the second finds every set spec."""
+    """The texts with selectors, parsed twice from empty text tables: the
+    first pass builds what earlier work left out, and the second finds
+    every set spec and every rendered entry."""
+    clear_tables()
     for _ in range(2):
         for text, env in SELECTOR_TEXTS:
             parse_word(text, env)
         yield
+
+
+def _reparse_rendered():
+    texts = [render_word(parse_word(text, env)) for text, env in VALID_TEXTS]
+    clear_tables()
+    for _ in range(2):
+        yield [parse_word(text) for text in texts]
 
 
 def _render_twice():
@@ -441,14 +450,25 @@ ROWS = {
     ),
     # set specs are interned under the arguments the scanner reads, so a
     # spec seen before is one table lookup: it parses no bit string and
-    # canonicalises no period
+    # canonicalises no period.  A rendered entry read before is one lookup
+    # in the scanner's text table and calls no spec constructor: from empty
+    # tables, the first pass calls them for each entry no earlier text
+    # entered, and the warm pass only for the texts with set names or other
+    # spacing, which are read the long way
     "test_reparse_builds_no_set_spec": (
         _parse_selectors_twice,
         {
             "specs": "dsl.Finite dsl.make_evp dsl.PrefixCode",
             "parsed": "setspec._parse_bits setspec._canonical_evp",
         },
-        lambda first, warm: warm["specs"] == first["specs"] > 0 and warm["parsed"] == 0,
+        lambda first, warm: first["specs"] == 346 and warm["specs"] == 125 and warm["parsed"] == 0,
+    ),
+    # rendered text names only letters and entries the first parse entered
+    # in the text tables, so parsing it again builds no entry
+    "test_reparse_of_rendered_text_builds_no_entry": (
+        _reparse_rendered,
+        {"entries": "dsl._entry"},
+        lambda first, warm: warm.out == first.out and first["entries"] > 0 == warm["entries"],
     ),
     # an entry keeps its text from its first render, so rendering the same
     # words again formats no index function

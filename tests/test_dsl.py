@@ -294,3 +294,69 @@ def test_scanner_matches_descent_parser_on_damaged_words(part):
         damaged += [text[:i] + rng.choice(_INSERTED) + text[i:] for i in range(len(text) + 1)]
         for t in damaged:
             assert _outcome(parse_word, t, env) == _outcome(dsl._descent_word, t, env), t
+
+
+# -- the text tables: rendered letters and entries read by lookup -------------
+
+
+def clear_tables():
+    """Empty the scanner's text tables (caches of rendered letters and
+    entries), so that the next parse of any text reads it the long way."""
+    dsl._LETTER_BY_TEXT.clear()
+    dsl._ENTRY_BY_TEXT.clear()
+
+
+def _rendered_words():
+    rng = random.Random(4409)
+    return [render_word(random_word(rng, **size)) for size in SIZES for _ in range(60)]
+
+
+def test_table_hits_read_what_the_regex_path_reads():
+    """Each rendered word parses to one word cold (empty tables: every
+    segment is read the long way), warm (every piece is a hit) and
+    through `_Parser`."""
+    for text in _rendered_words():
+        clear_tables()
+        cold = parse_word(text)
+        warm = parse_word(text)
+        assert cold == warm == dsl._descent_word(text), text
+
+
+def _loosely_spaced(text: str) -> str:
+    """`text` with spaces inside its entries and around its exponents."""
+    for old, new in (("(", "( "), (")", " )"), ("^", " ^ "), ("+", " + ")):
+        text = text.replace(old, new)
+    return text
+
+
+def test_spaced_pieces_read_the_long_way():
+    assert parse_word("st(+,0,{a( k + 1 ) ^ -1}) [a1 ^ -1]") == parse_word(
+        "st(+,0,{a(k+1)^-1}) [a1^-1]"
+    )
+    for text in _rendered_words():
+        clear_tables()
+        spaced = parse_word(_loosely_spaced(text))
+        assert spaced == parse_word(text) == dsl._descent_word(text), text
+
+
+def test_set_names_enter_no_key():
+    rng = random.Random(7)
+    for text, env in HAND_WRITTEN:
+        for t in (text, _spaced(text, rng)):
+            parse_word(t, env)
+            for name in env or ():
+                assert not [key for key in dsl._ENTRY_BY_TEXT if f"({name})" in key], name
+
+
+def test_table_keys_are_renderings():
+    """Every key is its value's rendering, which `_Parser` reads back to
+    that value: an entry as a one-entry stream, a letter as a block."""
+    for text, env in VALID_TEXTS:
+        parse_word(text, env)
+    assert dsl._LETTER_BY_TEXT and dsl._ENTRY_BY_TEXT
+    for key, x in dsl._LETTER_BY_TEXT.items():
+        assert key == str(x)
+        assert dsl._descent_word(f"[{key}]").segments[0].word.letters == (x,)
+    for key, e in dsl._ENTRY_BY_TEXT.items():
+        assert key == dsl.render_entry(e)
+        assert dsl._descent_word(f"st(+,0,{{{key}}})").segments[0].schema.entries == (e,)

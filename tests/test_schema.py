@@ -165,6 +165,24 @@ def test_weave_inverts_decimation(spec, t):
     assert _progression(strands, 0, 1) == spec
 
 
+def test_progression_reads_each_choice():
+    # the choice at step k is entry p % m's at step p // m, p = start +
+    # stride*k: at p < 0 a literal b or c chooses alike and a set has no
+    # member
+    def choice(fam, k):
+        return fam if isinstance(fam, str) else "b" if k >= 0 and fam.contains(k) else "c"
+
+    rng = random.Random(61)
+    sets = [Finite((0, 3)), EvPeriodic("1", "011"), EvPeriodic("", "10"), "b", "c"]
+    for _ in range(400):
+        fams = [rng.choice(sets) for _ in range(rng.randint(1, 4))]
+        m, start, stride = len(fams), rng.randint(-8, 8), rng.randint(1, 6)
+        got = _progression(fams, start, stride)
+        for k in range(30):
+            q, r = divmod(start + stride * k, m)
+            assert choice(got, k) == choice(fams[r], q), (fams, start, stride, k)
+
+
 @given(idx_st, st.integers(1, 3))
 def test_fold_undoes_unroll(f, t):
     sch = Schema((Entry("a", f, 1),))
