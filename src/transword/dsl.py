@@ -439,7 +439,8 @@ _SIGN = {"": 1, "+": 1, "-": -1}
 
 # every letter and entry the scanner has read the long way, by its
 # rendering (`str`, `render_entry` without set names): the text its `_text`
-# slot holds
+# slot holds.  Two tables, so that a block finds letters only and a stream
+# entries only: `[a(k)]` and `st(+,0,{a1})` stay errors.
 _LETTER_BY_TEXT: dict[str, Letter] = {}
 _ENTRY_BY_TEXT: dict[str, Entry] = {}
 

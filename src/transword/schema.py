@@ -82,6 +82,7 @@ from .setspec import (
     MIXED,
     PrefixCode,
     SetSpec,
+    _bit,
     _canonical_evp,
     _evp_bits,
     _from_bits,
@@ -505,10 +506,7 @@ def _progression(fams: list, start: int, stride: int) -> FamSpec | None:
     member at p < 0: one literal or 'a' when every entry met has it; a
     prefix code only when read at its own steps from step 0; else the set
     woven from the bit view.  None for 'a' beside b/c, or for a prefix
-    code read at other steps.  With g = gcd(m, stride), the steps k = c,
-    c + P, c + 2P, ... (P = m/g) meet one entry, at a q = p // m that
-    advances by stride/g: each such class of steps reads one slice of its
-    entry's bits, and the classes interleave."""
+    code read at other steps."""
     m = len(fams)
     g = gcd(m, stride)
     met = fams[start % g :: g]  # the entries p % m meets, those congruent to start mod g
@@ -517,31 +515,14 @@ def _progression(fams: list, start: int, stride: int) -> FamSpec | None:
     strands = [_evp_bits(f) for f in met]
     if None in strands:
         return None
-    stable = max([len(prefix) for prefix, _ in strands])
+    stable = max(len(prefix) for prefix, _ in strands)
     k0 = max(0, -((start - m * stable) // stride))  # from k0 on, every strand is periodic
-    P, step = len(met), stride // g
-    n = k0 + P * lcm(*[len(period) for _, period in strands])
-    if P == 1:  # one set (a lone literal returned above), as unroll and shifts read it
-        bits = _strand_slice(strands[0], start // m, step, n, 0)
-    else:
-        woven = [0] * n
-        for c in range(P):
-            q, r = divmod(start + stride * c, m)
-            below = int(fams[r] == "b")
-            woven[c::P] = _strand_slice(strands[r // g], q, step, len(range(c, n, P)), below)
-        bits = tuple(woven)
-    return _from_bits(bits[:k0], bits[k0:])
-
-
-def _strand_slice(strand: tuple, q: int, step: int, count: int, below: int) -> tuple:
-    """Bits q, q + step, ... (count of them) of the sequence prefix +
-    period + period + ... that `strand` holds, with `below` at q < 0."""
-    prefix, period = strand
-    before = max(0, -(q // step))
-    q += step * before
-    end = q + step * (count - before)
-    seq = prefix + period * ((end - len(prefix)) // len(period) + 1)
-    return (below,) * before + seq[q:end:step]
+    span = len(met) * lcm(*(len(period) for _, period in strands))
+    bits = []
+    for p in range(start, start + stride * (k0 + span), stride):
+        q, r = divmod(p, m)
+        bits.append(_bit(*strands[r // g], q) if q >= 0 else int(fams[r] == "b"))
+    return _from_bits(tuple(bits[:k0]), tuple(bits[k0:]))
 
 
 def unroll(schema: Schema, t: int, phase: int = 0) -> Schema | None:

@@ -339,6 +339,17 @@ def test_spaced_pieces_read_the_long_way():
         assert spaced == parse_word(text) == dsl._descent_word(text), text
 
 
+def test_a_letter_is_no_entry_and_an_entry_no_letter():
+    """A letter's text in a stream and an entry's text in a block are
+    refused as before, also once both are keys: a block looks pieces up
+    among letters only, and a stream among entries only."""
+    parse_word("st(+,0,{a(k+1)^-1}) [a1^-1]")
+    for text, column in (("[a(k+1)^-1]", 2), ("st(+,0,{a1^-1})", 9)):
+        with pytest.raises(ParseError) as e:
+            parse_word(text)
+        assert (e.value.line, e.value.col) == (1, column), text
+
+
 def test_set_names_enter_no_key():
     rng = random.Random(7)
     for text, env in HAND_WRITTEN:

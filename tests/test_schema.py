@@ -168,15 +168,16 @@ def test_weave_inverts_decimation(spec, t):
 def test_progression_reads_each_choice():
     # the choice at step k is entry p % m's at step p // m, p = start +
     # stride*k: at p < 0 a literal b or c chooses alike and a set has no
-    # member
+    # member; starts far along (10**9 steps) cost what short ones do
     def choice(fam, k):
         return fam if isinstance(fam, str) else "b" if k >= 0 and fam.contains(k) else "c"
 
     rng = random.Random(61)
     sets = [Finite((0, 3)), EvPeriodic("1", "011"), EvPeriodic("", "10"), "b", "c"]
-    for _ in range(400):
+    for n in range(400):
         fams = [rng.choice(sets) for _ in range(rng.randint(1, 4))]
         m, start, stride = len(fams), rng.randint(-8, 8), rng.randint(1, 6)
+        start += 10**9 * m * (n % 4 == 0)
         got = _progression(fams, start, stride)
         for k in range(30):
             q, r = divmod(start + stride * k, m)
@@ -343,7 +344,8 @@ def schema_st(draw):
     return sch
 
 
-@given(schema_st(), st.integers(-2, 4))
+# shifts far along too, as the cursor of a stream that starts there asks for
+@given(schema_st(), st.integers(-2, 4) | st.integers(10**9, 10**9 + 3))
 def test_unroll_by_one_shifts(sch, d):
     shifted = unroll(sch, 1, d)
     if shifted is None:
