@@ -26,28 +26,22 @@ bit string, NAME a set name of the environment):
     poly    := ('+'|'-')? term (('+'|'-') term)*
     term    := N | N? 'k' ('^' 2)?
 
-No rule refers to itself, so the grammar is regular, and `parse_word`
-reads a word with one `findall` of a compiled pattern, `_SEGMENT`: one
-match per block, bare letter or stream, whose groups hold a block's
-text, a bare letter, or a stream's header and the text of its entries.
-Text this module rendered names letters and entries that were read
-before, so the scanner first splits a block's or a stream's text at
-whitespace and looks each piece up in `_LETTER_BY_TEXT` or
-`_ENTRY_BY_TEXT`, tables from a value's rendering (`str(letter)`,
-`render_entry` without set names) to the interned value.  A segment
-with a piece that misses (other spacing, a set name, damaged text) is
-read the long way: the letters or entries take one more `findall`, a
-polynomial's terms another, the interned values are built straight from
-the groups, and each is entered in its table under its rendering.  So
-every key is the text its value renders to, and as rendered text parses
-back to the value it came from, a hit is what the long way would build.
-When a character starts no segment, letter or entry there, or a
-constructor refuses what was read, `parse_word` runs the descent parser
-`_Parser` on the whole text instead, so the value or the `ParseError`
-(message, line and column) is always the one `_Parser` gives.  `_Parser`
-also reads set specs, family maps and substitutions (whose exceptional
-images are words), and it is the reference the scanner is tested
-against.
+`parse_word` has two readers.  The descent parser `_Parser` reads the
+whole grammar, places every error (message, line and column) and also
+reads set specs, family maps and substitutions (whose exceptional images
+are words).  The scanner `_scan_word` reads only what `render_word`
+writes: blocks `[a0 b1^-1]` and streams `st(+,2,{...})` with no space in
+the stream's header, found by one `findall` of `_SEGMENT`.  It splits a
+block's or a stream's text at whitespace and looks each piece up in
+`_LETTER_BY_TEXT` or `_ENTRY_BY_TEXT`, tables from a value's rendering
+(`str(letter)`, `render_entry` without set names) to the interned value.
+On a piece that misses (a first reading, other spacing, a set name,
+damaged text), a bare letter run, any other character, or a value a
+constructor refuses, the scanner gives up and `parse_word` runs `_Parser`
+on the whole text; then it enters each letter and entry of the word read
+under its rendering.  So `parse_word` is the tables' one writer, every
+key is the text its value renders to, and as rendered text parses back to
+the value it came from, a hit is what `_Parser` would build.
 """
 
 from __future__ import annotations
@@ -100,6 +94,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+def _found(kind: str, text: str) -> str:
+    """The token an error names: its text, or the end of the input."""
+    return "end of input" if kind == "eof" else repr(text)
+
+
 class _Parser:
     def __init__(self, text: str, env: dict[str, SetSpec] | None = None):
         self.text = text
@@ -121,7 +120,7 @@ class _Parser:
     def expect(self, text: str) -> tuple[str, str, int]:
         t = self.next()
         if t[1] != text:
-            raise ParseError(f"expected {text!r}, found {t[1]!r}", self.text, t[2])
+            raise ParseError(f"expected {text!r}, found {_found(t[0], t[1])}", self.text, t[2])
         return t
 
     def at(self, text: str) -> bool:
@@ -152,7 +151,7 @@ class _Parser:
     def letter(self) -> Letter:
         kind, text, pos = self.next()
         if kind != "letter":
-            raise ParseError(f"expected a letter, found {text!r}", self.text, pos)
+            raise ParseError(f"expected a letter, found {_found(kind, text)}", self.text, pos)
         return Letter(text[0], int(text[1:]), self.sign_suffix())
 
     def poly(self, var: str) -> tuple[int, int, int, int]:
@@ -246,7 +245,7 @@ class _Parser:
         if kind in _NAMES and text in self.env:
             self.next()
             return self.env[text]
-        self.fail(f"expected a set spec, found {text!r}")
+        self.fail(f"expected a set spec, found {_found(kind, text)}")
         raise AssertionError
 
     def _bitstring(self) -> str:
@@ -267,7 +266,7 @@ class _Parser:
         elif kind == "ident" and text in ("a", "b", "c"):
             fam = self.next()[1]
         else:
-            self.fail(f"expected an entry, found {text!r}")
+            self.fail(f"expected an entry, found {_found(kind, text)}")
             raise AssertionError
         self.expect("(")
         idx = self.index_fn("k")
@@ -396,137 +395,57 @@ class _Parser:
 
 # -- the segment scanner (module docstring) -----------------------------------
 
-# An identifier (`st`, `k`, a letter, a set name) ends where `_TOKEN` ends
-# it, and a number whose value is checked is matched whole.
-_IDENT_END = r"(?![A-Za-z_0-9])"
-_EXP = r"(?:\s*\^\s*([+-]?)\s*0*1(?!\d))?"  # group: the exponent's sign
-_LETTER = rf"([abc])([0-9]+){_IDENT_END}{_EXP}"  # groups: family, index, sign
-_TERM = r"(?:\d+\s*)?k(?:\s*\^\s*0*2(?!\d))?|\d+"
-_POLY = rf"[+-]?\s*(?:{_TERM})(?:\s*[+-]\s*(?:{_TERM}))*"
-# groups: literal family; the numbers of `fin{...}`; eper or pcode and its
-# two bit strings; set name; a1 and a0 of a plain `k`, `2k` or `k+3`; any other
-# polynomial, in parentheses with its divisor or bare; the exponent's sign
-_ENTRY = (
-    r"(?:([abc])|sel\s*\(\s*(?:"
-    r"fin\s*\{\s*((?:\d+(?:\s*,\s*\d+)*)?)\s*\}"
-    r'|(eper|pcode)\s*\(\s*"([01]*)"\s*,\s*"([01]*)"\s*\)'
-    rf"|((?!(?:fin|eper|pcode){_IDENT_END})[A-Za-z_][A-Za-z_0-9]*)"
-    r")\s*\))\s*\((?:(\d*)k(?:\+(\d+))?\)"
-    rf"|\s*(?:\(\s*({_POLY})\s*\)(?:\s*/\s*(\d+))?|({_POLY}))\s*\)){_EXP}"
-)
-
-
-# One segment a match: a block (its bracket and the text up to the
-# closing one), a letter of a bare run, a stream (direction, start and the
-# text of its entries up to its closing brace), or any other character,
-# which leaves every group empty and ends the scan.  A block's letters and
-# a stream's entries are looked up by their text (module docstring), else
-# read by `_LETTERS` and `_ENTRIES`, which match any other character too: a
-# pattern that repeated the letter or entry pattern would hold the
-# matcher's state for every repetition.
+# One segment a match, in the form `render_word` writes it: a block (its
+# bracket and the text up to the closing one), a stream (direction, start
+# and the text of its entries up to its closing brace), or any other
+# character, which leaves every group empty and ends the scan.
 _SEGMENT = re.compile(
     r"\s*(?:(\[[^\]]*)\]"
-    rf"|{_LETTER}"
-    r"|st\s*\(\s*([+-])\s*,\s*(\d+)\s*,\s*\{([^{}]*(?:\{[^{}]*\}[^{}]*)*)\}\s*\)"
+    r"|st\(([+-]),(\d+),\{([^{}]*(?:\{[^{}]*\}[^{}]*)*)\}\)"
     r"|\S)"
 )
-_LETTERS = re.compile(rf"\s*(?:{_LETTER}|(\S))")
-_ENTRIES = re.compile(rf"\s*(?:{_ENTRY}|(\S))")
-# groups: sign, coefficient, `k`, `^2`; one match per term of a matched
-# polynomial, and an empty one at its end
-_TERMS = re.compile(r"\s*([+-]?)\s*(\d*)\s*(k?)(\s*\^\s*\d+)?")
-_SIGN = {"": 1, "+": 1, "-": -1}
 
-# every letter and entry the scanner has read the long way, by its
-# rendering (`str`, `render_entry` without set names): the text its `_text`
-# slot holds.  Two tables, so that a block finds letters only and a stream
-# entries only: `[a(k)]` and `st(+,0,{a1})` stay errors.
+# every letter and entry of a word `_Parser` read, by its rendering (`str`,
+# `render_entry` without set names): the text its `_text` slot holds.  Two
+# tables, so that a block finds letters only and a stream entries only:
+# `[a(k)]` and `st(+,0,{a1})` stay errors.
 _LETTER_BY_TEXT: dict[str, Letter] = {}
 _ENTRY_BY_TEXT: dict[str, Entry] = {}
 
 
-def _scan_word(text: str, env) -> SchematicWord | None:
+def _scan_word(text: str) -> SchematicWord | None:
     """The word `_Parser` reads from `text`, built from the matches of
-    `_SEGMENT`; None when the scan meets a character no segment starts
-    with, or a constructor refuses what it read, and `_Parser` decides."""
-    segs: list = []
-    run = None  # the letters of an open bare run
+    `_SEGMENT` and the pieces its tables hold; None when the scan meets a
+    piece no table holds or a character no segment starts with, or a
+    constructor refuses what it read, and `_Parser` decides."""
+    segs = []
     try:
-        for block, fam, index, sign, direction, k0, body in _SEGMENT.findall(text):
-            if fam:
-                if run is None:
-                    run = []
-                    segs.append(run)
-                run.append(Letter(fam, int(index), _SIGN[sign]))
-                continue
-            if run is not None:
-                segs[-1] = FiniteBlock(FreeWord(tuple(run)))
-                run = None
+        for block, direction, k0, body in _SEGMENT.findall(text):
             if direction:
-                try:
-                    entries = [_ENTRY_BY_TEXT[t] for t in body.split()]
-                except KeyError:
-                    entries = [_entry(*groups, env) for groups in _ENTRIES.findall(body)]
-                    for e in entries:
-                        _ENTRY_BY_TEXT[render_entry(e)] = e
-                schema = Schema(tuple(entries))
+                schema = Schema(tuple([_ENTRY_BY_TEXT[t] for t in body.split()]))
                 segs.append(Stream(direction == "+", int(k0) * schema.width, schema))
             elif block:
-                try:
-                    letters = [_LETTER_BY_TEXT[t] for t in block[1:].split()]
-                except KeyError:
-                    # a character that starts no letter leaves the index
-                    # empty, and int("") raises
-                    found = _LETTERS.findall(block, 1)
-                    letters = [Letter(f, int(i), _SIGN[s]) for f, i, s, _ in found]
-                    for x in letters:
-                        _LETTER_BY_TEXT[str(x)] = x
+                letters = [_LETTER_BY_TEXT[t] for t in block[1:].split()]
                 segs.append(FiniteBlock(FreeWord(tuple(letters))))
             else:
                 return None
-    except ValueError:
+    except (KeyError, ValueError):
         return None
-    if run is not None:
-        segs[-1] = FiniteBlock(FreeWord(tuple(run)))
     return SchematicWord(tuple(segs))
 
 
-def _entry(lit, fin, kind, s1, s2, name, a1, a0, paren, div, bare, sign, bad, env) -> Entry:
-    """The entry of one match of `_ENTRY`; ValueError when the match is a
-    character that starts no entry (`bad`), a constructor refuses it or
-    its set name is not in `env`."""
-    if bad:
-        raise ValueError(f"no entry starts at {bad!r}")
-    if lit:
-        fam = lit
-    elif kind:
-        fam = make_evp(s1, s2) if kind == "eper" else PrefixCode(s1, s2)
-    elif name:
-        if name not in env:
-            raise ValueError(f"unknown set name {name!r}")
-        fam = env[name]
-    else:  # `fin{...}`, the one alternative that may match no text
-        fam = Finite(map(int, fin.split(","))) if fin else Finite(())
-    poly = paren or bare
-    if not poly:
-        return Entry(fam, IndexFn(0, int(a1) if a1 else 1, int(a0) if a0 else 0), _SIGN[sign])
-    a2 = a1 = a0 = 0
-    for neg, coef, k, square in _TERMS.findall(poly):
-        c = int(coef) if coef else 1
-        if neg == "-":
-            c = -c
-        if square:
-            a2 += c
-        elif k:
-            a1 += c
-        elif coef:
-            a0 += c
-    return Entry(fam, IndexFn(a2, a1, a0, int(div) if div else 1), _SIGN[sign])
-
-
 def parse_word(text: str, env: dict[str, SetSpec] | None = None) -> SchematicWord:
-    w = _scan_word(text, env or {})
-    return _descent_word(text, env) if w is None else w
+    w = _scan_word(text)
+    if w is None:
+        w = _descent_word(text, env)
+        for seg in w.segments:
+            if isinstance(seg, FiniteBlock):
+                for x in seg.word.letters:
+                    _LETTER_BY_TEXT[str(x)] = x
+            else:
+                for e in seg.schema.entries:
+                    _ENTRY_BY_TEXT[render_entry(e)] = e
+    return w
 
 
 def _parse_whole(text: str, rule: str, env=None):

@@ -104,6 +104,8 @@ def test_parse_error_positions():
         (parse_sigma_map, "f{S1->T} }", "trailing input '}'", 10),
         (parse_substitution, "doubling tau", "trailing input 'tau'", 10),
         (parse_word, "[a0] )", "trailing input ')'", 6),
+        # an error at the end of the text names no token
+        (parse_word, "[a0", "expected a letter, found end of input", 4),
     ],
 )
 def test_whole_text_parse_errors(parse, text, message, col):
@@ -240,10 +242,13 @@ def _outcome(parse, text, env):
 
 
 def test_scanner_reads_what_the_descent_parser_reads():
+    """The scanner gives up on a valid text or reads `_Parser`'s word, and
+    once a text is parsed, the rendering of its word scans."""
     for text, env in VALID_TEXTS:
-        w = dsl._scan_word(text, env or {})
-        assert w is not None, text
-        assert w == dsl._descent_word(text, env), text
+        scanned = dsl._scan_word(text)
+        assert scanned is None or scanned == dsl._descent_word(text, env), text
+        rendered = render_word(parse_word(text, env))
+        assert dsl._scan_word(rendered) is not None, text
 
 
 # texts one token away from the grammar, each with its set names
@@ -272,7 +277,7 @@ NEAR_MISSES = [
 
 @pytest.mark.parametrize("text, env", NEAR_MISSES)
 def test_scanner_refuses_near_misses(text, env):
-    assert dsl._scan_word(text, env or {}) is None
+    assert dsl._scan_word(text) is None
     with pytest.raises(ParseError) as e:
         parse_word(text, env)
     assert _outcome(dsl._descent_word, text, env) == (str(e.value), e.value.col)
@@ -301,7 +306,7 @@ def test_scanner_matches_descent_parser_on_damaged_words(part):
 
 def clear_tables():
     """Empty the scanner's text tables (caches of rendered letters and
-    entries), so that the next parse of any text reads it the long way."""
+    entries), so that the next parse of any text runs `_Parser`."""
     dsl._LETTER_BY_TEXT.clear()
     dsl._ENTRY_BY_TEXT.clear()
 
@@ -311,10 +316,9 @@ def _rendered_words():
     return [render_word(random_word(rng, **size)) for size in SIZES for _ in range(60)]
 
 
-def test_table_hits_read_what_the_regex_path_reads():
-    """Each rendered word parses to one word cold (empty tables: every
-    segment is read the long way), warm (every piece is a hit) and
-    through `_Parser`."""
+def test_table_hits_read_what_a_cold_parse_reads():
+    """Each rendered word parses to one word cold (empty tables: `_Parser`
+    reads it), warm (every piece is a hit) and through `_Parser`."""
     for text in _rendered_words():
         clear_tables()
         cold = parse_word(text)
@@ -327,6 +331,16 @@ def _loosely_spaced(text: str) -> str:
     for old, new in (("(", "( "), (")", " )"), ("^", " ^ "), ("+", " + ")):
         text = text.replace(old, new)
     return text
+
+
+def _unrendered_texts():
+    """Texts the scanner leaves to `_Parser`: a bare run, the texts with
+    set names, and loosely spaced renders."""
+    return (
+        [("a0 b1^-1", None)]
+        + [(text, env) for text, env in HAND_WRITTEN if env]
+        + [(_loosely_spaced(text), None) for text in _rendered_words()[::6]]
+    )
 
 
 def test_spaced_pieces_read_the_long_way():
@@ -352,18 +366,24 @@ def test_a_letter_is_no_entry_and_an_entry_no_letter():
 
 def test_set_names_enter_no_key():
     rng = random.Random(7)
-    for text, env in HAND_WRITTEN:
-        for t in (text, _spaced(text, rng)):
+    for text, env in HAND_WRITTEN + _unrendered_texts():
+        for t in (text, _spaced(text, rng), _loosely_spaced(text)):
             parse_word(t, env)
             for name in env or ():
                 assert not [key for key in dsl._ENTRY_BY_TEXT if f"({name})" in key], name
 
 
-def test_table_keys_are_renderings():
+def test_table_keys_are_renderings(counting):
     """Every key is its value's rendering, which `_Parser` reads back to
-    that value: an entry as a one-entry stream, a letter as a block."""
-    for text, env in VALID_TEXTS:
-        parse_word(text, env)
+    that value: an entry as a one-entry stream, a letter as a block.  Once
+    a text is parsed, its word's rendering is read without `_Parser`."""
+    parsers = counting("dsl._Parser")
+    for text, env in VALID_TEXTS + _unrendered_texts():
+        rendered = render_word(parse_word(text, env))
+        parsers.clear()
+        again = parse_word(rendered)
+        assert not parsers, text
+        assert again == dsl._descent_word(rendered), text
     assert dsl._LETTER_BY_TEXT and dsl._ENTRY_BY_TEXT
     for key, x in dsl._LETTER_BY_TEXT.items():
         assert key == str(x)
